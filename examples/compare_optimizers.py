@@ -2,20 +2,20 @@
 vs grid search on the same live system (Fig. 8 extended).
 
 All four optimizers drive identical deployments through the identical
-Adjust measurement pathway; the table reports the paper's three axes —
-final delay, search time (simulated seconds), configuration steps — plus
-each final configuration.
+Adjust measurement pathway, and the baselines share one tuning loop
+(``run_tuner``) whose pause rule picks each winner stable-first.  The
+table reports the paper's three axes — final delay, search time
+(simulated seconds), configuration steps — with every final
+configuration re-measured on a fresh deployment.
 
 Run:  python examples/compare_optimizers.py
 """
 
 from repro.analysis.tables import format_table
-from repro.baselines.bayesian import run_bayesian_optimization
 from repro.baselines.fixed import run_fixed_configuration
-from repro.baselines.grid_search import run_grid_search
-from repro.baselines.random_search import run_random_search
 from repro.core.adjust import theta_to_configuration
-from repro.experiments.common import build_experiment
+from repro.core.pause import PauseRule
+from repro.experiments.common import build_experiment, make_controller, run_search
 
 WORKLOAD = "linear_regression"
 SEED = 23
@@ -40,8 +40,6 @@ def honest_delay(theta, scaler) -> float:
 def main() -> None:
     rows = []
 
-    from repro.experiments.common import make_controller
-
     setup = build_experiment(WORKLOAD, seed=SEED)
     ctrl = make_controller(setup, seed=SEED)
     rep = ctrl.run(35)
@@ -52,26 +50,21 @@ def main() -> None:
                  spsa_time, spsa_steps,
                  "yes" if rep.first_pause_round else "no"))
 
-    setup = build_experiment(WORKLOAD, seed=SEED)
-    bo = run_bayesian_optimization(
-        setup.system, setup.scaler, max_evaluations=70, seed=SEED
-    )
-    rows.append(("Bayesian opt", honest_delay(bo.final_theta, setup.scaler),
-                 bo.search_time, bo.config_steps,
-                 "yes" if bo.converged_at else "no"))
-
-    setup = build_experiment(WORKLOAD, seed=SEED)
-    rs = run_random_search(
-        setup.system, setup.scaler, max_evaluations=70, seed=SEED
-    )
-    rows.append(("Random search", honest_delay(rs.best().theta, setup.scaler),
-                 rs.search_time, len(rs.evaluations),
-                 "yes" if rs.converged_at else "no"))
-
-    setup = build_experiment(WORKLOAD, seed=SEED)
-    gs = run_grid_search(setup.system, setup.scaler, points_per_axis=6)
-    rows.append(("Grid search (6x6)", honest_delay(gs.best().theta, setup.scaler),
-                 gs.search_time, len(gs.evaluations), "n/a"))
+    # A 6x6 grid stays exhaustive: the pause rule cannot fire before
+    # every point has been measured.
+    for label, tuner, budget, rule, options in (
+        ("Bayesian opt", "bo", 70, None, {}),
+        ("Random search", "random", 70, None, {}),
+        ("Grid search (6x6)", "grid", 36, PauseRule(n_best=36),
+         {"points_per_axis": 6}),
+    ):
+        setup = build_experiment(WORKLOAD, seed=SEED)
+        run = run_search(setup, tuner, seed=SEED, max_evaluations=budget,
+                         pause_rule=rule, confirm=tuner == "bo", **options)
+        converged = "n/a" if tuner == "grid" else (
+            "yes" if run.converged else "no")
+        rows.append((label, honest_delay(run.best_theta, setup.scaler),
+                     run.search_time, run.evaluations, converged))
 
     print(format_table(
         ["optimizer", "final delay (s)", "search time (s)",

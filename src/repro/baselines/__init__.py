@@ -1,40 +1,26 @@
-"""Comparators: Bayesian optimization (from-scratch GP + EI), Spark back
-pressure, fixed/default configuration, random search, and grid search.
+"""Non-searching comparators and the BO building blocks.
+
+Spark back pressure and the fixed/default configuration run here.  The
+searching optimizers — Bayesian optimization, simulated annealing,
+random and grid search — live in :mod:`repro.tuners` and all run
+through :func:`repro.tuners.run_tuner`; this package keeps the
+from-scratch GP and acquisition functions Bayesian optimization is
+built on.
 """
 
 from .acquisition import expected_improvement, lower_confidence_bound
-from .annealing import AnnealingReport, run_simulated_annealing
 from .backpressure import BackPressureRunResult, run_backpressure
-from .bayesian import (
-    BayesianOptimizer,
-    BOEvaluation,
-    BOReport,
-    run_bayesian_optimization,
-)
 from .fixed import DEFAULT_CONFIGURATION, FixedRunResult, run_fixed_configuration
 from .gp import GaussianProcess, rbf_kernel
-from .grid_search import GridSearchReport, grid_points, run_grid_search
-from .random_search import RandomSearchReport, run_random_search
 
 __all__ = [
-    "AnnealingReport",
-    "BOEvaluation",
-    "BOReport",
     "BackPressureRunResult",
-    "BayesianOptimizer",
     "DEFAULT_CONFIGURATION",
     "FixedRunResult",
     "GaussianProcess",
-    "GridSearchReport",
-    "RandomSearchReport",
     "expected_improvement",
-    "grid_points",
     "lower_confidence_bound",
     "rbf_kernel",
     "run_backpressure",
-    "run_simulated_annealing",
-    "run_bayesian_optimization",
     "run_fixed_configuration",
-    "run_grid_search",
-    "run_random_search",
 ]

@@ -668,10 +668,11 @@ def _cmd_tournament(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from repro.baselines.annealing import run_simulated_annealing
-    from repro.baselines.bayesian import run_bayesian_optimization
-    from repro.baselines.random_search import run_random_search
-    from repro.experiments.common import build_experiment, make_controller
+    from repro.experiments.common import (
+        build_experiment,
+        make_controller,
+        run_search,
+    )
 
     rows = []
 
@@ -683,27 +684,17 @@ def _cmd_compare(args) -> int:
                  report.adjust_calls_to_pause or controller.adjust.calls,
                  "yes" if report.first_pause_round else "no"))
 
-    budget = 2 * args.rounds
-    setup = build_experiment(args.workload, seed=args.seed)
-    bo = run_bayesian_optimization(
-        setup.system, setup.scaler, max_evaluations=budget, seed=args.seed
-    )
-    rows.append(("Bayesian opt", f"{bo.final_delay:.2f}", bo.config_steps,
-                 "yes" if bo.converged_at else "no"))
-
-    setup = build_experiment(args.workload, seed=args.seed)
-    sa = run_simulated_annealing(
-        setup.system, setup.scaler, max_evaluations=budget, seed=args.seed
-    )
-    rows.append(("Simulated annealing", f"{sa.best().end_to_end_delay:.2f}",
-                 sa.config_steps, "yes" if sa.converged_at else "no"))
-
-    setup = build_experiment(args.workload, seed=args.seed)
-    rs = run_random_search(
-        setup.system, setup.scaler, max_evaluations=budget, seed=args.seed
-    )
-    rows.append(("Random search", f"{rs.best().end_to_end_delay:.2f}",
-                 len(rs.evaluations), "yes" if rs.converged_at else "no"))
+    # Every baseline runs through the shared tuner loop and reports the
+    # pause rule's stable-first pick; BO also confirms its winner.
+    for label, tuner in (("Bayesian opt", "bo"),
+                         ("Simulated annealing", "annealing"),
+                         ("Random search", "random")):
+        setup = build_experiment(args.workload, seed=args.seed)
+        run = run_search(setup, tuner, seed=args.seed,
+                         max_evaluations=2 * args.rounds,
+                         confirm=tuner == "bo")
+        rows.append((label, f"{run.best_delay:.2f}", run.evaluations,
+                     "yes" if run.converged else "no"))
 
     print(format_table(
         ["optimizer", "final delay (s)", "config steps", "converged"],

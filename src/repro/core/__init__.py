@@ -19,7 +19,7 @@ from .gains import DEFAULT_ALPHA, DEFAULT_GAMMA, GainSchedule, paper_gains
 from .metrics_collector import Measurement, MetricsCollector
 from .nostop import NoStopController, NoStopReport, RoundRecord
 from .objective import RhoSchedule, penalized_objective
-from .pause import EvaluatedConfig, PauseRule, steady_state_delay
+from .pause import EvaluatedConfig, PauseRule, confirm_best, steady_state_delay
 from .perturbation import (
     BernoulliPerturbation,
     PerturbationGenerator,
@@ -27,7 +27,7 @@ from .perturbation import (
 )
 from .rate_monitor import RateMonitor
 from .spsa import SPSAIteration, SPSAOptimizer
-from .spsa_variants import AveragedSPSA, BlockedSPSA, OneMeasurementSPSA
+from .spsa_variants import AveragedSPSA, OneMeasurementSPSA
 from .system import SimulatedSparkSystem
 from .tuning import estimate_measurement_std, suggest_gains
 
@@ -52,13 +52,13 @@ __all__ = [
     "RhoSchedule",
     "RoundRecord",
     "AveragedSPSA",
-    "BlockedSPSA",
     "OneMeasurementSPSA",
     "SPSAIteration",
     "SPSAOptimizer",
     "SegmentedUniformPerturbation",
     "SimulatedSparkSystem",
     "estimate_measurement_std",
+    "confirm_best",
     "evaluate_config",
     "multi_parameter_space",
     "paper_configuration_space",

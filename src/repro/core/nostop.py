@@ -35,7 +35,7 @@ from .bounds import MinMaxScaler
 from .gains import GainSchedule, paper_gains
 from .metrics_collector import Measurement, MetricsCollector
 from .objective import RhoSchedule
-from .pause import EvaluatedConfig, PauseRule
+from .pause import EvaluatedConfig, PauseRule, confirm_best
 from .perturbation import PerturbationGenerator
 from .rate_monitor import RateMonitor
 from .spsa import SPSAOptimizer
@@ -528,29 +528,17 @@ class NoStopController:
     def confirm_best(self, max_confirmations: int = 4) -> None:
         """Re-measure singleton winners before trusting them.
 
-        With dozens of noisy two-to-three-batch probe windows, the
-        minimum-objective configuration is biased toward lucky
-        measurements (winner's curse).  Re-measuring the current best
-        until it has at least two windows — demoting it if the average
-        no longer wins — makes the reported final configuration honest.
+        See :func:`repro.core.pause.confirm_best`; a hardened controller
+        skips corrupted probes.
         """
-        if max_confirmations < 0:
-            raise ValueError("max_confirmations must be >= 0")
-        from .adjust import evaluate_config
-
-        for _ in range(max_confirmations):
-            if not self.pause_rule.evaluations:
-                return
-            best = self.pause_rule.best_config()
-            if self.pause_rule.measurement_count(best.theta) >= 2:
-                return
-            theta = np.asarray(best.theta, dtype=float)
-            result = self.adjust(theta, self.rho.cap)
-            if result.corrupted and self.harden:
-                continue  # don't let a fault transient demote/confirm
-            self.pause_rule.record(
-                evaluate_config(result, theta, self.spsa.k, rho_cap=self.rho.cap)
-            )
+        confirm_best(
+            self.pause_rule,
+            self.adjust,
+            self.rho.cap,
+            self.spsa.k,
+            max_confirmations=max_confirmations,
+            skip_corrupted=self.harden,
+        )
 
     def run(self, rounds: int, confirm: bool = True) -> NoStopReport:
         """Run ``rounds`` control rounds and finalize the report."""

@@ -25,9 +25,12 @@ Two reproduction-motivated details (documented in DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .adjust import AdjustFunction
 
 #: Headroom required of a configuration before it ranks as feasible.
 #: θ* is "not a single point but an acceptable area" (§4.2.4); ranking a
@@ -210,3 +213,38 @@ class PauseRule:
             )
             for d in state
         ]
+
+
+def confirm_best(
+    rule: PauseRule,
+    adjust: "AdjustFunction",
+    rho_cap: float,
+    iteration: int,
+    max_confirmations: int = 4,
+    skip_corrupted: bool = False,
+) -> None:
+    """Re-measure singleton winners before trusting them.
+
+    With dozens of noisy two-to-three-batch probe windows, the
+    minimum-objective configuration is biased toward lucky measurements
+    (winner's curse).  Re-measuring the current best at the penalty cap
+    until it has at least two windows — demoting it if the average no
+    longer wins — makes the reported final configuration honest.  With
+    ``skip_corrupted``, a probe a fault transient corrupted neither
+    confirms nor demotes the incumbent.
+    """
+    if max_confirmations < 0:
+        raise ValueError("max_confirmations must be >= 0")
+    from .adjust import evaluate_config
+
+    for _ in range(max_confirmations):
+        if not rule.evaluations:
+            return
+        best = rule.best_config()
+        if rule.measurement_count(best.theta) >= 2:
+            return
+        theta = np.asarray(best.theta, dtype=float)
+        result = adjust(theta, rho_cap)
+        if skip_corrupted and result.corrupted:
+            continue
+        rule.record(evaluate_config(result, theta, iteration, rho_cap=rho_cap))

@@ -145,50 +145,3 @@ class AveragedSPSA(SPSAOptimizer):
     def reset(self, theta_initial: Optional[Sequence[float]] = None) -> None:
         super().reset(theta_initial)
         self._measurements = 0
-
-
-class BlockedSPSA(SPSAOptimizer):
-    """SPSA with step blocking (Spall's practical guideline).
-
-    A candidate update is *rejected* when it would move θ by more than
-    ``max_step`` in any scaled coordinate — guarding against the
-    occasional wild gradient estimate that a noisy system produces (the
-    same concern that motivates the paper's growing-ρ schedule).
-    """
-
-    def __init__(
-        self,
-        gains: GainSchedule,
-        box: Box,
-        theta_initial: Sequence[float],
-        max_step: float = 3.0,
-        perturbation: Optional[PerturbationGenerator] = None,
-        seed: int = 0,
-        validate_gains: bool = True,
-    ) -> None:
-        if max_step <= 0:
-            raise ValueError(f"max_step must be positive, got {max_step}")
-        super().__init__(
-            gains=gains,
-            box=box,
-            theta_initial=theta_initial,
-            perturbation=perturbation,
-            seed=seed,
-            validate_gains=validate_gains,
-        )
-        self.max_step = max_step
-        self.blocked_steps = 0
-
-    def apply_measurements(
-        self, theta_plus, theta_minus, delta, c_k, y_plus, y_minus
-    ) -> SPSAIteration:
-        record = super().apply_measurements(
-            theta_plus, theta_minus, delta, c_k, y_plus, y_minus
-        )
-        step = record.theta_next - record.theta
-        if np.max(np.abs(step)) > self.max_step:
-            # Reject: keep the previous estimate (iteration still counts,
-            # gains keep decaying — standard blocking semantics).
-            self.theta = record.theta.copy()
-            self.blocked_steps += 1
-        return record

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.runner import ChaosRunResult
     from repro.obs.report import RunJudge, RunReport
+    from repro.tuners import TunerRunReport
 
 from repro.cluster.cluster import Cluster, paper_cluster
 from repro.core.bounds import MinMaxScaler, paper_configuration_space
@@ -187,6 +188,52 @@ def make_controller(
         seed=seed,
         telemetry=setup.telemetry,
     )
+
+
+def run_search(
+    setup: ExperimentSetup,
+    tuner: str,
+    seed: int = 0,
+    max_evaluations: int = 30,
+    pause_rule: Optional[PauseRule] = None,
+    confirm: bool = False,
+    **options,
+) -> "TunerRunReport":
+    """Run one registered tuner against a deployment via ``run_tuner``.
+
+    ``options`` go to the tuner's constructor (e.g. a grid's
+    ``points_per_axis``).  With ``confirm``, a singleton winner is then
+    re-measured by the same :func:`~repro.core.pause.confirm_best` pass
+    NoStop ends its run with, and the report's best-configuration fields
+    and search time cover the confirmation too.
+    """
+    from repro.core.adjust import AdjustFunction
+    from repro.core.pause import confirm_best
+    from repro.tuners import make_tuner, run_tuner
+
+    rho_cap = 2.0  # confirmation must measure at run_tuner's ranking cap
+    rule = pause_rule or PauseRule()
+    collector = MetricsCollector()
+    start_time = setup.system.time
+    report = run_tuner(
+        make_tuner(tuner, setup.scaler, seed=seed, **options),
+        setup.system,
+        setup.scaler,
+        max_evaluations=max_evaluations,
+        rho_cap=rho_cap,
+        pause_rule=rule,
+        collector=collector,
+    )
+    if confirm:
+        adjust = AdjustFunction(setup.system, setup.scaler, collector)
+        confirm_best(rule, adjust, rho_cap, report.evaluations)
+        best = rule.best_config()
+        report.best_objective = best.objective
+        report.best_theta = best.theta
+        report.best_delay = best.end_to_end_delay
+        report.best_stable = best.stable
+        report.search_time = setup.system.time - start_time
+    return report
 
 
 def paper_repeat_seeds(base_seed: int, repeats: int) -> list:

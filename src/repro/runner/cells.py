@@ -206,11 +206,13 @@ def _nostop_cell(params: Dict[str, Any]) -> Dict[str, Any]:
 
 @register_cell("bo")
 def _bo_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    """One Bayesian-optimization baseline run (Fig. 8 comparison)."""
-    from repro.baselines.bayesian import run_bayesian_optimization
-    from repro.core.metrics_collector import MetricsCollector
-    from repro.core.pause import PauseRule
-    from repro.experiments.common import build_experiment
+    """One Bayesian-optimization baseline run (Fig. 8 comparison).
+
+    BO runs through the shared tuner loop, then re-measures a singleton
+    winner exactly as NoStop does, so its reported optimum is not one
+    lucky measurement window.  Search time includes the confirmation.
+    """
+    from repro.experiments.common import build_experiment, run_search
 
     workload = params.pop("workload")
     seed = int(params.pop("seed"))
@@ -223,25 +225,15 @@ def _bo_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     setup = build_experiment(
         workload, seed=seed, count_only=count_only, fidelity=fidelity
     )
-    report = run_bayesian_optimization(
-        setup.system,
-        setup.scaler,
-        max_evaluations=max_evaluations,
-        seed=seed,
-        pause_rule=PauseRule(),
-        collector=MetricsCollector(),
-    )
-    final_delay = (
-        report.final_delay
-        if report.final_delay is not None
-        else report.best().end_to_end_delay
+    report = run_search(
+        setup, "bo", seed=seed, max_evaluations=max_evaluations, confirm=True
     )
     return {
         "workload": workload,
-        "finalDelay": final_delay,
-        "searchTime": float(report.search_time or 0.0),
-        "configSteps": report.config_steps,
-        "converged": report.converged_at is not None,
+        "finalDelay": report.best_delay,
+        "searchTime": float(report.search_time),
+        "configSteps": report.evaluations,
+        "converged": report.converged,
         "batchesExecuted": len(setup.context.listener.metrics),
     }
 

@@ -17,6 +17,7 @@ from .adapters import (
     GridTuner,
     NoStopTuner,
     RandomTuner,
+    grid_points,
 )
 from .base import (
     DIVERGENCE_PENALTY,
@@ -57,6 +58,7 @@ __all__ = [
     "TunerRunReport",
     "build_leaderboard",
     "clamp_objective",
+    "grid_points",
     "make_tuner",
     "register_tuner",
     "render_leaderboard",

@@ -1,26 +1,27 @@
-"""Tuner adapters over the existing optimizers.
+"""The classic optimizers behind the :class:`~repro.tuners.base.Tuner`
+protocol.
 
-Each adapter retrofits one already-proven optimizer — the SPSA/NoStop
-core, the GP Bayesian optimizer, simulated annealing, random search,
-grid search — behind the :class:`~repro.tuners.base.Tuner` protocol
-without re-implementing its mathematics.  The stateful search logic is
-unchanged; only the driving loop moves out into
-:func:`~repro.tuners.base.run_tuner`.
+SPSA/NoStop, Bayesian optimization, simulated annealing, random search
+and grid search each hold only their search state here; the driving
+loop, the Adjust measurement pathway and the pause rule that ranks
+their picks are shared through :func:`~repro.tuners.base.run_tuner`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.bayesian import BayesianOptimizer
-from repro.baselines.grid_search import grid_points
+from repro.baselines.acquisition import expected_improvement
+from repro.baselines.gp import GaussianProcess
 from repro.core.bounds import MinMaxScaler
 from repro.core.gains import GainSchedule, paper_gains
 from repro.core.objective import RhoSchedule
 from repro.core.pause import EvaluatedConfig
 from repro.core.spsa import SPSAOptimizer
+from repro.obs import catalog
+from repro.obs.registry import NOOP_REGISTRY, MetricsRegistry
 
 from .base import Tuner, clamp_objective, register_tuner
 
@@ -108,7 +109,18 @@ class NoStopTuner(Tuner):
 
 @register_tuner("bo")
 class BOTuner(Tuner):
-    """GP + expected-improvement over the scaled box."""
+    """GP + expected-improvement minimizer over the scaled box (§6.4).
+
+    The first ``init_points`` proposals are a seeded Latin-hypercube
+    design; every later one is the expected-improvement maximizer over
+    ``candidates_per_step`` uniform candidates, scored by a GP refit on
+    all observations so far.
+    """
+
+    #: GP observation-noise variance.
+    NOISE_VAR = 0.05
+    #: RBF length scale per axis, as a fraction of the axis range.
+    LENGTH_SCALE_FRAC = 0.2
 
     def __init__(
         self,
@@ -118,15 +130,57 @@ class BOTuner(Tuner):
         candidates_per_step: int = 256,
     ) -> None:
         super().__init__(scaler, seed)
-        self.optimizer = BayesianOptimizer(
-            self.box,
-            seed=seed,
-            init_points=init_points,
-            candidates_per_step=candidates_per_step,
+        if init_points < 2:
+            raise ValueError("init_points must be >= 2")
+        if candidates_per_step < 8:
+            raise ValueError("candidates_per_step must be >= 8")
+        self.rng = np.random.default_rng(seed)
+        self.init_points = init_points
+        self.candidates = candidates_per_step
+        #: Non-finite observations clamped to the divergence penalty.
+        self.penalized = 0
+        self._x: List[np.ndarray] = []
+        self._y: List[float] = []
+        self._initial_design = self._latin_hypercube(init_points)
+        self.instrument(NOOP_REGISTRY)
+
+    def instrument(self, registry: MetricsRegistry) -> None:
+        """Bind telemetry instruments (no-op registry by default)."""
+        self._m_penalized = catalog.instrument(
+            registry, "repro_tuner_penalized_total"
         )
 
+    def _latin_hypercube(self, n: int) -> np.ndarray:
+        """Seeded Latin-hypercube design over the box.
+
+        Each axis's range is cut into ``n`` equal strata; a random
+        permutation assigns every sample exactly one stratum per axis,
+        and the point lands uniformly inside its stratum.  Every
+        one-dimensional projection of the design therefore covers all
+        ``n`` strata — the space-filling property plain uniform draws
+        only achieve in expectation.
+        """
+        u = self.rng.uniform(size=(n, self.box.dim))
+        design = np.empty((n, self.box.dim))
+        for axis in range(self.box.dim):
+            strata = self.rng.permutation(n)
+            design[:, axis] = (strata + u[:, axis]) / n
+        return self.box.lower + design * self.box.ranges
+
     def ask(self) -> np.ndarray:
-        return self.optimizer.ask()
+        if len(self._x) < self.init_points:
+            return self._initial_design[len(self._x)].copy()
+        gp = GaussianProcess(
+            length_scales=self.box.ranges * self.LENGTH_SCALE_FRAC,
+            signal_var=1.0,
+            noise_var=self.NOISE_VAR,
+        ).fit(np.array(self._x), np.array(self._y))
+        cand = self.box.lower + self.rng.uniform(
+            size=(self.candidates, self.box.dim)
+        ) * self.box.ranges
+        mean, std = gp.predict(cand)
+        ei = expected_improvement(mean, std, best=min(self._y))
+        return cand[int(np.argmax(ei))]
 
     def observe(
         self,
@@ -134,32 +188,34 @@ class BOTuner(Tuner):
         objective: float,
         evaluated: Optional[EvaluatedConfig] = None,
     ) -> None:
-        # The optimizer clamps non-finite objectives itself (the
-        # divergence-penalty bugfix); no pre-clamp here keeps its
-        # penalized counter honest.
-        self.optimizer.tell(theta, objective)
+        t = np.asarray(theta, dtype=float)
+        if not self.box.contains(t):
+            raise ValueError(f"theta {t} outside the feasible box")
+        if not np.isfinite(objective):
+            self.penalized += 1
+            self._m_penalized.inc()
+        self._x.append(t)
+        self._y.append(clamp_objective(objective))
 
     def checkpoint(self) -> dict:
-        opt = self.optimizer
         return {
-            "x": [[float(v) for v in x] for x in opt._x],
-            "y": [float(v) for v in opt._y],
-            "penalized": int(opt.penalized),
+            "x": [[float(v) for v in x] for x in self._x],
+            "y": [float(v) for v in self._y],
+            "penalized": int(self.penalized),
             "initialDesign": [
-                [float(v) for v in row] for row in opt._initial_design
+                [float(v) for v in row] for row in self._initial_design
             ],
-            "rngState": opt.rng.bit_generator.state,
+            "rngState": self.rng.bit_generator.state,
         }
 
     def restore(self, state: dict) -> None:
-        opt = self.optimizer
-        opt._x = [np.asarray(x, dtype=float) for x in state["x"]]
-        opt._y = [float(v) for v in state["y"]]
-        opt.penalized = int(state["penalized"])
-        opt._initial_design = np.asarray(
+        self._x = [np.asarray(x, dtype=float) for x in state["x"]]
+        self._y = [float(v) for v in state["y"]]
+        self.penalized = int(state["penalized"])
+        self._initial_design = np.asarray(
             state["initialDesign"], dtype=float
         )
-        opt.rng.bit_generator.state = state["rngState"]
+        self.rng.bit_generator.state = state["rngState"]
 
 
 @register_tuner("annealing")
@@ -272,6 +328,19 @@ class RandomTuner(Tuner):
     def restore(self, state: dict) -> None:
         self.draws = int(state["draws"])
         self.rng.bit_generator.state = state["rngState"]
+
+
+def grid_points(scaler: MinMaxScaler, points_per_axis: int) -> np.ndarray:
+    """Cartesian grid over the scaled box, last axis varying fastest."""
+    if points_per_axis < 2:
+        raise ValueError("points_per_axis must be >= 2")
+    box = scaler.scaled
+    axes = [
+        np.linspace(box.lower[d], box.upper[d], points_per_axis)
+        for d in range(box.dim)
+    ]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 @register_tuner("grid")

@@ -34,9 +34,10 @@ from repro.core.pause import EvaluatedConfig, PauseRule
 from repro.obs import catalog
 from repro.obs.registry import MetricsRegistry
 
-#: Finite stand-in for a diverged (non-finite) objective observation —
-#: shared with :mod:`repro.baselines.bayesian` so every tuner ranks a
-#: diverged probe identically.
+#: Finite stand-in for a diverged (non-finite) objective observation.
+#: Large enough to rank a diverged configuration strictly worst, small
+#: enough to keep the BO GP solve numerically sane; shared by every tuner
+#: so all rank a diverged probe identically.
 DIVERGENCE_PENALTY = 1.0e6
 
 

@@ -1,46 +1,72 @@
-"""Tests for the simulated-annealing baseline."""
+"""Tests for the simulated-annealing tuner on a live system."""
 
+import numpy as np
 import pytest
 
-from repro.baselines.annealing import run_simulated_annealing
+from repro.core.bounds import paper_configuration_space
 from repro.experiments.common import build_experiment
+from repro.tuners import make_tuner, run_tuner
+
+
+def _anneal(seed, max_evaluations, **options):
+    setup = build_experiment("wordcount", seed=seed)
+    tuner = make_tuner("annealing", setup.scaler, seed=seed, **options)
+    report = run_tuner(
+        tuner, setup.system, setup.scaler, max_evaluations=max_evaluations
+    )
+    return tuner, report
 
 
 class TestSimulatedAnnealing:
     def test_reports_comparable_axes(self):
-        setup = build_experiment("wordcount", seed=9)
-        report = run_simulated_annealing(
-            setup.system, setup.scaler, max_evaluations=20, seed=9
-        )
-        assert 1 <= report.config_steps <= 20
+        tuner, report = _anneal(9, 20)
+        assert 1 <= report.evaluations <= 20
         assert report.search_time > 0
-        assert report.accepted >= 0
-        assert report.final_temperature < 10.0  # cooled
+        assert tuner.accepted >= 0
+        assert tuner.temperature < 10.0  # cooled
 
     def test_finds_better_than_start(self):
-        setup = build_experiment("wordcount", seed=10)
-        report = run_simulated_annealing(
-            setup.system, setup.scaler, max_evaluations=30, seed=10
-        )
-        start = report.evaluations[0]
-        best = report.best()
-        assert best.objective <= start.objective
+        _, report = _anneal(10, 30)
+        start = report.evaluated[0]
+        assert report.best_objective <= start.objective
 
     def test_accepts_some_moves(self):
-        setup = build_experiment("wordcount", seed=11)
-        report = run_simulated_annealing(
-            setup.system, setup.scaler, max_evaluations=25, seed=11
+        tuner, _ = _anneal(11, 25)
+        assert tuner.accepted > 0
+
+    def test_cools_geometrically_after_the_start(self):
+        tuner, report = _anneal(16, 12, initial_temperature=8.0, cooling=0.5)
+        # The centre measurement sets the incumbent without cooling.
+        assert tuner.temperature == pytest.approx(
+            8.0 * 0.5 ** (report.evaluations - 1)
         )
-        assert report.accepted > 0
+
+    def test_acceptance_rule(self):
+        # Improvements are always accepted; at a near-zero temperature a
+        # regression never is.
+        tuner = make_tuner(
+            "annealing", paper_configuration_space(), seed=0,
+            initial_temperature=1e-9,
+        )
+        start = tuner.ask()
+        tuner.observe(start, 10.0)
+        better = tuner.ask()
+        tuner.observe(better, 5.0)
+        assert tuner.accepted == 1
+        np.testing.assert_array_equal(tuner.current, better)
+        tuner.observe(tuner.ask(), 50.0)
+        assert tuner.accepted == 1
+        np.testing.assert_array_equal(tuner.current, better)
+
+    def test_starts_at_the_centre(self):
+        tuner, report = _anneal(17, 3)
+        assert report.evaluated[0].theta == tuple(tuner.box.center())
 
     def test_deterministic_given_seed(self):
         thetas = []
         for _ in range(2):
-            setup = build_experiment("wordcount", seed=12)
-            report = run_simulated_annealing(
-                setup.system, setup.scaler, max_evaluations=6, seed=12
-            )
-            thetas.append([e.theta for e in report.evaluations])
+            _, report = _anneal(12, 6)
+            thetas.append([e.theta for e in report.evaluated])
         assert thetas[0] == thetas[1]
 
     @pytest.mark.parametrize("kwargs", [
@@ -51,9 +77,10 @@ class TestSimulatedAnnealing:
         {"neighbour_scale": 0.0},
     ])
     def test_invalid_params_rejected(self, kwargs):
-        setup = build_experiment("wordcount", seed=13)
+        options = dict(kwargs)
+        max_evaluations = options.pop("max_evaluations", 5)
         with pytest.raises(ValueError):
-            run_simulated_annealing(setup.system, setup.scaler, **kwargs)
+            _anneal(13, max_evaluations, **options)
 
 
 class TestNoStopUnderFailures:

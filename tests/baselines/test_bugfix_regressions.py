@@ -1,35 +1,31 @@
-"""Regression tests for the baseline bugfix pass.
+"""Regression tests for the baseline bugfix pass, against the tuner API.
 
 Three defects, each of which failed before the fix:
 
-1. ``BayesianOptimizer`` claimed a stratified initial design but drew
-   plain uniform points — a 1-in-n^(n-1) chance per axis of actually
-   covering every stratum.
-2. ``BayesianOptimizer.tell`` raised on a non-finite objective, so one
-   diverged probe aborted a whole run.
-3. ``best()``/``best_theta()`` broke exact-objective ties by first-seen
-   index, making the reported winner depend on evaluation order.
+1. The BO tuner claimed a stratified initial design but drew plain
+   uniform points — a 1-in-n^(n-1) chance per axis of actually covering
+   every stratum.
+2. BO raised on a non-finite objective, so one diverged probe aborted a
+   whole run.
+3. Picking a winner broke exact-objective ties by first-seen index,
+   making the reported winner depend on evaluation order.  Every tuner's
+   pick now comes from ``PauseRule``, which breaks ties on θ.
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines.bayesian import (
-    DIVERGENCE_PENALTY,
-    BayesianOptimizer,
-    BOEvaluation,
-    BOReport,
-)
-from repro.baselines.grid_search import GridSearchReport
-from repro.baselines.random_search import RandomSearchReport
 from repro.core.bounds import paper_configuration_space
-from repro.core.pause import EvaluatedConfig
+from repro.core.pause import EvaluatedConfig, PauseRule
 from repro.obs import catalog
 from repro.obs.registry import MetricsRegistry
+from repro.tuners import DIVERGENCE_PENALTY, make_tuner
 
 
-def _box():
-    return paper_configuration_space().scaled
+def _bo(seed=0, init_points=5):
+    return make_tuner(
+        "bo", paper_configuration_space(), seed=seed, init_points=init_points
+    )
 
 
 # -- 1. Latin-hypercube initial design ----------------------------------------
@@ -41,13 +37,13 @@ def test_initial_design_covers_every_stratum_per_axis(seed, init_points):
     """With n init points, each axis's range splits into n strata and
     every stratum must contain exactly one sample — the Latin-hypercube
     property.  Plain uniform draws fail this almost surely."""
-    box = _box()
-    bo = BayesianOptimizer(box, seed=seed, init_points=init_points)
+    bo = _bo(seed=seed, init_points=init_points)
+    box = bo.box
     design = []
     for _ in range(init_points):
         theta = bo.ask()
         design.append(theta)
-        bo.tell(theta, 1.0)  # advance to the next design point
+        bo.observe(theta, 1.0)  # advance to the next design point
     design = np.array(design)
     for axis in range(box.dim):
         strata = np.floor(
@@ -62,10 +58,10 @@ def test_initial_design_covers_every_stratum_per_axis(seed, init_points):
 
 
 def test_initial_design_within_box_and_deterministic():
-    box = _box()
-    a = BayesianOptimizer(box, seed=3)._initial_design
-    b = BayesianOptimizer(box, seed=3)._initial_design
-    np.testing.assert_array_equal(a, b)
+    a = _bo(seed=3).checkpoint()["initialDesign"]
+    b = _bo(seed=3).checkpoint()["initialDesign"]
+    assert a == b
+    box = paper_configuration_space().scaled
     assert all(box.contains(p) for p in a)
 
 
@@ -73,38 +69,38 @@ def test_initial_design_within_box_and_deterministic():
 
 
 def test_tell_survives_non_finite_objectives():
-    box = _box()
-    bo = BayesianOptimizer(box, seed=0, init_points=2)
+    bo = _bo(init_points=2)
     t0 = bo.ask()
-    bo.tell(t0, float("inf"))
+    bo.observe(t0, float("inf"))
     t1 = bo.ask()
-    bo.tell(t1, float("nan"))
-    assert bo.observations == 2
+    bo.observe(t1, float("nan"))
     assert bo.penalized == 2
-    assert all(y == DIVERGENCE_PENALTY for y in bo._y)
+    assert bo.checkpoint()["y"] == [DIVERGENCE_PENALTY] * 2
     # The GP phase still proposes a finite in-box point afterwards.
     nxt = bo.ask()
-    assert np.all(np.isfinite(nxt)) and box.contains(nxt)
+    assert np.all(np.isfinite(nxt)) and bo.box.contains(nxt)
 
 
 def test_penalized_clamp_counts_on_tuner_metric():
-    box = _box()
     registry = MetricsRegistry()
-    bo = BayesianOptimizer(box, seed=0, init_points=2)
+    bo = _bo(init_points=2)
     bo.instrument(registry)
-    bo.tell(bo.ask(), float("-inf"))
+    bo.observe(bo.ask(), float("-inf"))
     counter = catalog.instrument(registry, "repro_tuner_penalized_total")
     assert counter.value == 1
 
 
 def test_penalized_probe_never_wins():
-    box = _box()
-    bo = BayesianOptimizer(box, seed=0, init_points=2)
+    """A clamped probe ranks strictly worst, so it never becomes the
+    incumbent expected improvement is measured against."""
+    bo = _bo(init_points=2)
     diverged = bo.ask()
-    bo.tell(diverged, float("inf"))
+    bo.observe(diverged, float("inf"))
     good = bo.ask()
-    bo.tell(good, 5.0)
-    np.testing.assert_array_equal(bo.best_theta(), np.asarray(good))
+    bo.observe(good, 5.0)
+    state = bo.checkpoint()
+    incumbent = state["x"][int(np.argmin(state["y"]))]
+    np.testing.assert_array_equal(incumbent, good)
 
 
 # -- 3. Deterministic tie-breaking --------------------------------------------
@@ -118,27 +114,30 @@ def _evaluated(theta, objective):
     )
 
 
+def _winner(evaluations):
+    rule = PauseRule()
+    for e in evaluations:
+        rule.record(e)
+    return rule.best_config().theta
+
+
 def test_grid_report_tie_breaks_lexicographically():
-    report = GridSearchReport()
-    report.evaluations = [
+    evaluations = [
         _evaluated((9.0, 3.0), 4.0),
         _evaluated((2.0, 8.0), 4.0),
         _evaluated((2.0, 5.0), 4.0),
     ]
-    assert report.best().theta == (2.0, 5.0)
-    report.evaluations.reverse()
-    assert report.best().theta == (2.0, 5.0)
+    assert _winner(evaluations) == (2.0, 5.0)
+    assert _winner(reversed(evaluations)) == (2.0, 5.0)
 
 
 def test_random_report_tie_breaks_lexicographically():
-    report = RandomSearchReport()
-    report.evaluations = [
+    evaluations = [
         _evaluated((7.0, 7.0), 3.0),
         _evaluated((1.0, 9.0), 3.0),
     ]
-    assert report.best().theta == (1.0, 9.0)
-    report.evaluations.reverse()
-    assert report.best().theta == (1.0, 9.0)
+    assert _winner(evaluations) == (1.0, 9.0)
+    assert _winner(reversed(evaluations)) == (1.0, 9.0)
 
 
 def test_sort_key_orders_equal_objectives_by_theta():
@@ -149,17 +148,10 @@ def test_sort_key_orders_equal_objectives_by_theta():
 
 
 def test_bo_report_and_best_theta_tie_break():
-    report = BOReport()
-    for i, theta in enumerate([(6.0, 2.0), (3.0, 4.0), (3.0, 1.0)]):
-        report.evaluations.append(BOEvaluation(
-            index=i + 1, theta=np.asarray(theta), objective=1.5,
-            end_to_end_delay=8.0, sim_time=float(i),
-        ))
-    assert tuple(report.best().theta) == (3.0, 1.0)
-
-    box = _box()
-    bo = BayesianOptimizer(box, seed=0, init_points=2)
-    bo.tell(np.array([6.0, 2.0]), 1.5)
-    bo.tell(np.array([3.0, 4.0]), 1.5)
-    bo.tell(np.array([3.0, 1.0]), 1.5)
-    np.testing.assert_array_equal(bo.best_theta(), np.array([3.0, 1.0]))
+    """The ranked top-N list, not only the winner, is order-free."""
+    thetas = [(6.0, 2.0), (3.0, 4.0), (3.0, 1.0)]
+    for order in (thetas, thetas[::-1]):
+        rule = PauseRule()
+        for theta in order:
+            rule.record(_evaluated(theta, 1.5))
+        assert [e.theta for e in rule.best(3)] == sorted(thetas)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.bounds import Box
 from repro.core.gains import GainSchedule
-from repro.core.spsa_variants import AveragedSPSA, BlockedSPSA, OneMeasurementSPSA
+from repro.core.spsa_variants import AveragedSPSA, OneMeasurementSPSA
 
 
 def quadratic(target):
@@ -95,38 +95,3 @@ class TestAveragedSPSA:
     def test_invalid_num_estimates(self):
         with pytest.raises(ValueError):
             AveragedSPSA(GAINS, BOX, [5.0, 5.0], num_estimates=0)
-
-
-class TestBlockedSPSA:
-    def test_wild_step_is_blocked(self):
-        opt = BlockedSPSA(
-            GainSchedule(a=50.0, c=0.5, A=1.0), BOX, [5.0, 5.0],
-            max_step=0.5, seed=0,
-        )
-        before = opt.theta.copy()
-        opt.step(quadratic([0.0, 0.0]))  # huge a -> huge step -> blocked
-        assert np.allclose(opt.theta, before)
-        assert opt.blocked_steps == 1
-        assert opt.k == 1  # the iteration still counts
-
-    def test_small_steps_pass(self):
-        opt = BlockedSPSA(
-            GainSchedule(a=0.5, c=0.5, A=1.0), BOX, [5.0, 5.0],
-            max_step=5.0, seed=0,
-        )
-        before = opt.theta.copy()
-        opt.step(quadratic([0.0, 0.0]))
-        assert not np.allclose(opt.theta, before)
-        assert opt.blocked_steps == 0
-
-    def test_blocking_still_converges(self):
-        opt = BlockedSPSA(
-            GainSchedule(a=2.0, c=0.5, A=1.0), BOX, [8.0, 8.0],
-            max_step=2.0, seed=1,
-        )
-        theta = opt.minimize(quadratic([3.0, 3.0]), iterations=300)
-        assert np.allclose(theta, [3.0, 3.0], atol=0.8)
-
-    def test_invalid_max_step(self):
-        with pytest.raises(ValueError):
-            BlockedSPSA(GAINS, BOX, [5.0, 5.0], max_step=0.0)

@@ -13,6 +13,7 @@ CHANGES.md.  Print the current digests with::
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -60,29 +61,24 @@ def _chaos_report() -> Any:
     return judged_chaos_run("wordcount", rounds=10).report.to_json()
 
 
-_compare_rows: Dict[str, list] = {}
+@functools.lru_cache(maxsize=None)
+def _compare_table() -> Dict[str, list]:
+    """``repro compare --rounds 10``, run once, rows split into cells."""
+    from repro.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["compare", "--rounds", "10"]) == 0
+    rows = {}
+    for line in out.getvalue().splitlines():
+        cells = [c.strip() for c in line.split("|")]
+        if len(cells) == 4:
+            rows[cells[0]] = cells
+    return rows
 
 
 def _compare_row(name: str) -> Callable[[], Any]:
-    """One row of ``repro compare --rounds 10``, split into cells.
-
-    The command runs once per session; every row case reads its output.
-    """
-
-    def run() -> Any:
-        if not _compare_rows:
-            from repro.cli import main
-
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert main(["compare", "--rounds", "10"]) == 0
-            for line in out.getvalue().splitlines():
-                cells = [c.strip() for c in line.split("|")]
-                if len(cells) == 4:
-                    _compare_rows[cells[0]] = cells
-        return _compare_rows[name]
-
-    return run
+    return lambda: _compare_table()[name]
 
 
 CASES: Dict[str, Callable[[], Any]] = {
