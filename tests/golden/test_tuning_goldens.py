@@ -21,11 +21,19 @@ from typing import Any, Callable, Dict
 
 import pytest
 
+from repro.datagen.rates import (
+    ConstantRate,
+    SineRate,
+    SpikeRate,
+    StepRate,
+    TraceRate,
+)
 from repro.runner.cells import execute_cell
 
 TOURNAMENT_TUNERS = (
     "annealing", "bo", "grid", "nostop", "random", "rl", "safe-online",
 )
+TOURNAMENT_SCENARIOS = ("steady", "step", "spike", "sine")
 COMPARE_ROWS = ("SPSA (NoStop)", "Bayesian opt", "Simulated annealing")
 
 
@@ -42,10 +50,37 @@ def _bo_cell(workload: str, seed: int) -> Callable[[], Any]:
     })
 
 
-def _tournament_cell(tuner: str) -> Callable[[], Any]:
+def _tournament_cell(scenario: str, tuner: str) -> Callable[[], Any]:
     return lambda: execute_cell("tournament", {
-        "tuner": tuner, "seed": 0, "scenario": "steady", "budget": 8,
+        "tuner": tuner, "seed": 0, "scenario": scenario, "budget": 8,
     })
+
+
+def _records_table() -> Any:
+    """``records_between`` of the generic-integration traces.
+
+    Intervals are not multiples of the 0.25 s integration cell and
+    straddle the step (600 s) and spike (400 s, 700 s) edges; the last
+    rows are a prefetch-style block ``t0 + i * interval``.
+    """
+    traces = {
+        "step": StepRate(((0.0, 110_000.0), (600.0, 190_000.0))),
+        "spike": SpikeRate(
+            ConstantRate(150_000.0), spikes=((400.0, 700.0, 1.8),)
+        ),
+        "sine": SineRate(150_000.0, 37_500.0, 300.0),
+        "trace": TraceRate([9_000.0, 12_500.0, 7_250.0, 11_000.0], dt=0.7),
+    }
+    intervals = [
+        (0.0, 7.3), (12.345, 19.01), (3.0, 3.1), (1.0, 1.0),
+        (595.1, 602.4), (592.9, 600.05), (599.9, 600.1),
+        (398.3, 401.7), (399.99, 400.2), (699.2, 703.33), (650.0, 712.6),
+    ]
+    intervals += [(0.3 + i * 2.7, 0.3 + (i + 1) * 2.7) for i in range(300)]
+    return {
+        name: [trace.records_between(a, b) for a, b in intervals]
+        for name, trace in traces.items()
+    }
 
 
 def _nostop_cell() -> Any:
@@ -87,7 +122,11 @@ CASES: Dict[str, Callable[[], Any]] = {
         for w in ("wordcount", "page_analyze") for s in (0, 1)
     },
     "nostop-cell/wordcount/seed0": _nostop_cell,
-    **{f"tournament/steady/{t}": _tournament_cell(t) for t in TOURNAMENT_TUNERS},
+    **{
+        f"tournament/{s}/{t}": _tournament_cell(s, t)
+        for s in TOURNAMENT_SCENARIOS for t in TOURNAMENT_TUNERS
+    },
+    "records-between/table": _records_table,
     "chaos-report/wordcount/rounds10": _chaos_report,
     **{f"compare/{row}": _compare_row(row) for row in COMPARE_ROWS},
 }
@@ -102,6 +141,21 @@ GOLDEN: Dict[str, str] = {
     "compare/SPSA (NoStop)": "5ccd7cd29b5145be659942b065d11d8e918372858323d64af868162591817230",
     "compare/Simulated annealing": "69ab7c1b5db567780540231b9753db76e70128bc3c2e0800ebce8a31763bd3cc",
     "nostop-cell/wordcount/seed0": "b2659be381dc74af37a46d337fe722215cbc578a23d1dc6eef7be1214742a49c",
+    "records-between/table": "09b031ee1ef7c6896f3d06a9ec0b497cb957c7013f7a05e3b64b9d7318fbaf54",
+    "tournament/sine/annealing": "a22792de4ff3f0b6ecdbdfb60a3b9be825caf44ee50569a72349bb85142bf939",
+    "tournament/sine/bo": "816ca7761b68a8f82db12046510c0f9d5ffb34a167877265f30372a9af12c468",
+    "tournament/sine/grid": "7da1ce9fc53ee6e561335de54248d928f27014bfb4895f120775629565dc52cf",
+    "tournament/sine/nostop": "c8718c320c6892bbc765086a6fb06f50f7873158e9ed73a462daa11f1255110f",
+    "tournament/sine/random": "2e13f6095f78baf38701fd1bfb781bd10c97dcee8ce76c3e4d9ba1aeb99d2908",
+    "tournament/sine/rl": "3997da06678c0fcf98203f17657eed985c4498a70692e7db63fcb17e26670be2",
+    "tournament/sine/safe-online": "278acb7490d1b027f7d1a321dbd363ae9c8c16f20314f49ac7b8c5a6835af194",
+    "tournament/spike/annealing": "75e8e9d6690bf1e18ae3fbdeebaf1f9da9f66029c5956f381c0a1cecb5e7ed9e",
+    "tournament/spike/bo": "471c241ae78733510ea777eaec61a0efb694b837387bbd00bc5793bf61e3b0cf",
+    "tournament/spike/grid": "0db88b33a8bcdeffb262586c8605c6ed4a8756b242ef1971bb42f8fb262dcc99",
+    "tournament/spike/nostop": "0a7fdee208a798115e3bccf43e3ec675dbb20a490b2e41e7335082afbf55e0c4",
+    "tournament/spike/random": "94f2fe38078408df83c92bab71f0c069c27e4ef40ed75a141a66afea63c14194",
+    "tournament/spike/rl": "8462fd57bacd40bedf0e625a9a5a539b00de6618e11d8c25f4660bb5970c0057",
+    "tournament/spike/safe-online": "e60b6c9a7fe1153ee74593beff20a7660eb97eca36f2b3e82c9081390318c621",
     "tournament/steady/annealing": "e66a42c8f3ca4b04dbfb5a5e2d2f38f6ed7ebf1fffaea4a12f7b3b49ff7b26ae",
     "tournament/steady/bo": "7343df346ae1724ae03d1d508f83b8f85be157623d2d51ec8cbd0526487a4302",
     "tournament/steady/grid": "94d701e1bf4794fe7f7a7a870ead3fb5e0213978d478c3cd8adf5bdfb967882d",
@@ -109,6 +163,13 @@ GOLDEN: Dict[str, str] = {
     "tournament/steady/random": "090d6c56ccf5f9150ebff08e50a2d2a5886c9af7572c6dbad0b8e1af1ac3186b",
     "tournament/steady/rl": "790805a3da8bc0a0ee1f6478a0677cd90aaae1627ad8eea2f8548e4e28b621a4",
     "tournament/steady/safe-online": "9ba242bf944103b7cd7ea3571b7605ecbef585a0a164bb9dc822438688723bb2",
+    "tournament/step/annealing": "9d0f99bc2c0037dc12314651681361ee43b6581116096ed750ffa2065b57bbf5",
+    "tournament/step/bo": "cef40bd6be04dbbf603d1cd07a7dcfca0c3780a74ad54f267f4dc70067602afd",
+    "tournament/step/grid": "831ca832ad2b86d842eb7bb56f8af2bddb4ffa267a3715d68b2ec09d8c7303af",
+    "tournament/step/nostop": "a337bc07ffc6bd185a86f06947b41ca0ed8933f6076abd6a3c2b5b16fd52420a",
+    "tournament/step/random": "3ef16bfd66e1a9da8b8450503f443ddcda8f735623c20fc703224a74dbb4287b",
+    "tournament/step/rl": "c9d815baa3e99766f1bd43f71d5347f6f2f2f5b9d0050baa405d645792baeb64",
+    "tournament/step/safe-online": "5277d4127050d8f587f73bb2ae063150b833b1c634822820767d0c22eba91064",
 }
 
 
