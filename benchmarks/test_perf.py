@@ -285,6 +285,59 @@ class TestHotPaths:
         )
         assert speedup >= 50.0
 
+    def test_tournament_cell_throughput(self, bench_record):
+        """Host µs per simulated batch of the vectorized tournament cell.
+
+        Every tuner on the ``step`` and ``spike`` scenarios — the ones
+        whose traces go through the generic rate integration — at the
+        golden seed and budget; each cell's time is its fastest of
+        ``repeats`` runs.  Each run's digest must equal its golden, so a
+        speedup here cannot change what the cell computes.
+        """
+        from repro.runner.cells import execute_cell
+        from tests.golden.test_tuning_goldens import (
+            GOLDEN,
+            TOURNAMENT_TUNERS,
+            digest,
+        )
+
+        def cell(scenario, tuner):
+            return execute_cell("tournament", {
+                "tuner": tuner, "seed": 0, "scenario": scenario, "budget": 8,
+            })
+
+        cell("steady", "random")  # warm imports and one-time setup
+        repeats = 1 if SMOKE else 5
+        us_per_batch = {}
+        batches = {}
+        for scenario in ("step", "spike"):
+            seconds = 0.0
+            batches[scenario] = 0
+            for tuner in TOURNAMENT_TUNERS:
+                best = float("inf")
+                for _ in range(repeats):
+                    result, elapsed = _timed(lambda: cell(scenario, tuner))
+                    golden = GOLDEN[f"tournament/{scenario}/{tuner}"]
+                    assert digest(result) == golden, f"{scenario}/{tuner}"
+                    best = min(best, elapsed)
+                seconds += best
+                batches[scenario] += result["batchesExecuted"]
+            us_per_batch[scenario] = seconds / batches[scenario] * 1e6
+        bench_record(
+            cells=2 * len(TOURNAMENT_TUNERS),
+            stepBatches=batches["step"],
+            spikeBatches=batches["spike"],
+            stepUsPerBatch=round(us_per_batch["step"], 1),
+            spikeUsPerBatch=round(us_per_batch["spike"], 1),
+            goldenDigests=True,
+        )
+        emit(
+            f"tournament cell (vectorized, {len(TOURNAMENT_TUNERS)} tuners, "
+            f"budget 8): step {us_per_batch['step']:.0f} us/batch over "
+            f"{batches['step']} batches, spike {us_per_batch['spike']:.0f} "
+            f"us/batch over {batches['spike']} batches"
+        )
+
     def test_fast_tier_scale_smoke(self, bench_record):
         """10k executors x 1000 partitions x 4 sim-hours in < 10 s wall."""
         from repro.cluster.cluster import homogeneous_cluster

@@ -8,7 +8,7 @@ batch queue with oldest-first eviction, the real
 record/task substrates with closed forms:
 
 * records per batch come from the rate trace's integral
-  (``records_between``), not a simulated Kafka topic;
+  (``records_in`` over a prefetch block), not a simulated Kafka topic;
 * the record-weighted mean arrival time is the interval midpoint (the
   uniform-arrival assumption the steady-state oracle encodes), so the
   delay identity ``e2e = interval/2 + sched + proc`` holds by
@@ -275,13 +275,12 @@ class FastStreamingContext:
     def _refill_prefetch(self, first_boundary: float) -> None:
         size = self._pf_size
         interval = self._interval
-        records_between = self.trace.records_between
         effective = self.workload.effective_records
         t0 = first_boundary - interval
-        records = [
-            records_between(t0 + i * interval, t0 + (i + 1) * interval)
-            for i in range(size)
-        ]
+        # Batch i covers [t0 + i * interval, t0 + (i + 1) * interval):
+        # one integration pass over the whole block.
+        edges = [t0 + i * interval for i in range(size + 1)]
+        records = self.trace.records_in(edges[:-1], edges[1:])
         cost_records = [effective(r) for r in records]
         proc = self.engine.batch_proc_times(
             np.asarray(cost_records, dtype=np.int64)

@@ -15,9 +15,10 @@ at once:
    (an even record split differs by at most one record), so the greedy
    earliest-free-core schedule the exact heap computes reduces to a
    *static assignment* — a pure function of the core speed profile and
-   the partition count, computed once with a tiny scalar heap and
-   cached.  Per-core loads then follow in closed form from each batch's
-   record split, and per-task noise folds into one aggregated mean-1
+   the partition count, computed once (:func:`greedy_assignment`, the
+   heap's pop order as one sorted array) and cached.  Per-core loads
+   then follow in closed form from each batch's record split, and
+   per-task noise folds into one aggregated mean-1
    lognormal multiplier per core (same mean, variance shrunk by its
    task count — the exact distribution of an averaged mean-1 lognormal
    to second order);
@@ -39,14 +40,40 @@ arrays: no noise, mean iteration counts, instant.
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Sequence
+import math
+from typing import Sequence
 
 import numpy as np
 
 from repro.cluster.executor import Executor
 from repro.engine.overhead import OverheadModel
 from repro.workloads.base import Workload
+
+
+def greedy_assignment(per_task: np.ndarray, tasks: int) -> np.ndarray:
+    """Cores of the first ``tasks`` pops of an earliest-free-core heap.
+
+    The heap holds one ``(free_at, core)`` entry per core, all free at
+    0; each pop assigns a task and pushes ``free_at + per_task[core]``
+    back.  Core ``c`` is popped at the running sums ``0, p, p + p, ...``
+    of ``p = per_task[c]`` (``cumsum`` adds in the same order), so the
+    pop sequence is the merge of those rows with ties to the lower core:
+    a stable sort of the row-major table of pop times.  Each row holds
+    ``depth`` pop times; a core that used all of them could have taken
+    more, so the table doubles until none does.
+    """
+    cores = per_task.shape[0]
+    spread = float(per_task.max() / per_task.min())
+    depth = min(tasks, int(math.ceil(tasks / cores * spread)) + 2)
+    while True:
+        times = np.zeros((cores, depth))
+        times[:, 1:] = per_task[:, None]
+        np.cumsum(times, axis=1, out=times)
+        order = np.argsort(times.ravel(), kind="stable")[:tasks]
+        assign = order // depth
+        if depth == tasks or np.bincount(assign).max() < depth:
+            return assign
+        depth = min(2 * depth, tasks)
 
 
 class ExecutorProfile:
@@ -71,26 +98,25 @@ class ExecutorProfile:
     def __init__(self, executors: Sequence[Executor]) -> None:
         if not executors:
             raise ValueError("profile needs at least one executor")
-        speed: List[float] = []
-        penalty: List[float] = []
-        for ex in executors:
-            s = ex.speed_factor
-            p = ex.io_penalty
-            for _ in range(ex.cores):
-                speed.append(s)
-                penalty.append(p)
-        speed_arr = np.asarray(speed, dtype=np.float64)
+        cores = [ex.cores for ex in executors]
+        speed_arr = np.repeat(
+            np.array([ex.speed_factor for ex in executors], dtype=np.float64),
+            cores,
+        )
         self.num_executors = len(executors)
-        self.total_cores = len(speed)
+        self.total_cores = speed_arr.shape[0]
         self.inv_speed = 1.0 / speed_arr
-        self.io_penalty = np.asarray(penalty, dtype=np.float64)
+        self.io_penalty = np.repeat(
+            np.array([ex.io_penalty for ex in executors], dtype=np.float64),
+            cores,
+        )
         self.compute_capacity = float(speed_arr.sum())
         self.mean_io_penalty = float(self.io_penalty.mean())
         self.uniform = bool(
             np.ptp(speed_arr) < 1e-12 and np.ptp(self.io_penalty) < 1e-12
         )
-        #: Static LPT assignments memoized per (io_fraction, partitions,
-        #: noise_sigma, dispatch) — see FastBatchEngine._assignment.
+        #: Static LPT assignments memoized per (io_fraction, partitions)
+        #: — see FastBatchEngine._assignment.
         self.assign_cache: dict = {}
 
     def core_factors(self, io_fraction: float) -> np.ndarray:
@@ -247,13 +273,16 @@ class FastBatchEngine:
 
         Greedy earliest-free-core scheduling of ``partitions`` equal
         tasks over the profile's cores — the schedule the exact heap
-        produces up to intra-stage noise — run once with a scalar heap
-        and memoized on the profile.  Returns ``(factors, counts, cum,
-        sig)``: per-core cost factors, per-core task counts, the prefix
-        table ``cum[r, c]`` = how many of the first ``r`` tasks land on
-        core ``c`` (first ``r`` tasks carry the remainder record), and
-        the per-core aggregated noise sigma (a mean of ``counts[c]``
-        mean-1 lognormals has its variance shrunk by ``counts[c]``).
+        produces up to intra-stage noise — computed once by
+        :func:`greedy_assignment` and memoized on the profile.  Returns
+        ``(factors, scaled, cum, sig, half_var, idle)``: per-core cost
+        factors; ``scaled = factors * counts`` with ``counts`` the
+        per-core task counts; the prefix table ``cum[r, c]`` = how many
+        of the first ``r`` tasks land on core ``c`` (first ``r`` tasks
+        carry the remainder record); the per-core aggregated noise sigma
+        (a mean of ``counts[c]`` mean-1 lognormals has its variance
+        shrunk by ``counts[c]``) and ``half_var = 0.5 * sig * sig``; and
+        the per-core dispatch total ``idle = counts * task_dispatch``.
         """
         prof = self.profile
         key = (io_fraction, partitions)
@@ -261,16 +290,9 @@ class FastBatchEngine:
         if hit is not None:
             return hit
         cores = prof.total_cores
+        dispatch = self.overhead.task_dispatch
         factors = prof.core_factors(io_fraction)
-        per_task = factors + self.overhead.task_dispatch
-        # (free_at, core) heap; the all-zero barrier tie pops in core
-        # order, as the exact heap's slot-sequence tie-break does.
-        heap = [(0.0, c) for c in range(cores)]
-        assign = np.empty(partitions, dtype=np.intp)
-        for i in range(partitions):
-            t, c = heapq.heappop(heap)
-            assign[i] = c
-            heapq.heappush(heap, (t + per_task[c], c))
+        assign = greedy_assignment(factors + dispatch, partitions)
         onehot = np.zeros((partitions, cores))
         onehot[np.arange(partitions), assign] = 1.0
         cum = np.zeros((partitions + 1, cores))
@@ -279,7 +301,10 @@ class FastBatchEngine:
         var = np.expm1(self.sigma**2) / np.maximum(counts, 1.0)
         sig = np.sqrt(np.log1p(var))
         sig[counts == 0.0] = 0.0
-        hit = (factors, counts, cum, sig)
+        hit = (
+            factors, factors * counts, cum, sig, 0.5 * sig * sig,
+            counts * dispatch,
+        )
         prof.assign_cache[key] = hit
         return hit
 
@@ -321,15 +346,17 @@ class FastBatchEngine:
             if prof.uniform:
                 return w.max(axis=1) * factors[0] + dispatch
             return (w * factors[None, :partitions]).max(axis=1) + dispatch
-        factors, counts, cum, sig = self._assignment(io_fraction, partitions)
+        factors, scaled, cum, sig, half_var, idle = self._assignment(
+            io_fraction, partitions
+        )
         # Closed-form per-core loads from the static assignment: core c
-        # runs counts[c] tasks of base cost q + u*base, of which
-        # cum[rem, c] carry one extra record.
-        loads = (u * base + q)[:, None] * (factors * counts)[None, :] + (
+        # runs counts[c] tasks of base cost q + u*base (``scaled`` is
+        # factors * counts), of which cum[rem, c] carry one extra record.
+        loads = (u * base + q)[:, None] * scaled[None, :] + (
             u * factors
         )[None, :] * cum[rem]
         if sigma:
             z = self.rng.standard_normal(size=(rows, cores))
-            loads = loads * np.exp(sig * z - 0.5 * sig * sig)
-        return (loads + counts * dispatch).max(axis=1)
+            loads = loads * np.exp(sig * z - half_var)
+        return (loads + idle).max(axis=1)
 
