@@ -55,14 +55,13 @@ def run_check(
 ) -> CheckReport:
     """Run one check target end to end and return its report.
 
-    ``fidelity`` selects the simulation tier the target runs on.  The
-    exact tier attaches the per-batch :class:`InvariantEngine`; the fast
-    tiers (``vectorized``/``fluid``) have no listener-hook surface for
-    it, so :func:`~repro.fast.invariants.check_fast_run` evaluates the
-    fast-tier invariant set post-hoc instead.  The analytic oracles are
-    tier-independent and run either way — they are exactly the cross-tier
-    equivalence contract.  Chaos fault models hook the exact engine's
-    internals and therefore require ``fidelity="exact"``.
+    ``fidelity`` selects the simulation tier the target runs on.  Every
+    tier exposes the same boundary-hook and listener surface, so the
+    :class:`InvariantEngine` is attached before the first batch on any
+    of them and picks the check set the tier's substrate supports.  The
+    analytic oracles are tier-independent too — they are exactly the
+    cross-tier equivalence contract.  Chaos fault models hook the exact
+    engine's internals and therefore require ``fidelity="exact"``.
     """
     from repro.experiments.common import build_experiment, make_controller
     from repro.obs import Telemetry, governance_report
@@ -85,7 +84,7 @@ def run_check(
     setup = build_experiment(
         workload, seed=seed, telemetry=Telemetry(), fidelity=fidelity
     )
-    engine = InvariantEngine(setup.context) if fidelity == "exact" else None
+    engine = InvariantEngine(setup.context)
     gate_oracles = True
 
     if target == "quickstart":
@@ -103,23 +102,13 @@ def run_check(
         )
         gate_oracles = False
 
-    if engine is not None:
-        checks_run = engine.checks_run
-        batches_checked = engine.batches_checked
-        violations = list(engine.violations)
-    else:
-        from repro.fast import check_fast_run
-
-        checks_run, violations = check_fast_run(setup.context)
-        batches_checked = len(setup.context.listener.metrics)
-
     report = CheckReport(
         target=target,
         workload=workload,
         seed=seed,
-        checks_run=checks_run,
-        batches_checked=batches_checked,
-        violations=violations,
+        checks_run=engine.checks_run,
+        batches_checked=engine.batches_checked,
+        violations=list(engine.violations),
         oracles=run_oracles(setup, warmup=warmup),
         gate_oracles=gate_oracles,
         governance=governance_report(setup.context.telemetry.metrics),

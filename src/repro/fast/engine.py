@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.cluster.executor import Executor
 from repro.engine.overhead import OverheadModel
+from repro.streaming.simulator import BusyTimeline
 from repro.workloads.base import Workload
 
 
@@ -128,14 +129,12 @@ class ExecutorProfile:
         return (1.0 - io_fraction) * self.inv_speed + io_fraction * self.io_penalty
 
 
-class FastBatchEngine:
+class FastBatchEngine(BusyTimeline):
     """Block-vectorized (or fluid) batch processing-time engine.
 
-    Owns the same busy-timeline state the exact
-    :class:`~repro.streaming.simulator.MicroBatchEngine` exposes
-    (``free_at``, ``jobs_run``, ``total_pause_injected``,
-    ``note_reconfiguration``) so controllers and invariant checks see an
-    identical surface.
+    Inherits the busy timeline of the exact
+    :class:`~repro.streaming.simulator.MicroBatchEngine`, so controllers
+    and invariant checks see one surface on every tier.
     """
 
     def __init__(
@@ -158,21 +157,7 @@ class FastBatchEngine:
         self.sigma = float(noise_sigma)
         self.mode = mode
         self.profile: ExecutorProfile | None = None
-        #: Engine-busy timeline, as in the exact micro-batch engine.
-        self.free_at = 0.0
-        self.jobs_run = 0
-        self.total_pause_injected = 0.0
-        self._reconfig_pending = False
-
-    # -- exact-engine surface ------------------------------------------------
-
-    def note_reconfiguration(self, now: float, pause: float) -> None:
-        """Inject the reconfiguration pause into the busy timeline."""
-        if pause < 0:
-            raise ValueError("pause must be >= 0")
-        self.free_at = max(self.free_at, now) + pause
-        self.total_pause_injected += pause
-        self._reconfig_pending = True
+        super().__init__()
 
     def set_profile(self, executors: Sequence[Executor]) -> None:
         """Snapshot the current executor pool into array form."""

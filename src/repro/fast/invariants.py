@@ -1,143 +1,33 @@
-"""Runtime invariants for fast-tier runs.
+"""Post-hoc invariant check of a finished fast-tier run.
 
-The exact tier's :class:`~repro.check.invariants.InvariantEngine` hooks
-record conservation, queue accounting, and per-task timelines — state
-the fast tier deliberately never materializes.  This module checks what
-the batch-level abstraction *does* promise, plus one identity that is
-strictly stronger than anything the exact tier can offer: with
-interval-midpoint arrivals, ``e2e = interval/2 + sched + proc`` holds
-per batch to float precision, not merely in steady-state expectation.
-
-:func:`check_fast_run` returns ``(checks_run, violations)`` in the same
-:class:`~repro.check.violations.InvariantViolation` currency the exact
-engine emits, so ``repro check`` reports are tier-uniform.
+:class:`~repro.check.invariants.InvariantEngine` checks fast-tier runs
+live, like exact ones.  :func:`check_fast_run` replays a run that had
+no engine attached through the same checks.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Tuple
 
-from repro.check.violations import InvariantViolation
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.check.violations import InvariantViolation
+
     from .context import FastStreamingContext
-
-#: Absolute slack for the per-batch delay identity (pure float error).
-IDENTITY_ABS_TOL = 1e-6
-
-#: Slack for ordering comparisons, matching BatchInfo's own validation.
-ORDER_TOL = 1e-9
 
 
 def check_fast_run(
     context: "FastStreamingContext",
-) -> Tuple[int, List[InvariantViolation]]:
-    """Validate every completed batch of a fast-tier run.
+) -> Tuple[int, List["InvariantViolation"]]:
+    """Replay every completed batch through an :class:`InvariantEngine`.
 
-    Checks, per batch: monotonically increasing batch index and batch
-    time; processing starts at or after batch formation; jobs serialize
-    on the engine timeline (no overlap); the exact per-batch delay
-    identity for non-empty batches (empty batches pin mean arrival to
-    the boundary instead); and the stability flag's definition.  Plus
-    one global check: the engine ran exactly one job per recorded batch.
+    Returns ``(checks_run, violations)``; each batch's close is replayed
+    as its boundary.
     """
-    batches = context.listener.metrics.batches
-    violations: List[InvariantViolation] = []
-    checks_run = 0
+    from repro.check.invariants import InvariantEngine
 
-    def violate(invariant: str, time: float, message: str, **details) -> None:
-        violations.append(
-            InvariantViolation(
-                invariant=invariant,
-                time=time,
-                message=message,
-                details=details,
-            )
-        )
-
-    prev = None
-    for info in batches:
-        checks_run += 1
-        if prev is not None:
-            if info.batch_index <= prev.batch_index:
-                violate(
-                    "fast-batch-order",
-                    info.batch_time,
-                    f"batch index {info.batch_index} not after "
-                    f"{prev.batch_index}",
-                    index=info.batch_index,
-                    previous=prev.batch_index,
-                )
-            if info.batch_time < prev.batch_time - ORDER_TOL:
-                violate(
-                    "fast-batch-order",
-                    info.batch_time,
-                    "batch time regressed",
-                    batch_time=info.batch_time,
-                    previous=prev.batch_time,
-                )
-            if info.processing_start < prev.processing_end - ORDER_TOL:
-                violate(
-                    "fast-serialized-jobs",
-                    info.processing_start,
-                    f"batch {info.batch_index} started before batch "
-                    f"{prev.batch_index} finished",
-                    start=info.processing_start,
-                    previous_end=prev.processing_end,
-                )
-        if info.processing_start < info.batch_time - ORDER_TOL:
-            violate(
-                "fast-causality",
-                info.processing_start,
-                f"batch {info.batch_index} started before it was formed",
-                start=info.processing_start,
-                batch_time=info.batch_time,
-            )
-        if info.records > 0:
-            expected = (
-                info.interval / 2.0
-                + info.scheduling_delay
-                + info.processing_time
-            )
-            if abs(info.end_to_end_delay - expected) > IDENTITY_ABS_TOL:
-                violate(
-                    "fast-delay-identity",
-                    info.batch_time,
-                    f"batch {info.batch_index}: e2e "
-                    f"{info.end_to_end_delay:.6f} != interval/2 + sched "
-                    f"+ proc = {expected:.6f}",
-                    e2e=info.end_to_end_delay,
-                    expected=expected,
-                )
-        elif abs(info.mean_arrival_time - info.batch_time) > ORDER_TOL:
-            violate(
-                "fast-empty-batch-arrival",
-                info.batch_time,
-                f"empty batch {info.batch_index} mean arrival not pinned "
-                "to the boundary",
-                mean_arrival=info.mean_arrival_time,
-                batch_time=info.batch_time,
-            )
-        if info.stable != (info.processing_time <= info.interval):
-            violate(
-                "fast-stability-flag",
-                info.batch_time,
-                f"batch {info.batch_index} stable flag inconsistent with "
-                "proc <= interval",
-                stable=info.stable,
-                processing_time=info.processing_time,
-                interval=info.interval,
-            )
-        prev = info
-
-    checks_run += 1
-    if context.engine.jobs_run != len(batches):
-        violate(
-            "fast-job-conservation",
-            context.time,
-            f"engine ran {context.engine.jobs_run} jobs but "
-            f"{len(batches)} batches were recorded",
-            jobs_run=context.engine.jobs_run,
-            batches=len(batches),
-        )
-    return checks_run, violations
+    engine = InvariantEngine(context)
+    engine.detach()
+    for info in context.listener.metrics.batches:
+        engine.on_boundary(info.batch_time)
+        engine.on_batch(info)
+    return engine.checks_run, list(engine.violations)

@@ -144,8 +144,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
     _spec("repro_engine_task_failures_total", "counter",
           "Task attempts that failed and were re-run"),
     # -- fast ----------------------------------------------------------------
-    _spec("repro_fast_batches_dropped_total", "counter",
-          "Batches evicted from the fast-tier queue at capacity"),
     _spec("repro_fast_batches_total", "counter",
           "Batches completed by the fast-tier engine",
           labels=("mode",), max_children=2),
@@ -153,8 +151,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
           "Current adaptive prefetch block size"),
     _spec("repro_fast_prefetch_fills_total", "counter",
           "Prefetch block refills (vectorized cost computations)"),
-    _spec("repro_fast_reconfigurations_total", "counter",
-          "Runtime configuration changes applied by the fast context"),
     # -- kafka ---------------------------------------------------------------
     _spec("repro_kafka_consumer_lag_records", "gauge",
           "Records appended but not yet consumed",

@@ -29,7 +29,53 @@ from .listener import StreamingListener
 from .metrics import BatchInfo
 
 
-class MicroBatchEngine:
+class BusyTimeline:
+    """The serialized engine's busy timeline, shared by every tier.
+
+    One job runs at a time (``spark.streaming.concurrentJobs = 1``):
+    ``free_at`` is when the running job finishes, reconfiguration pauses
+    push it out, and the first job started after a reconfiguration is
+    flagged so metric collectors can discard it (§5.4).  Tiers differ
+    only in how they cost a job, never in this bookkeeping.
+    """
+
+    def __init__(self) -> None:
+        #: Time at which the engine finishes its current job (busy until).
+        self.free_at = 0.0
+        self.jobs_run = 0
+        #: Cumulative reconfiguration pause injected into ``free_at``.
+        #: Scheduling-delay slack beyond the backlog identity is bounded
+        #: by this total — the invariant engine checks exactly that.
+        self.total_pause_injected = 0.0
+        #: Set by a configuration change; the next finished job is
+        #: flagged ``first_after_reconfig`` and the flag clears.
+        self._reconfig_pending = False
+
+    def note_reconfiguration(self, now: float, pause: float) -> None:
+        """Account for a runtime configuration change.
+
+        The engine pauses briefly (driver-side coordination) and the next
+        job is marked as the first after the change.
+        """
+        if pause < 0:
+            raise ValueError("pause must be >= 0")
+        self.free_at = max(self.free_at, now) + pause
+        self.total_pause_injected += pause
+        self._reconfig_pending = True
+
+    def finish_job(self, end: float) -> bool:
+        """Book one job running until ``end``.
+
+        Returns whether it is the first job after a reconfiguration.
+        """
+        self.free_at = end
+        self.jobs_run += 1
+        first = self._reconfig_pending
+        self._reconfig_pending = False
+        return first
+
+
+class MicroBatchEngine(BusyTimeline):
     """Drains a :class:`BatchQueue` one job at a time."""
 
     def __init__(
@@ -45,18 +91,9 @@ class MicroBatchEngine:
         self.listener = listener
         self.rng = rng
         self.telemetry = telemetry or NOOP_TELEMETRY
-        #: Time at which the engine finishes its current job (busy until).
-        self.free_at = 0.0
-        self.jobs_run = 0
+        super().__init__()
         #: cumulative transient task failures across all jobs
         self.total_task_failures = 0
-        #: Set by a configuration change; the next started job is flagged
-        #: ``first_after_reconfig`` and the flag clears.
-        self._reconfig_pending = False
-        #: Cumulative reconfiguration pause injected into ``free_at``.
-        #: Scheduling-delay slack beyond the backlog identity is bounded
-        #: by this total — the invariant engine checks exactly that.
-        self.total_pause_injected = 0.0
         self.last_runs: List[JobRun] = []
         self.keep_runs = False
         metrics = self.telemetry.metrics
@@ -67,19 +104,6 @@ class MicroBatchEngine:
         self._m_stage_seconds = catalog.instrument(
             metrics, "repro_engine_stage_seconds"
         )
-
-    def note_reconfiguration(self, now: float, pause: float) -> None:
-        """Account for a runtime configuration change.
-
-        The engine pauses briefly (driver-side coordination) and the next
-        job is marked as the first after the change so metric collectors
-        can discard it (§5.4).
-        """
-        if pause < 0:
-            raise ValueError("pause must be >= 0")
-        self.free_at = max(self.free_at, now) + pause
-        self.total_pause_injected += pause
-        self._reconfig_pending = True
 
     def drain(self, queue: BatchQueue, until: float) -> List[BatchInfo]:
         """Start every queued job whose start time falls before ``until``.
@@ -110,8 +134,7 @@ class MicroBatchEngine:
             )
         else:
             run = self.scheduler.run_job(qb.job, executors, start, self.rng)
-        self.free_at = run.finish
-        self.jobs_run += 1
+        first_after_reconfig = self.finish_job(run.finish)
         self.total_task_failures += run.task_failures
         self._m_jobs.inc()
         if run.task_failures:
@@ -130,9 +153,8 @@ class MicroBatchEngine:
             mean_arrival_time=qb.mean_arrival_time,
             processing_start=start,
             processing_end=run.finish,
-            first_after_reconfig=self._reconfig_pending,
+            first_after_reconfig=first_after_reconfig,
         )
-        self._reconfig_pending = False
         if tracer.enabled and qb.trace is not None:
             root = tracer.span_for(qb.trace)
             root.set_attribute("processing_time", info.processing_time)

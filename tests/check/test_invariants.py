@@ -7,6 +7,7 @@ from repro.check.invariants import InvariantEngine
 from repro.engine.task_scheduler import JobRun
 from repro.engine.task import TaskRun, TaskSpec
 from repro.experiments.common import build_experiment
+from repro.fast import FAST_FIDELITIES, FIDELITIES
 from repro.streaming.metrics import BatchInfo
 
 
@@ -52,6 +53,37 @@ class TestCleanRuns:
         assert setup.context.queue.total_dropped_records > 0
         assert engine.ok, [v.render() for v in engine.violations]
 
+    @pytest.mark.parametrize("fidelity", FAST_FIDELITIES)
+    def test_fast_tiers_check_live(self, fidelity):
+        # Reconfiguration pauses, a crash and queue evictions: the fast
+        # tiers run the batch-level set plus the delay identity, live.
+        setup = build_experiment(
+            "logistic_regression", seed=2, batch_interval=4.0,
+            num_executors=2, queue_max_length=2, fidelity=fidelity,
+        )
+        engine = InvariantEngine(setup.context)
+        ctx = setup.context
+        run_fixed_configuration(ctx, batches=8, warmup=1)
+        ctx.change_configuration(batch_interval=9.0, num_executors=12)
+        ctx.inject_executor_failure()
+        run_fixed_configuration(ctx, batches=8, warmup=1)
+        assert ctx.queue.total_dropped > 0
+        assert engine.batches_checked == len(ctx.listener.metrics)
+        assert engine.checks_run > 6 * engine.batches_checked
+        assert engine.ok, [v.render() for v in engine.violations]
+
+    def test_detach_stops_checking(self):
+        setup = build_experiment(
+            "logistic_regression", seed=3, fidelity="vectorized"
+        )
+        engine = InvariantEngine(setup.context)
+        setup.context.advance_batches(3)
+        engine.detach()
+        checks = engine.checks_run
+        setup.context.advance_batches(3)
+        assert checks > 0
+        assert engine.checks_run == checks
+
     def test_violations_counter_reaches_registry(self):
         from repro.obs.tracer import Telemetry
 
@@ -89,8 +121,11 @@ class TestTamperDetection:
             v.invariant == "queue-accounting" for v in engine.violations
         )
 
-    def test_clock_regression_detected(self):
-        setup = build_experiment("logistic_regression", seed=3)
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_clock_regression_detected(self, fidelity):
+        setup = build_experiment(
+            "logistic_regression", seed=3, fidelity=fidelity
+        )
         engine = InvariantEngine(setup.context)
         run_fixed_configuration(setup.context, batches=3, warmup=1)
         engine.on_boundary(0.5)  # boundary that moved backwards
@@ -98,10 +133,13 @@ class TestTamperDetection:
             v.invariant == "clock-monotonicity" for v in engine.violations
         )
 
-    def test_unexplained_slack_detected(self):
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_unexplained_slack_detected(self, fidelity):
         # A batch starting later than both its close and the previous
         # job's end, with no pause injected, is stolen wait time.
-        setup = build_experiment("logistic_regression", seed=3)
+        setup = build_experiment(
+            "logistic_regression", seed=3, fidelity=fidelity
+        )
         engine = InvariantEngine(setup.context, check_busy_time=False)
         run_fixed_configuration(setup.context, batches=3, warmup=1)
         assert engine.ok
@@ -120,6 +158,34 @@ class TestTamperDetection:
         assert any(
             v.invariant == "queue-accounting" for v in engine.violations
         )
+
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_off_midpoint_arrival_breaks_delay_identity(self, fidelity):
+        # Only the fast tiers promise interval-midpoint arrivals; the
+        # exact tier's Kafka arrivals make no such claim.
+        setup = build_experiment(
+            "logistic_regression", seed=3, fidelity=fidelity
+        )
+        engine = InvariantEngine(setup.context, check_busy_time=False)
+        run_fixed_configuration(setup.context, batches=3, warmup=1)
+        assert engine.ok
+        last = setup.context.listener.metrics.last
+        t0 = last.processing_end + 1.0
+        skewed = BatchInfo(
+            batch_index=last.batch_index + 1,
+            batch_time=t0,
+            interval=10.0,
+            records=10,
+            num_executors=4,
+            mean_arrival_time=t0 - 1.0,  # midpoint would be t0 - 5
+            processing_start=t0,
+            processing_end=t0 + 2.0,
+        )
+        engine.on_batch(skewed)
+        caught = [
+            v for v in engine.violations if v.invariant == "delay-identity"
+        ]
+        assert bool(caught) == (fidelity in FAST_FIDELITIES)
 
     def test_busy_time_overrun_detected(self):
         setup = build_experiment("logistic_regression", seed=3)

@@ -9,9 +9,12 @@ from repro.cluster.cluster import paper_cluster
 from repro.datagen.generator import DataGenerator
 from repro.datagen.rates import ConstantRate
 from repro.engine.overhead import DEFAULT_OVERHEAD
-from repro.fast import FastBatchEngine, FastStreamingContext
+from repro.experiments.common import build_experiment
+from repro.fast import FIDELITIES, FastBatchEngine, FastStreamingContext
 from repro.fast.context import _PREFETCH_MAX, _PREFETCH_START
 from repro.kafka.cluster import paper_kafka_cluster
+from repro.obs import Telemetry
+from repro.obs.slo import SLO, SLOEvaluator
 from repro.streaming.context import StreamingConfig
 from repro.workloads.wordcount import WordCount
 
@@ -199,8 +202,54 @@ class TestQueueBound:
             queue_max_length=3,
         )
         ctx.advance_batches(12)
-        assert ctx.total_dropped > 0
+        assert ctx.queue.total_dropped > 0
         assert ctx.pending_batches <= 3
+
+
+class TestStreamingTelemetry:
+    """Every tier reports through the same ``repro_streaming_*`` families,
+    so registry-backed SLOs judge fast-tier runs too."""
+
+    @staticmethod
+    def _overloaded(fidelity: str):
+        setup = build_experiment(
+            "logistic_regression", seed=0, batch_interval=2.0,
+            num_executors=2, queue_max_length=3, telemetry=Telemetry(),
+            fidelity=fidelity,
+        )
+        setup.context.advance_batches(60)
+        return setup
+
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_queue_drops_fail_the_data_loss_slo(self, fidelity):
+        setup = self._overloaded(fidelity)
+        ctx = setup.context
+        dropped = 60 - len(ctx.listener.metrics) - ctx.pending_batches
+        assert dropped > 10
+        slo = SLO(
+            name="loss", objective="counter_max", threshold=10.0,
+            metric="repro_streaming_batches_dropped_total",
+        )
+        verdict = SLOEvaluator([slo]).verdicts(
+            registry=setup.telemetry.metrics
+        )[0]
+        assert not verdict.passed
+        assert verdict.value == dropped
+
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_config_gauges_follow_reconfiguration(self, fidelity):
+        setup = self._overloaded(fidelity)
+        setup.context.change_configuration(
+            batch_interval=3.0, num_executors=5
+        )
+        registry = setup.telemetry.metrics
+        assert registry.get(
+            "repro_streaming_batch_interval_seconds"
+        ).value == 3.0
+        assert registry.get("repro_streaming_executors").value == 5
+        assert registry.get(
+            "repro_streaming_reconfigurations_total"
+        ).value == 1
 
 
 class TestFailureInjection:
