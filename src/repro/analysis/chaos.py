@@ -90,12 +90,6 @@ def delay_overshoot(
     return max(0.0, peak - base)
 
 
-def poisoned_step_fraction(avoided: int, taken: int) -> float:
-    """Share of corrupted SPSA rounds the guard caught."""
-    total = avoided + taken
-    return avoided / total if total else 0.0
-
-
 # -- joining chaos events to batch traces ------------------------------------
 
 

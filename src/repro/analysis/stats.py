@@ -1,14 +1,13 @@
 """Statistical helpers for experiment post-processing.
 
 Every Fig. 7 / Fig. 8 style result in the paper is "repeat five times,
-report mean ± standard deviation"; these helpers centralize that pattern
-(plus bootstrap confidence intervals for the extended analyses).
+report mean ± standard deviation"; these helpers centralize that pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,41 +50,3 @@ def improvement_factor(baseline: float, improved: float) -> float:
     if baseline < 0:
         raise ValueError("baseline must be >= 0")
     return baseline / improved
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.mean,
-    n_resamples: int = 2000,
-    confidence: float = 0.95,
-    seed: int = 0,
-) -> tuple:
-    """Percentile bootstrap confidence interval for a statistic."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size < 2:
-        raise ValueError("need at least two values for a bootstrap CI")
-    if not (0.0 < confidence < 1.0):
-        raise ValueError("confidence must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
-    stats = np.apply_along_axis(statistic, 1, arr[idx])
-    alpha = (1.0 - confidence) / 2.0
-    return (
-        float(np.quantile(stats, alpha)),
-        float(np.quantile(stats, 1.0 - alpha)),
-    )
-
-
-def rolling_mean(values: Sequence[float], window: int) -> np.ndarray:
-    """Simple trailing rolling mean (for evolution-plot smoothing)."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return arr
-    out = np.empty_like(arr)
-    csum = np.cumsum(arr)
-    for i in range(arr.size):
-        lo = max(0, i - window + 1)
-        out[i] = (csum[i] - (csum[lo - 1] if lo > 0 else 0.0)) / (i - lo + 1)
-    return out

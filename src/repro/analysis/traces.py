@@ -74,7 +74,9 @@ class ExperimentTrace:
         )
 
 
-def load_span_jsonl(path: Union[str, Path]) -> List:
+def load_span_jsonl(  # det: allow-unused: README trace reload
+    path: Union[str, Path],
+) -> List:
     """Reload ``repro trace --out`` span JSONL for offline analysis.
 
     Returns the spans in file order (the tracer's store order), ready

@@ -4,11 +4,11 @@ Spark back pressure and the fixed/default configuration run here.  The
 searching optimizers — Bayesian optimization, simulated annealing,
 random and grid search — live in :mod:`repro.tuners` and all run
 through :func:`repro.tuners.run_tuner`; this package keeps the
-from-scratch GP and acquisition functions Bayesian optimization is
+from-scratch GP and acquisition function Bayesian optimization is
 built on.
 """
 
-from .acquisition import expected_improvement, lower_confidence_bound
+from .acquisition import expected_improvement
 from .backpressure import BackPressureRunResult, run_backpressure
 from .fixed import DEFAULT_CONFIGURATION, FixedRunResult, run_fixed_configuration
 from .gp import GaussianProcess, rbf_kernel
@@ -19,7 +19,6 @@ __all__ = [
     "FixedRunResult",
     "GaussianProcess",
     "expected_improvement",
-    "lower_confidence_bound",
     "rbf_kernel",
     "run_backpressure",
     "run_fixed_configuration",

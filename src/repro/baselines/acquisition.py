@@ -1,9 +1,9 @@
-"""Acquisition functions for the Bayesian-optimization baseline.
+"""Acquisition function for the Bayesian-optimization baseline.
 
-Expected improvement (the standard choice for noisy hyper-parameter
+Expected improvement: the standard choice for noisy hyper-parameter
 tuning, and the one implied by the paper's "Bayesian Optimization is
-among the most commonly used algorithms in Random Search") plus lower
-confidence bound for ablation.  Pure-NumPy normal PDF/CDF via ``erf``.
+among the most commonly used algorithms in Random Search".  Pure-NumPy
+normal PDF/CDF via ``erf``.
 """
 
 from __future__ import annotations
@@ -46,16 +46,3 @@ def expected_improvement(
     # Zero-variance points improve deterministically or not at all.
     ei = np.where(std > 0, ei, np.maximum(improvement, 0.0))
     return np.maximum(ei, 0.0)
-
-
-def lower_confidence_bound(
-    mean: np.ndarray, std: np.ndarray, kappa: float = 2.0
-) -> np.ndarray:
-    """LCB acquisition for minimization (smaller is more promising)."""
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    mean = np.asarray(mean, dtype=float)
-    std = np.asarray(std, dtype=float)
-    if mean.shape != std.shape:
-        raise ValueError("mean and std must have matching shapes")
-    return mean - kappa * std

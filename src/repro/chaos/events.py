@@ -102,7 +102,7 @@ class Periodic(Trigger):
 
 
 @dataclass(frozen=True)
-class RateAbove(Trigger):
+class RateAbove(Trigger):  # det: allow-unused: DESIGN.md §9 chaos DSL table
     """Fire when the observed ingest rate exceeds ``threshold``.
 
     ``cooldown`` seconds must elapse after a firing before the trigger

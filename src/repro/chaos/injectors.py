@@ -106,7 +106,7 @@ class ExecutorCrash(Injector):
 
 
 @dataclass
-class NodeOutage(Injector):
+class NodeOutage(Injector):  # det: allow-unused: DESIGN.md §9 chaos DSL table
     """Take one worker node offline, killing every executor on it.
 
     ``worker_index`` selects the victim from ``cluster.workers`` (None =

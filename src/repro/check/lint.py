@@ -1,4 +1,4 @@
-"""Determinism linter: an AST pass over the package source.
+"""Determinism and dead-code linter: AST passes over the package source.
 
 The sweep runner's guarantees — parallel execution bit-identical to
 sequential, content-addressed result cache — hold only if every
@@ -19,11 +19,21 @@ classes silently break that, and this linter flags all of them:
   argument) are flagged.
 * **DET003 — unordered iteration feeding ordered output.**  Iterating a
   ``set`` (literal, comprehension, or ``set(...)`` call) in a ``for``
-  loop or comprehension, materializing one with ``list`` / ``tuple`` /
-  ``enumerate``, or ``str.join``-ing a set or dict view makes output
-  depend on hash order — which for strings depends on
-  ``PYTHONHASHSEED``.  (Dict iteration itself is insertion-ordered and
-  is *not* flagged.)
+  loop or a list, generator or dict comprehension, materializing one
+  with ``list`` / ``tuple`` / ``enumerate``, or ``str.join``-ing a set
+  or dict view makes output depend on hash order — which for strings
+  depends on ``PYTHONHASHSEED``.  (Dict iteration itself is
+  insertion-ordered and is *not* flagged.)
+
+One more rule keeps deleted code deleted:
+
+* **DEAD001 — unused public symbol.**  A public top-level ``def`` or
+  ``class`` of a package that no ``Name`` or ``Attribute`` anywhere in
+  the package, or in the ``benchmarks/``, ``examples/`` and
+  ``perfbench/`` trees next to its ``src/``, refers to.  Tests do not
+  count, nor do import aliases and ``__all__`` strings.  Classes filed
+  in a registry by ``@register_tuner`` / ``@register_cell`` are exempt.
+  It runs when ``lint_paths`` is given a top-level package directory.
 
 Legitimate sites (the self-profiler's timing clock, the runner's
 wall-time accounting — measurement, not results) carry a pragma comment
@@ -32,7 +42,9 @@ on the offending line::
     t0 = time.perf_counter()  # det: allow-wallclock
 
 ``# det: allow`` suppresses every rule on its line; the targeted forms
-are ``allow-rng``, ``allow-wallclock``, ``allow-unordered``.
+are ``allow-rng``, ``allow-wallclock``, ``allow-unordered`` and, on the
+``def`` / ``class`` line, ``allow-unused`` with the user surface that
+keeps the symbol (a README snippet, a documented DSL name).
 
 Exposed as ``repro lint [paths...]``; exits non-zero on any finding, so
 CI wires it next to ruff.
@@ -43,7 +55,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 #: Fully-qualified callables/attributes that read the wall clock.
 WALL_CLOCK = {
@@ -91,12 +103,21 @@ _PRAGMA_BY_RULE = {
     "DET001": "det: allow-rng",
     "DET002": "det: allow-wallclock",
     "DET003": "det: allow-unordered",
+    "DEAD001": "det: allow-unused",
 }
+
+#: Class decorators that file a class in a string-keyed registry
+#: (``make_tuner("bo")``, ``execute_cell("nostop", ...)``): the registry
+#: is how callers reach it, so it needs no by-name reference.
+REGISTRY_DECORATORS = {"register_tuner", "register_cell"}
+
+#: Trees next to a package's ``src/`` whose uses keep its symbols alive.
+CONSUMER_DIRS = ("benchmarks", "examples", "perfbench")
 
 
 @dataclass(frozen=True)
 class LintFinding:
-    """One determinism hazard at a source location."""
+    """One lint finding at a source location."""
 
     path: str
     line: int
@@ -142,6 +163,24 @@ def _is_set_expr(node: ast.AST, aliases: Dict[str, str]) -> bool:
     return False
 
 
+def _suppressed(lines: Sequence[str], rule: str, lineno: int) -> bool:
+    """Whether line ``lineno`` carries a pragma that silences ``rule``."""
+    if not 1 <= lineno <= len(lines):
+        return False
+    line = lines[lineno - 1]
+    if "#" not in line:
+        return False
+    comment = line[line.index("#"):]
+    if _PRAGMA_BY_RULE[rule] in comment:
+        return True
+    # Bare "det: allow" (not followed by a dash) suppresses all rules.
+    idx = comment.find(_PRAGMA_ALL)
+    if idx >= 0:
+        rest = comment[idx + len(_PRAGMA_ALL):]
+        return not rest.startswith("-")
+    return False
+
+
 def _is_dict_view(node: ast.AST) -> bool:
     """Whether ``node`` is a ``.keys()`` / ``.values()`` / ``.items()`` call."""
     return (
@@ -179,24 +218,8 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
     # -- reporting ----------------------------------------------------------
 
-    def _suppressed(self, rule: str, lineno: int) -> bool:
-        if not 1 <= lineno <= len(self.lines):
-            return False
-        line = self.lines[lineno - 1]
-        if "#" not in line:
-            return False
-        comment = line[line.index("#"):]
-        if _PRAGMA_BY_RULE[rule] in comment:
-            return True
-        # Bare "det: allow" (not followed by a dash) suppresses all rules.
-        idx = comment.find(_PRAGMA_ALL)
-        if idx >= 0:
-            rest = comment[idx + len(_PRAGMA_ALL):]
-            return not rest.startswith("-")
-        return False
-
     def _flag(self, rule: str, node: ast.AST, message: str) -> None:
-        if self._suppressed(rule, node.lineno):
+        if _suppressed(self.lines, rule, node.lineno):
             return
         self.findings.append(
             LintFinding(
@@ -339,6 +362,10 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.visit_comprehension_iters(node.generators)
         self.generic_visit(node)
 
+    def visit_DictComp(self, node: ast.DictComp) -> None:
+        self.visit_comprehension_iters(node.generators)
+        self.generic_visit(node)
+
 
 def lint_source(source: str, path: str = "<string>") -> List[LintFinding]:
     """Lint one module's source text; returns findings in source order."""
@@ -358,19 +385,108 @@ def lint_file(path: Union[str, Path]) -> List[LintFinding]:
     return lint_source(p.read_text(encoding="utf-8"), str(p))
 
 
+def _python_files(root: Path) -> List[Path]:
+    return sorted(f for f in root.rglob("*.py") if "__pycache__" not in f.parts)
+
+
+def _referenced_names(tree: ast.AST) -> Set[str]:
+    """Every ``Name`` and ``Attribute`` identifier in ``tree``.
+
+    Import aliases and ``__all__`` strings are not ``Name`` nodes, so a
+    re-export alone keeps nothing alive.
+    """
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _is_registered(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = (
+            target.attr if isinstance(target, ast.Attribute)
+            else getattr(target, "id", None)
+        )
+        if name in REGISTRY_DECORATORS:
+            return True
+    return False
+
+
+def lint_unused_symbols(package: Union[str, Path]) -> List[LintFinding]:
+    """DEAD001: public top-level defs and classes nothing references.
+
+    A reference is a ``Name`` or ``Attribute`` anywhere in ``package``
+    or, when the package sits in a ``src/`` directory, in the
+    ``benchmarks/``, ``examples/`` and ``perfbench/`` trees next to that
+    ``src/``.  Tests are not consumers: a symbol only its own tests use
+    is dead code with a test.
+    """
+    package = Path(package)
+    sources = {f: f.read_text(encoding="utf-8") for f in _python_files(package)}
+    trees = {f: ast.parse(text, filename=str(f)) for f, text in sources.items()}
+    consumers = list(trees.values())
+    if package.parent.name == "src":
+        for name in CONSUMER_DIRS:
+            root = package.parent.parent / name
+            if root.is_dir():
+                consumers.extend(
+                    ast.parse(f.read_text(encoding="utf-8"), filename=str(f))
+                    for f in _python_files(root)
+                )
+    referenced: Set[str] = set()
+    for tree in consumers:
+        referenced |= _referenced_names(tree)
+    findings: List[LintFinding] = []
+    for path, tree in trees.items():
+        lines = sources[path].splitlines()
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            if (
+                node.name.startswith("_")
+                or node.name in referenced
+                or (isinstance(node, ast.ClassDef) and _is_registered(node))
+                or _suppressed(lines, "DEAD001", node.lineno)
+            ):
+                continue
+            findings.append(
+                LintFinding(
+                    path=str(path),
+                    line=node.lineno,
+                    col=node.col_offset + 1,
+                    rule="DEAD001",
+                    message=f"public symbol {node.name} is never referenced "
+                    "— delete it",
+                )
+            )
+    return findings
+
+
 def lint_paths(paths: Iterable[Union[str, Path]]) -> List[LintFinding]:
-    """Lint files and/or directory trees (``*.py``, sorted for stability)."""
+    """Lint files and/or directory trees (``*.py``, sorted for stability).
+
+    A directory that is a top-level package (it has an ``__init__.py``
+    and its parent does not) is also checked for unused public symbols.
+    """
     findings: List[LintFinding] = []
     for entry in paths:
         p = Path(entry)
         if p.is_dir():
-            files = sorted(
-                f for f in p.rglob("*.py") if "__pycache__" not in f.parts
-            )
+            files = _python_files(p)
         elif p.is_file():
             files = [p]
         else:
             raise FileNotFoundError(f"no such file or directory: {p}")
         for f in files:
             findings.extend(lint_file(f))
+        if (p / "__init__.py").is_file() and not (
+            p.parent / "__init__.py"
+        ).is_file():
+            findings.extend(lint_unused_symbols(p))
     return findings

@@ -995,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="determinism linter: unseeded RNGs, wall-clock reads, "
-             "unordered iteration",
+             "unordered iteration, unused public symbols",
     )
     p.add_argument("paths", nargs="*", default=None,
                    help="files or directories (default: the installed "

@@ -29,7 +29,7 @@ from .rate_monitor import RateMonitor
 from .spsa import SPSAIteration, SPSAOptimizer
 from .spsa_variants import AveragedSPSA, OneMeasurementSPSA
 from .system import SimulatedSparkSystem
-from .tuning import estimate_measurement_std, suggest_gains
+from .tuning import suggest_gains
 
 __all__ = [
     "AdjustFunction",
@@ -57,7 +57,6 @@ __all__ = [
     "SPSAOptimizer",
     "SegmentedUniformPerturbation",
     "SimulatedSparkSystem",
-    "estimate_measurement_std",
     "confirm_best",
     "evaluate_config",
     "multi_parameter_space",

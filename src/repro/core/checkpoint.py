@@ -29,8 +29,6 @@ audit-trail replay.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -140,18 +138,3 @@ def controller_restore(
             f"firings={audit_cursor.get('firings', 0)}"
         ),
     )
-
-
-def save_checkpoint(state: Dict[str, Any], path: Path) -> Path:
-    """Write a checkpoint dict to disk as canonical JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh, sort_keys=True)
-    return path
-
-
-def load_checkpoint(path: Path) -> Dict[str, Any]:
-    """Read a checkpoint dict written by :func:`save_checkpoint`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -17,7 +17,7 @@ noise estimate, so domain experts need not hand-tune them.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -59,22 +59,3 @@ def suggest_gains(
     c = float(np.clip(c, span * 0.02, span * 0.5))
     A = max(1.0, 0.1 * expected_iterations) if expected_iterations >= 20 else 1.0
     return GainSchedule(a=a, c=c, A=A)
-
-
-def estimate_measurement_std(
-    measure: Callable[[np.ndarray], float],
-    theta: Sequence[float],
-    probes: int = 5,
-) -> float:
-    """Estimate std(y(θ)) by repeated measurement at a fixed θ.
-
-    A pre-flight helper for :func:`suggest_gains`: run a handful of
-    measurement windows at the starting configuration and return their
-    standard deviation.
-    """
-    if probes < 2:
-        raise ValueError("need at least 2 probes")
-    t = np.asarray(theta, dtype=float)
-    values = np.array([float(measure(t)) for _ in range(probes)])
-    std = float(np.std(values, ddof=1))
-    return max(std, 1e-6)

@@ -5,7 +5,7 @@ sines), synthetic record payloads for the four workloads, and the
 external data generator that feeds the simulated Kafka cluster.
 """
 
-from .generator import DataGenerator, recent_rate_samples
+from .generator import DataGenerator
 from .rates import (
     PAPER_RATE_BANDS,
     ConstantRate,
@@ -41,5 +41,4 @@ __all__ = [
     "make_text_lines",
     "parse_nginx_log_line",
     "paper_rate_trace",
-    "recent_rate_samples",
 ]

@@ -12,7 +12,7 @@ of objects.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -97,18 +97,3 @@ class DataGenerator:
         if self.payload_kind == "text":
             return rec.make_text_lines(n, self._rng)
         return rec.make_nginx_log_lines(n, self._rng)
-
-
-def recent_rate_samples(
-    trace: RateTrace, now: float, window: float = 30.0, dt: float = 1.0
-) -> List[float]:
-    """Rate samples over the trailing ``window`` seconds.
-
-    NoStop's rate monitor (§5.5) computes the standard deviation of the
-    "recent input data speed" from samples like these.
-    """
-    if window <= 0 or dt <= 0:
-        raise ValueError("window and dt must be positive")
-    start = max(0.0, now - window)
-    ts = np.arange(start, now, dt)
-    return [trace.rate(float(t)) for t in ts]

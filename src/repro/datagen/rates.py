@@ -366,7 +366,7 @@ class SpikeRate(RateTrace):
         return limit
 
 
-class TraceRate(RateTrace):
+class TraceRate(RateTrace):  # det: allow-unused: records-between/table golden
     """Replay a recorded rate series (piecewise constant at ``dt``)."""
 
     def __init__(self, samples: Sequence[float], dt: float = 1.0) -> None:

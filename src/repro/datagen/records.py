@@ -15,7 +15,7 @@ payloads, so examples and tests can demonstrate end-to-end semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -142,10 +142,3 @@ def parse_nginx_log_line(line: str):
         return (ip, method, path, status, size, latency_ms)
     except (ValueError, IndexError):
         return None
-
-
-def sample_records(records: Sequence, limit: int) -> Sequence:
-    """First ``limit`` records — used to run kernels on a batch sample."""
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    return records[:limit]

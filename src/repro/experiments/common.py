@@ -250,7 +250,7 @@ def paper_repeat_seeds(base_seed: int, repeats: int) -> list:
     return [base_seed + 100 * rep for rep in range(repeats)]
 
 
-def quick_nostop_run(
+def quick_nostop_run(  # det: allow-unused: the README quick start
     workload_name: str,
     rounds: int = 30,
     seed: int = 0,

@@ -18,7 +18,6 @@ from repro.analysis.stats import Summary, improvement_factor, summarize
 from repro.analysis.tables import format_table
 from repro.baselines.fixed import DEFAULT_CONFIGURATION
 from repro.runner import SweepRunner, SweepSpec, is_failure
-from repro.runner.cells import execute_cell
 
 from .common import paper_repeat_seeds
 from .fig6_evolution import PAPER_WORKLOADS
@@ -71,28 +70,6 @@ class Fig7Result:
             rows,
             title="Fig. 7: delay vs. default configuration (mean ± std over repeats)",
         )
-
-
-def measure_configuration(
-    workload: str,
-    batch_interval: float,
-    num_executors: int,
-    seed: int,
-    batches: int = 40,
-    fidelity: str = "exact",
-) -> float:
-    """Steady-state end-to-end delay of a fixed configuration."""
-    params = {
-        "workload": workload,
-        "batch_interval": batch_interval,
-        "num_executors": num_executors,
-        "seed": seed,
-        "batches": batches,
-    }
-    if fidelity != "exact":
-        params["fidelity"] = fidelity
-    result = execute_cell("fixed_config", params)
-    return result["meanEndToEndDelay"]
 
 
 def fig7_optimize_spec(

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional
 from repro.analysis.stats import Summary, summarize
 from repro.analysis.tables import format_table
 from repro.runner import SweepRunner, SweepSpec
-from repro.runner.cells import execute_cell
 
 from .common import paper_repeat_seeds
 from .fig6_evolution import PAPER_WORKLOADS
@@ -99,29 +98,6 @@ def _bo_run_from_cell(result: dict) -> OptimizerRun:
         search_time=result["searchTime"],
         config_steps=result["configSteps"],
         converged=result["converged"],
-    )
-
-
-def run_spsa_once(workload: str, seed: int, rounds: int) -> OptimizerRun:
-    """One NoStop run measured on the Fig. 8 axes."""
-    return _spsa_run_from_cell(
-        execute_cell(
-            "nostop", {"workload": workload, "seed": seed, "rounds": rounds}
-        )
-    )
-
-
-def run_bo_once(workload: str, seed: int, max_evaluations: int) -> OptimizerRun:
-    """One Bayesian-optimization run measured on the Fig. 8 axes."""
-    return _bo_run_from_cell(
-        execute_cell(
-            "bo",
-            {
-                "workload": workload,
-                "seed": seed,
-                "max_evaluations": max_evaluations,
-            },
-        )
     )
 
 

@@ -287,11 +287,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
 SPECS: Dict[str, MetricSpec] = {s.name: s for s in CATALOG}
 
 
-def subsystems() -> List[str]:
-    """Distinct owning subsystems, sorted."""
-    return sorted({s.subsystem for s in CATALOG})
-
-
 def names(
     subsystem: Optional[Sequence[str]] = None,
     kind: Optional[str] = None,

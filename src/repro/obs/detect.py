@@ -22,7 +22,6 @@ simulated timestamps: deterministic under a fixed seed, no wall clock.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional

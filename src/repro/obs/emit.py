@@ -69,20 +69,6 @@ class JsonlSink:
             self._fh.close()
 
 
-def parse_jsonl_events(text: str) -> List[Event]:
-    """Parse a :class:`JsonlSink` file back into events."""
-    events: List[Event] = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed event on line {i}: {exc}") from exc
-    return events
-
-
 class EmissionBatcher:
     """Bounded-queue, sim-time-interval batcher in front of a sink.
 

@@ -26,7 +26,7 @@ are byte-deterministic for a given run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.streaming.metrics import BatchInfo, percentile
@@ -292,13 +292,6 @@ class SLOEvaluator:
         value = self._running_value(slo)
         detail = f"over {self._batches} batches"
         return value, detail
-
-
-def worst_breaches(verdicts: Sequence[SLOVerdict]) -> List[SLOVerdict]:
-    """Failed verdicts, most severe first (stable order within severity)."""
-    order = {sev: i for i, sev in enumerate(SEVERITIES)}
-    failed = [v for v in verdicts if not v.passed]
-    return sorted(failed, key=lambda v: order[v.severity])
 
 
 def has_critical_breach(verdicts: Sequence[SLOVerdict]) -> bool:

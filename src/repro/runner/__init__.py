@@ -21,7 +21,7 @@ from .cache import (
 )
 from .cells import cell_kinds, execute_cell, register_cell
 from .journal import KILL_AFTER_ENV, SweepJournal, spec_digest
-from .runner import SweepResult, SweepRunner, SweepStats, run_sweep
+from .runner import SweepResult, SweepRunner, SweepStats
 from .spec import SweepCell, SweepSpec, canonical_json, spawn_seeds
 from .supervisor import CellFailure, CellSupervisor, RetryPolicy, is_failure
 
@@ -45,7 +45,6 @@ __all__ = [
     "execute_cell",
     "is_failure",
     "register_cell",
-    "run_sweep",
     "spawn_seeds",
     "spec_digest",
     "substrate_version_tag",

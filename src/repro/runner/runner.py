@@ -295,23 +295,3 @@ class SweepRunner:
         if self.journal is None or digest is None or version_tag is None:
             return
         self.journal.record_cell(digest, cell, version_tag, status, result)
-
-
-def run_sweep(
-    spec: SweepSpec,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    use_cache: bool = True,
-    telemetry: Optional[Telemetry] = None,
-    journal: Optional[SweepJournal] = None,
-    retry: Optional[RetryPolicy] = None,
-) -> SweepResult:
-    """One-call convenience wrapper around :class:`SweepRunner`."""
-    return SweepRunner(
-        workers=workers,
-        cache=cache,
-        use_cache=use_cache,
-        telemetry=telemetry,
-        journal=journal,
-        retry=retry,
-    ).run(spec)

@@ -28,7 +28,6 @@ report next to the cache counters.
 from __future__ import annotations
 
 import hashlib
-import os
 import queue as _queue
 import time
 from dataclasses import dataclass, field

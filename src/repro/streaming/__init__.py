@@ -7,12 +7,6 @@ listener (paper Fig. 4), and Spark's PID back-pressure estimator.
 
 from .backpressure import BackPressureController, PIDRateEstimator
 from .batch_queue import BatchQueue, QueuedBatch
-from .config_params import (
-    SPARK_STREAMING_PARAMS,
-    ParamSpec,
-    SparkStreamingConf,
-    deploy_from_conf,
-)
 from .context import StreamingConfig, StreamingContext
 from .listener import StreamingListener
 from .metrics import BatchInfo, StreamingMetrics
@@ -26,14 +20,10 @@ __all__ = [
     "MicroBatchEngine",
     "PIDRateEstimator",
     "QueuedBatch",
-    "ParamSpec",
     "ReceivedBatch",
-    "SPARK_STREAMING_PARAMS",
-    "SparkStreamingConf",
     "Receiver",
     "StreamingConfig",
     "StreamingContext",
     "StreamingListener",
     "StreamingMetrics",
-    "deploy_from_conf",
 ]

@@ -7,7 +7,7 @@ word counting, Nginx log analytics).
 
 from typing import Dict, Type
 
-from .base import Workload, records_per_task
+from .base import Workload
 from .cost_models import (
     LINEAR_REGRESSION_COSTS,
     LOGISTIC_REGRESSION_COSTS,
@@ -62,5 +62,4 @@ __all__ = [
     "Workload",
     "WorkloadCostModel",
     "make_workload",
-    "records_per_task",
 ]

@@ -115,13 +115,3 @@ class Workload(abc.ABC):
     @abc.abstractmethod
     def run_kernel(self, payloads: Sequence) -> Any:
         """Actually process ``payloads`` and return the workload's output."""
-
-
-def records_per_task(records: int, partitions: int) -> List[int]:
-    """Even split of ``records`` over ``partitions`` tasks (helper)."""
-    if partitions < 1:
-        raise ValueError("partitions must be >= 1")
-    if records < 0:
-        raise ValueError("records must be >= 0")
-    base, rem = divmod(records, partitions)
-    return [base + (1 if i < rem else 0) for i in range(partitions)]

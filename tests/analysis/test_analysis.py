@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.stats import (
-    bootstrap_ci,
-    improvement_factor,
-    rolling_mean,
-    summarize,
-)
+from repro.analysis.stats import improvement_factor, summarize
 from repro.analysis.tables import format_series, format_table
 from repro.analysis.traces import ExperimentTrace
 
@@ -44,39 +39,6 @@ class TestImprovementFactor:
     def test_invalid(self):
         with pytest.raises(ValueError):
             improvement_factor(10.0, 0.0)
-
-
-class TestBootstrapCI:
-    def test_ci_contains_mean(self):
-        rng = np.random.default_rng(0)
-        values = rng.normal(10.0, 1.0, size=100)
-        lo, hi = bootstrap_ci(values, seed=1)
-        assert lo < 10.0 < hi
-        assert hi - lo < 1.0
-
-    def test_needs_two_values(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0])
-
-    def test_invalid_confidence(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0, 2.0], confidence=1.5)
-
-
-class TestRollingMean:
-    def test_window_one_is_identity(self):
-        assert np.allclose(rolling_mean([1, 2, 3], 1), [1, 2, 3])
-
-    def test_trailing_window(self):
-        out = rolling_mean([2.0, 4.0, 6.0, 8.0], window=2)
-        assert np.allclose(out, [2.0, 3.0, 5.0, 7.0])
-
-    def test_empty_input(self):
-        assert rolling_mean([], 3).size == 0
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            rolling_mean([1.0], 0)
 
 
 class TestFormatTable:

@@ -1,9 +1,9 @@
-"""Unit tests for acquisition functions."""
+"""Unit tests for the acquisition function."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.acquisition import expected_improvement, lower_confidence_bound
+from repro.baselines.acquisition import expected_improvement
 
 
 class TestExpectedImprovement:
@@ -40,17 +40,3 @@ class TestExpectedImprovement:
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
             expected_improvement(np.zeros(1), np.array([-1.0]), best=0.0)
-
-
-class TestLowerConfidenceBound:
-    def test_lcb_below_mean(self):
-        lcb = lower_confidence_bound(np.array([5.0]), np.array([1.0]), kappa=2.0)
-        assert lcb[0] == pytest.approx(3.0)
-
-    def test_kappa_zero_is_mean(self):
-        mean = np.array([1.0, 2.0])
-        assert np.allclose(lower_confidence_bound(mean, np.ones(2), kappa=0.0), mean)
-
-    def test_negative_kappa_rejected(self):
-        with pytest.raises(ValueError):
-            lower_confidence_bound(np.zeros(1), np.ones(1), kappa=-1.0)

@@ -1,5 +1,6 @@
-"""Determinism linter: each rule fires on its hazard, stays quiet on the
-seeded/ordered idioms the codebase actually uses, and honors pragmas."""
+"""Linter: each rule fires on its hazard, stays quiet on the seeded/
+ordered idioms and the references the codebase actually uses, and honors
+pragmas."""
 
 from pathlib import Path
 
@@ -135,6 +136,10 @@ class TestDet003UnorderedIteration:
     def test_comprehension_over_set_flagged(self):
         assert rules("out = [x for x in {1, 2}]\n") == ["DET003"]
 
+    def test_dict_comprehension_over_set_flagged(self):
+        # Dicts keep insertion order, so the set's hash order leaks out.
+        assert rules("d = {k: 1 for k in set(xs)}\n") == ["DET003"]
+
     def test_list_of_set_flagged(self):
         assert rules("out = list({1, 2})\n") == ["DET003"]
 
@@ -193,3 +198,59 @@ class TestPaths:
         assert [f.line for f in findings] == [2, 3]
         assert findings[0].format().startswith("mod.py:2:")
         assert findings[0].to_dict()["rule"] == "DET002"
+
+
+class TestDead001UnusedSymbols:
+    """``lint_paths`` on a ``src/`` package with consumer trees beside it."""
+
+    @pytest.fixture
+    def repo(self, tmp_path):
+        pkg = tmp_path / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text(
+            "from .mod import helper as alias\n__all__ = ['helper']\n"
+        )
+        (pkg / "mod.py").write_text("def helper():\n    return 1\n")
+        for tree in ("benchmarks", "tests"):
+            (tmp_path / tree).mkdir()
+        return tmp_path
+
+    def dead(self, repo):
+        findings = lint_paths([repo / "src" / "pkg"])
+        return [(Path(f.path).name, f.line, f.rule) for f in findings]
+
+    def test_unreferenced_def_flagged(self, repo):
+        # The import alias and the __all__ entry are not references.
+        assert self.dead(repo) == [("mod.py", 1, "DEAD001")]
+
+    def test_benchmark_use_clears_it(self, repo):
+        (repo / "benchmarks" / "bench.py").write_text(
+            "from pkg import mod\nmod.helper()\n"
+        )
+        assert self.dead(repo) == []
+
+    def test_test_use_does_not_clear_it(self, repo):
+        (repo / "tests" / "test_mod.py").write_text(
+            "from pkg.mod import helper\nhelper()\n"
+        )
+        assert self.dead(repo) == [("mod.py", 1, "DEAD001")]
+
+    def test_private_and_registered_symbols_exempt(self, repo):
+        (repo / "src" / "pkg" / "mod.py").write_text(
+            "def _private():\n    pass\n"
+            "@register_tuner('x')\nclass XTuner:\n    pass\n"
+        )
+        assert self.dead(repo) == []
+
+    def test_pragma_suppresses_it(self, repo):
+        (repo / "src" / "pkg" / "mod.py").write_text(
+            "def helper():  # det: allow-unused: README example\n"
+            "    return 1\n"
+        )
+        assert self.dead(repo) == []
+
+    def test_subpackage_path_skips_the_rule(self, repo):
+        sub = repo / "src" / "pkg" / "sub"
+        sub.mkdir()
+        (sub / "__init__.py").write_text("def orphan():\n    pass\n")
+        assert lint_paths([sub]) == []

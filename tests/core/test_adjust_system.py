@@ -1,6 +1,5 @@
 """Unit tests for the Adjust function and the simulated-system adapter."""
 
-import numpy as np
 import pytest
 
 from repro.core.adjust import (

@@ -1,15 +1,11 @@
-"""Controller checkpoint/restore: bit-exact resume, audit, persistence."""
+"""Controller checkpoint/restore: bit-exact resume, audit, JSON round trip."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import (
-    CHECKPOINT_VERSION,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.core.checkpoint import CHECKPOINT_VERSION
 from repro.experiments.common import build_experiment, make_controller
 from repro.obs.tracer import Telemetry
 
@@ -127,16 +123,6 @@ def test_rng_state_survives_checkpoint():
     draws_a = a.spsa.rng.random(8).tolist()
     draws_b = b.spsa.rng.random(8).tolist()
     assert draws_a == draws_b
-
-
-def test_save_and_load_checkpoint(tmp_path):
-    _, controller = _fresh()
-    controller.run_round()
-    state = controller.checkpoint()
-    path = save_checkpoint(state, tmp_path / "ckpt" / "state.json")
-    assert path.exists()
-    loaded = load_checkpoint(path)
-    assert loaded == json.loads(json.dumps(state))
 
 
 def test_reapply_pushes_configuration_back():

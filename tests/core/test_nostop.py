@@ -1,9 +1,7 @@
 """Integration tests for the NoStop controller."""
 
-import numpy as np
 import pytest
 
-from repro.core.rate_monitor import RateMonitor
 from repro.datagen.rates import SpikeRate, UniformRandomRate
 from repro.experiments.common import build_experiment, make_controller
 

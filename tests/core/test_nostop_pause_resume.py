@@ -1,6 +1,5 @@
 """Targeted tests for NoStop's pause/monitor/resume machinery."""
 
-import numpy as np
 import pytest
 
 from repro.core.metrics_collector import Measurement

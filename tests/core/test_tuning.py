@@ -1,10 +1,9 @@
 """Unit tests for systematic gain selection (§5.6 / future work)."""
 
-import numpy as np
 import pytest
 
 from repro.core.bounds import Box, paper_configuration_space
-from repro.core.tuning import estimate_measurement_std, suggest_gains
+from repro.core.tuning import suggest_gains
 
 
 class TestSuggestGains:
@@ -45,20 +44,3 @@ class TestSuggestGains:
             suggest_gains(box, expected_iterations=0)
         with pytest.raises(ValueError):
             suggest_gains(box, y_std=0.0)
-
-
-class TestEstimateMeasurementStd:
-    def test_estimates_noise_scale(self):
-        rng = np.random.default_rng(0)
-        std = estimate_measurement_std(
-            lambda t: float(rng.normal(10.0, 2.0)), theta=[1.0], probes=200
-        )
-        assert std == pytest.approx(2.0, rel=0.2)
-
-    def test_deterministic_function_gives_floor(self):
-        std = estimate_measurement_std(lambda t: 5.0, theta=[1.0], probes=5)
-        assert std == pytest.approx(1e-6)
-
-    def test_needs_two_probes(self):
-        with pytest.raises(ValueError):
-            estimate_measurement_std(lambda t: 1.0, theta=[1.0], probes=1)

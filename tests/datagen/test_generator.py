@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.datagen.generator import DataGenerator, recent_rate_samples
-from repro.datagen.rates import ConstantRate, UniformRandomRate
+from repro.datagen.generator import DataGenerator
+from repro.datagen.rates import ConstantRate
 from repro.kafka.topic import Topic
 
 
@@ -38,18 +38,3 @@ class TestDataGenerator:
         g.set_rate_cap(100.0)
         g.advance_to(5.0)
         assert g.producer.total_throttled == 4500
-
-
-class TestRecentRateSamples:
-    def test_window_length(self):
-        trace = UniformRandomRate(10, 20, seed=0)
-        samples = recent_rate_samples(trace, now=100.0, window=30.0, dt=1.0)
-        assert len(samples) == 30
-
-    def test_window_clamped_at_zero(self):
-        samples = recent_rate_samples(ConstantRate(5.0), now=3.0, window=30.0)
-        assert len(samples) == 3
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            recent_rate_samples(ConstantRate(1.0), now=10.0, window=0.0)

@@ -3,13 +3,9 @@
 import json
 
 from repro.cli import main
-from repro.obs import (
-    catalog_json,
-    catalog_markdown,
-    dashboard_json,
-    parse_jsonl_events,
-    validate_prometheus_text,
-)
+from repro.obs import catalog_json, catalog_markdown, dashboard_json
+
+from ..obs.helpers import parse_jsonl_events, validate_prometheus_text
 
 RUN = ["--workload", "wordcount", "--rounds", "2", "--seed", "3"]
 

@@ -9,9 +9,10 @@ from repro.obs import (
     JsonlSink,
     MetricsRegistry,
     metric_events,
-    parse_jsonl_events,
 )
 from repro.obs.catalog import instrument
+
+from .helpers import parse_jsonl_events
 
 
 class RecordingSink:

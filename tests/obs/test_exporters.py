@@ -13,8 +13,9 @@ from repro.obs import (
     render_timeline,
     save_spans,
     spans_to_jsonl,
-    validate_prometheus_text,
 )
+
+from .helpers import validate_prometheus_text
 
 
 def make_spans():

@@ -15,8 +15,10 @@ from repro.chaos.engine import ChaosEngine
 from repro.chaos.events import AtTime, FaultEvent, FaultSchedule
 from repro.chaos.injectors import BrokerOutage, ExecutorCrash
 from repro.experiments.common import build_experiment, make_controller
-from repro.obs import Telemetry, Tracer, spans_to_jsonl, validate_prometheus_text
+from repro.obs import Telemetry, Tracer, spans_to_jsonl
 from repro.obs.exporters import prometheus_text
+
+from .helpers import validate_prometheus_text
 
 ROUNDS = 6
 

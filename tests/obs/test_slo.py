@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.obs import (
-    SLO,
-    SLOEvaluator,
-    default_slos,
-    has_critical_breach,
-    worst_breaches,
-)
+from repro.obs import SLO, SLOEvaluator, default_slos, has_critical_breach
 from repro.obs.registry import MetricsRegistry
 
 from .helpers import make_batch
@@ -113,16 +107,13 @@ class TestEndOfRunSignals:
 
 
 class TestRollups:
-    def test_worst_breaches_orders_by_severity(self):
-        slos = [
-            SLO(name="warn", objective="delay_p95", threshold=0.1,
-                severity="warning"),
-            SLO(name="crit", objective="stability_ratio", threshold=0.1,
-                severity="critical"),
-        ]
-        ev = SLOEvaluator(slos)
-        for i in range(4):
-            ev.observe_batch(make_batch(i, processing_time=15.0))
-        breaches = worst_breaches(ev.verdicts())
-        assert [v.slo.name for v in breaches] == ["crit", "warn"]
-        assert has_critical_breach(ev.verdicts())
+    def test_only_critical_breaches_count(self):
+        warn = SLO(name="warn", objective="delay_p95", threshold=0.1,
+                   severity="warning")
+        crit = SLO(name="crit", objective="stability_ratio", threshold=0.1,
+                   severity="critical")
+        for slos, expected in (([warn], False), ([warn, crit], True)):
+            ev = SLOEvaluator(slos)
+            for i in range(4):
+                ev.observe_batch(make_batch(i, processing_time=15.0))
+            assert has_critical_breach(ev.verdicts()) is expected

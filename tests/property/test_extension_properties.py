@@ -1,19 +1,16 @@
 """Property-based tests for the extension modules (faults, windows,
-configuration catalog, SPSA variants)."""
+SPSA variants)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.cluster import homogeneous_cluster
-from repro.cluster.resource_manager import ResourceManager
 from repro.core.bounds import Box
 from repro.core.gains import GainSchedule
 from repro.core.spsa_variants import AveragedSPSA, OneMeasurementSPSA
 from repro.engine.faults import FaultModel
 from repro.engine.overhead import ZERO_OVERHEAD
 from repro.engine.task_scheduler import NoiseModel, TaskScheduler
-from repro.streaming.config_params import SPARK_STREAMING_PARAMS
 from repro.workloads.windowed import WindowedWordCount
 
 from ..engine.test_task_scheduler import executors, make_job
@@ -100,14 +97,6 @@ class TestWindowProperties:
             history.append(n)
             eff = rec.effective_records(n)
             assert eff == sum(history[-window:])
-
-
-class TestConfCatalogProperties:
-    @given(st.sampled_from(sorted(SPARK_STREAMING_PARAMS)))
-    @settings(max_examples=30, deadline=None)
-    def test_defaults_validate_against_own_spec(self, key):
-        spec = SPARK_STREAMING_PARAMS[key]
-        assert spec.validate(spec.default) == spec.default
 
 
 class TestVariantInvariants:

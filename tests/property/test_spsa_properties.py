@@ -1,7 +1,6 @@
 """Property-based tests for the SPSA core (hypothesis)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -9,7 +9,6 @@ from repro.datagen.rates import UniformRandomRate
 from repro.kafka.partition import Partition
 from repro.kafka.topic import Topic
 from repro.streaming.batch_queue import BatchQueue, QueuedBatch
-from repro.workloads.base import records_per_task
 from repro.workloads.wordcount import WordCount
 
 
@@ -87,16 +86,6 @@ class TestRateTraceProperties:
         whole = trace.records_between(t0, t2)
         parts = trace.records_between(t0, t1) + trace.records_between(t1, t2)
         assert abs(whole - parts) <= 2  # integer rounding only
-
-
-class TestRecordsPerTaskProperties:
-    @given(records=st.integers(0, 10**7), partitions=st.integers(1, 200))
-    @settings(max_examples=100, deadline=None)
-    def test_split_conserves_and_balances(self, records, partitions):
-        split = records_per_task(records, partitions)
-        assert sum(split) == records
-        assert max(split) - min(split) <= 1
-        assert len(split) == partitions
 
 
 class TestBatchQueueProperties:

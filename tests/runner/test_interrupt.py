@@ -21,7 +21,6 @@ from repro.runner import (
     ResultCache,
     SweepJournal,
     SweepRunner,
-    SweepSpec,
 )
 
 WORKLOAD = "logistic_regression"

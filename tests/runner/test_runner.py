@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs.tracer import Telemetry
-from repro.runner import ResultCache, SweepRunner, SweepSpec, run_sweep
+from repro.runner import ResultCache, SweepRunner, SweepSpec
 
 
 def _dumps(results):
@@ -103,7 +103,7 @@ class TestCacheAccounting:
         assert sweep.stats.executed == 1
 
     def test_no_cache_object_runs_everything(self, small_spec):
-        sweep = run_sweep(small_spec)
+        sweep = SweepRunner().run(small_spec)
         assert sweep.stats.executed == 3
         assert sweep.stats.cache_misses == 3
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.workloads import make_workload
-from repro.workloads.base import records_per_task
 from repro.workloads.logistic_regression import StreamingLogisticRegression
 from repro.workloads.wordcount import WordCount
 
@@ -12,23 +11,6 @@ from repro.workloads.wordcount import WordCount
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
-
-
-class TestRecordsPerTask:
-    def test_even_split(self):
-        assert records_per_task(100, 4) == [25, 25, 25, 25]
-
-    def test_remainder_goes_to_first_tasks(self):
-        assert records_per_task(10, 4) == [3, 3, 2, 2]
-
-    def test_zero_records(self):
-        assert records_per_task(0, 3) == [0, 0, 0]
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            records_per_task(1, 0)
-        with pytest.raises(ValueError):
-            records_per_task(-1, 2)
 
 
 class TestBuildJob:
