@@ -420,3 +420,54 @@ class TestHotPaths:
         )
         emit(f"scheduler: {n_tasks} tasks in {elapsed:.3f}s ({rate:,.0f}/s)")
         assert run.processing_time > 0
+
+    def test_import_surface(self, bench_record):
+        """Cold-start cost of the lazy package surface.
+
+        Median seconds from spawning an interpreter to its exit for
+        ``import repro``, ``import repro.experiments.common`` (what every
+        deployment build imports) and ``python -m repro --help``, plus
+        the number of ``repro`` modules the second one loads.
+        """
+        import statistics
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
+        commands = {
+            "importRepro": ["-c", "import repro"],
+            "importCommon": ["-c", "import repro.experiments.common"],
+            "cliHelp": ["-m", "repro", "--help"],
+        }
+        spawns = 3 if SMOKE else 9
+
+        def spawn(args):
+            return subprocess.run(
+                [sys.executable, *args], env=env, check=True,
+                capture_output=True, text=True,
+            )
+
+        medians = {}
+        for key, args in commands.items():
+            samples = [_timed(lambda: spawn(args))[1] for _ in range(spawns)]
+            medians[key] = round(statistics.median(samples), 3)
+        modules = int(spawn([
+            "-c",
+            "import sys, repro.experiments.common; print(sum("
+            "m == 'repro' or m.startswith('repro.') for m in sys.modules))",
+        ]).stdout)
+        bench_record(
+            spawns=spawns, commonModules=modules,
+            **{f"{key}Seconds": value for key, value in medians.items()},
+        )
+        emit(
+            f"import surface (median of {spawns} spawns): import repro "
+            f"{medians['importRepro']:.3f}s, experiments.common "
+            f"{medians['importCommon']:.3f}s ({modules} repro modules), "
+            f"--help {medians['cliHelp']:.3f}s"
+        )
+        assert modules <= 56

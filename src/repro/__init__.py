@@ -17,27 +17,16 @@ See ``examples/`` for complete scenarios and ``benchmarks/`` for the
 per-figure reproduction harness.
 """
 
-from __future__ import annotations
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-from . import baselines, cluster, core, datagen, engine, kafka, streaming, workloads
-from .core import NoStopController, NoStopReport, SPSAOptimizer
-from .experiments.common import build_experiment, quick_nostop_run
-
-__all__ = [
-    "NoStopController",
-    "NoStopReport",
-    "SPSAOptimizer",
-    "__version__",
-    "baselines",
-    "build_experiment",
-    "cluster",
-    "core",
-    "datagen",
-    "engine",
-    "kafka",
-    "quick_nostop_run",
-    "streaming",
-    "workloads",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "": (
+        "__version__", "baselines", "cluster", "core", "datagen", "engine",
+        "kafka", "streaming", "workloads",
+    ),
+    "core.nostop": ("NoStopController", "NoStopReport"),
+    "core.spsa": ("SPSAOptimizer",),
+    "experiments.common": ("build_experiment", "quick_nostop_run"),
+})

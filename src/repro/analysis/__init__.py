@@ -1,20 +1,11 @@
 """Measurement post-processing: repeat-set statistics, ASCII tables for
 the benchmark harness, and JSON experiment traces."""
 
-from .chaos import baseline_delay, delay_overshoot, time_to_recover
-from .stats import Summary, improvement_factor, summarize
-from .tables import format_series, format_table
-from .traces import ExperimentTrace, load_span_jsonl
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ExperimentTrace",
-    "load_span_jsonl",
-    "baseline_delay",
-    "delay_overshoot",
-    "time_to_recover",
-    "Summary",
-    "format_series",
-    "format_table",
-    "improvement_factor",
-    "summarize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "chaos": ("baseline_delay", "delay_overshoot", "time_to_recover"),
+    "stats": ("Summary", "improvement_factor", "summarize"),
+    "tables": ("format_series", "format_table"),
+    "traces": ("ExperimentTrace", "load_span_jsonl"),
+})

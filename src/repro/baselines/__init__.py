@@ -8,18 +8,13 @@ from-scratch GP and acquisition function Bayesian optimization is
 built on.
 """
 
-from .acquisition import expected_improvement
-from .backpressure import BackPressureRunResult, run_backpressure
-from .fixed import DEFAULT_CONFIGURATION, FixedRunResult, run_fixed_configuration
-from .gp import GaussianProcess, rbf_kernel
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BackPressureRunResult",
-    "DEFAULT_CONFIGURATION",
-    "FixedRunResult",
-    "GaussianProcess",
-    "expected_improvement",
-    "rbf_kernel",
-    "run_backpressure",
-    "run_fixed_configuration",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "acquisition": ("expected_improvement",),
+    "backpressure": ("BackPressureRunResult", "run_backpressure"),
+    "fixed": (
+        "DEFAULT_CONFIGURATION", "FixedRunResult", "run_fixed_configuration",
+    ),
+    "gp": ("GaussianProcess", "rbf_kernel"),
+})

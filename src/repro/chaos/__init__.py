@@ -7,39 +7,15 @@ to a NoStop experiment and :mod:`repro.chaos.report` serializes the
 outcome deterministically.
 """
 
-from .engine import ChaosEngine, EventRecord
-from .events import AtTime, FaultEvent, FaultSchedule, Periodic, RateAbove
-from .injectors import (
-    BrokerOutage,
-    DataSkewBurst,
-    DriverFailure,
-    ExecutorCrash,
-    Injector,
-    NodeOutage,
-    StragglerSlowdown,
-)
-from .report import ChaosReport, EventOutcome, build_event_outcomes
-from .runner import ChaosRunResult, run_chaos_scenario, standard_chaos_schedule
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AtTime",
-    "BrokerOutage",
-    "ChaosEngine",
-    "ChaosReport",
-    "ChaosRunResult",
-    "DataSkewBurst",
-    "DriverFailure",
-    "EventOutcome",
-    "EventRecord",
-    "ExecutorCrash",
-    "FaultEvent",
-    "FaultSchedule",
-    "Injector",
-    "NodeOutage",
-    "Periodic",
-    "RateAbove",
-    "StragglerSlowdown",
-    "build_event_outcomes",
-    "run_chaos_scenario",
-    "standard_chaos_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "engine": ("ChaosEngine", "EventRecord"),
+    "events": ("AtTime", "FaultEvent", "FaultSchedule", "Periodic", "RateAbove"),
+    "injectors": (
+        "BrokerOutage", "DataSkewBurst", "DriverFailure", "ExecutorCrash",
+        "Injector", "NodeOutage", "StragglerSlowdown",
+    ),
+    "report": ("ChaosReport", "EventOutcome", "build_event_outcomes"),
+    "runner": ("ChaosRunResult", "run_chaos_scenario", "standard_chaos_schedule"),
+})

@@ -22,35 +22,16 @@ threat to every figure.  This package provides three lines of defense:
 ``repro check`` / ``repro lint`` expose all three on the CLI.
 """
 
-from .invariants import InvariantEngine
-from .lint import LintFinding, lint_file, lint_paths, lint_source
-from .metamorphic import (
-    executor_homogeneity_check,
-    time_dilation_check,
-)
-from .oracles import (
-    predict_processing_time,
-    run_oracles,
-    steady_state_delay_oracle,
-    utilization_oracle,
-)
-from .run import run_check
-from .violations import CheckReport, InvariantViolation, OracleResult
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CheckReport",
-    "InvariantEngine",
-    "InvariantViolation",
-    "LintFinding",
-    "OracleResult",
-    "executor_homogeneity_check",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "predict_processing_time",
-    "run_check",
-    "run_oracles",
-    "steady_state_delay_oracle",
-    "time_dilation_check",
-    "utilization_oracle",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "invariants": ("InvariantEngine",),
+    "lint": ("LintFinding", "lint_file", "lint_paths", "lint_source"),
+    "metamorphic": ("executor_homogeneity_check", "time_dilation_check"),
+    "oracles": (
+        "predict_processing_time", "run_oracles", "steady_state_delay_oracle",
+        "utilization_oracle",
+    ),
+    "run": ("run_check",),
+    "violations": ("CheckReport", "InvariantViolation", "OracleResult"),
+})

@@ -27,6 +27,12 @@ Run ``python -m repro <command>``:
                   on the parallel runner; ``--json`` writes the
                   byte-deterministic leaderboard;
 * ``compare``   — SPSA vs BO vs annealing vs random search on one workload;
+* ``check``     — run a target (quickstart, fig7, chaos) with the runtime
+                  invariants attached and compare it against the analytic
+                  oracles (``--metamorphic`` adds the relation checks);
+                  ``--strict`` exits 1 on any violation;
+* ``lint``      — the determinism and dead-code linter over the package
+                  source (or given paths); exits 1 on any finding;
 * ``workloads`` — list available workloads and their paper rate bands.
 """
 
@@ -749,9 +755,9 @@ def _cmd_lint(args) -> int:
             )
         print(f"wrote {args.json}")
     if findings:
-        print(f"{len(findings)} determinism finding(s)")
+        print(f"{len(findings)} lint finding(s)")
         return 1
-    print("determinism lint clean")
+    print("repro lint clean")
     return 0
 
 
@@ -994,8 +1000,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="determinism linter: unseeded RNGs, wall-clock reads, "
-             "unordered iteration, unused public symbols",
+        help="lint: unseeded RNGs, wall-clock reads, unordered "
+             "iteration, unused public symbols",
     )
     p.add_argument("paths", nargs="*", default=None,
                    help="files or directories (default: the installed "

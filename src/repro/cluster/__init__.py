@@ -5,37 +5,16 @@ resource manager that launches/decommissions executors at runtime — the
 substrate NoStop's executor-count parameter acts on.
 """
 
-from .cluster import Cluster, homogeneous_cluster, paper_cluster
-from .executor import (
-    DEFAULT_EXECUTOR_CORES,
-    DEFAULT_EXECUTOR_MEMORY_GB,
-    Executor,
-)
-from .node import (
-    I5_9400,
-    I5_10400,
-    XEON_BRONZE_3204,
-    CpuSpec,
-    DiskType,
-    Node,
-    NodeRole,
-)
-from .resource_manager import InsufficientResourcesError, ResourceManager
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Cluster",
-    "CpuSpec",
-    "DEFAULT_EXECUTOR_CORES",
-    "DEFAULT_EXECUTOR_MEMORY_GB",
-    "DiskType",
-    "Executor",
-    "I5_9400",
-    "I5_10400",
-    "InsufficientResourcesError",
-    "Node",
-    "NodeRole",
-    "ResourceManager",
-    "XEON_BRONZE_3204",
-    "homogeneous_cluster",
-    "paper_cluster",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cluster": ("Cluster", "homogeneous_cluster", "paper_cluster"),
+    "executor": (
+        "DEFAULT_EXECUTOR_CORES", "DEFAULT_EXECUTOR_MEMORY_GB", "Executor",
+    ),
+    "node": (
+        "I5_9400", "I5_10400", "XEON_BRONZE_3204", "CpuSpec", "DiskType",
+        "Node", "NodeRole",
+    ),
+    "resource_manager": ("InsufficientResourcesError", "ResourceManager"),
+})

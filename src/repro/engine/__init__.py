@@ -5,32 +5,15 @@ cores, and the overhead models (batch setup, coordination, executor
 startup) that shape the paper's Fig. 2a and Fig. 3a curves.
 """
 
-from .faults import NO_FAULTS, FaultModel
-from .job import BatchJob
-from .overhead import DEFAULT_OVERHEAD, ZERO_OVERHEAD, OverheadModel
-from .stage import Stage
-from .task import TaskRun, TaskSpec
-from .task_scheduler import (
-    JobRun,
-    NoExecutorsError,
-    NoiseModel,
-    StageRun,
-    TaskScheduler,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BatchJob",
-    "FaultModel",
-    "NO_FAULTS",
-    "DEFAULT_OVERHEAD",
-    "JobRun",
-    "NoExecutorsError",
-    "NoiseModel",
-    "OverheadModel",
-    "Stage",
-    "StageRun",
-    "TaskRun",
-    "TaskScheduler",
-    "TaskSpec",
-    "ZERO_OVERHEAD",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "faults": ("NO_FAULTS", "FaultModel"),
+    "job": ("BatchJob",),
+    "overhead": ("DEFAULT_OVERHEAD", "ZERO_OVERHEAD", "OverheadModel"),
+    "stage": ("Stage",),
+    "task": ("TaskRun", "TaskSpec"),
+    "task_scheduler": (
+        "JobRun", "NoExecutorsError", "NoiseModel", "StageRun", "TaskScheduler",
+    ),
+})

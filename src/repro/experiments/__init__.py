@@ -1,31 +1,16 @@
 """Experiment drivers: one module per paper figure/table (see DESIGN.md)."""
 
-from .common import ExperimentSetup, build_experiment, make_controller, quick_nostop_run
-from .fig2_batch_interval import Fig2Result, run_fig2
-from .fig3_executors import Fig3Result, run_fig3
-from .fig5_rates import Fig5Result, run_fig5
-from .fig6_evolution import EvolutionTrace, run_fig6, run_fig6_one
-from .fig7_improvement import Fig7Result, run_fig7, run_fig7_one
-from .fig8_spsa_vs_bo import Fig8Result, run_fig8, run_fig8_one
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EvolutionTrace",
-    "ExperimentSetup",
-    "Fig2Result",
-    "Fig3Result",
-    "Fig5Result",
-    "Fig7Result",
-    "Fig8Result",
-    "build_experiment",
-    "make_controller",
-    "quick_nostop_run",
-    "run_fig2",
-    "run_fig3",
-    "run_fig5",
-    "run_fig6",
-    "run_fig6_one",
-    "run_fig7",
-    "run_fig7_one",
-    "run_fig8",
-    "run_fig8_one",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "common": (
+        "ExperimentSetup", "build_experiment", "make_controller",
+        "quick_nostop_run",
+    ),
+    "fig2_batch_interval": ("Fig2Result", "run_fig2"),
+    "fig3_executors": ("Fig3Result", "run_fig3"),
+    "fig5_rates": ("Fig5Result", "run_fig5"),
+    "fig6_evolution": ("EvolutionTrace", "run_fig6", "run_fig6_one"),
+    "fig7_improvement": ("Fig7Result", "run_fig7", "run_fig7_one"),
+    "fig8_spsa_vs_bo": ("Fig8Result", "run_fig8", "run_fig8_one"),
+})

@@ -15,16 +15,15 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.runner import ChaosRunResult
+    from repro.core.gains import GainSchedule
+    from repro.core.nostop import NoStopController, NoStopReport
+    from repro.core.pause import PauseRule
     from repro.obs.report import RunJudge, RunReport
     from repro.tuners import TunerRunReport
 
 from repro.cluster.cluster import Cluster, paper_cluster
 from repro.core.bounds import MinMaxScaler, paper_configuration_space
-from repro.core.gains import GainSchedule, paper_gains
 from repro.core.metrics_collector import MetricsCollector
-from repro.core.nostop import NoStopController, NoStopReport
-from repro.core.pause import PauseRule
-from repro.core.rate_monitor import RateMonitor
 from repro.core.system import SimulatedSparkSystem
 from repro.datagen.generator import DataGenerator
 from repro.datagen.rates import RateTrace, paper_rate_trace
@@ -33,7 +32,7 @@ from repro.engine.task_scheduler import NoiseModel
 from repro.kafka.cluster import KafkaCluster, paper_kafka_cluster
 from repro.obs.tracer import Telemetry
 from repro.streaming.context import StreamingConfig, StreamingContext
-from repro.workloads import make_workload
+from repro.workloads.registry import make_workload
 from repro.workloads.base import Workload
 
 
@@ -178,6 +177,11 @@ def make_controller(
     Inherits the setup's telemetry bundle, so the controller's audit
     trail lands next to the substrate's traces and metrics.
     """
+    from repro.core.gains import paper_gains
+    from repro.core.nostop import NoStopController
+    from repro.core.pause import PauseRule
+    from repro.core.rate_monitor import RateMonitor
+
     return NoStopController(
         system=setup.system,
         scaler=setup.scaler,
@@ -208,8 +212,8 @@ def run_search(
     and search time cover the confirmation too.
     """
     from repro.core.adjust import AdjustFunction
-    from repro.core.pause import confirm_best
-    from repro.tuners import make_tuner, run_tuner
+    from repro.core.pause import PauseRule, confirm_best
+    from repro.tuners.base import make_tuner, run_tuner
 
     rho_cap = 2.0  # confirmation must measure at run_tuner's ranking cap
     rule = pause_rule or PauseRule()

@@ -28,9 +28,7 @@ unchanged.  Select a tier with the ``fidelity`` knob on
 via ``repro sweep --fidelity``.
 """
 
-from .context import FastStreamingContext
-from .engine import ExecutorProfile, FastBatchEngine
-from .invariants import check_fast_run
+from repro._exports import lazy_exports
 
 #: The fidelity tiers ``build_experiment`` / the cells / the CLI accept.
 FIDELITIES = ("exact", "vectorized", "fluid")
@@ -38,11 +36,9 @@ FIDELITIES = ("exact", "vectorized", "fluid")
 #: The tiers served by this package (everything but the exact DES).
 FAST_FIDELITIES = ("vectorized", "fluid")
 
-__all__ = [
-    "FIDELITIES",
-    "FAST_FIDELITIES",
-    "ExecutorProfile",
-    "FastBatchEngine",
-    "FastStreamingContext",
-    "check_fast_run",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "": ("FIDELITIES", "FAST_FIDELITIES"),
+    "context": ("FastStreamingContext",),
+    "engine": ("ExecutorProfile", "FastBatchEngine"),
+    "invariants": ("check_fast_run",),
+})

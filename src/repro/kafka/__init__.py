@@ -5,22 +5,13 @@ Brokers, topics, segment-based partitions, a rate-controlled producer
 exactly-once offset-range semantics.
 """
 
-from .broker import KafkaBroker
-from .cluster import KafkaCluster, paper_kafka_cluster
-from .consumer import ConsumedBatch, DirectStreamConsumer, OffsetRange
-from .partition import Partition, Segment
-from .producer import RateControlledProducer
-from .topic import Topic
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ConsumedBatch",
-    "DirectStreamConsumer",
-    "KafkaBroker",
-    "KafkaCluster",
-    "OffsetRange",
-    "Partition",
-    "RateControlledProducer",
-    "Segment",
-    "Topic",
-    "paper_kafka_cluster",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "broker": ("KafkaBroker",),
+    "cluster": ("KafkaCluster", "paper_kafka_cluster"),
+    "consumer": ("ConsumedBatch", "DirectStreamConsumer", "OffsetRange"),
+    "partition": ("Partition", "Segment"),
+    "producer": ("RateControlledProducer",),
+    "topic": ("Topic",),
+})

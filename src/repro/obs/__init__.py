@@ -16,216 +16,58 @@ handful of no-op method calls per batch (benchmarked <5% overhead on the
 wordcount workload, see ``benchmarks/test_telemetry_overhead.py``).
 """
 
-from .alerts import (
-    Alert,
-    BurnRateAlerter,
-    BurnRatePolicy,
-    default_policies,
-    delay_above,
-    unstable_batch,
-)
-from .audit import (
-    AuditTrail,
-    ReplayMismatch,
-    RuleFiring,
-    SPSADecision,
-    clipped_axes,
-)
-from .detect import (
-    MAD_TO_SIGMA,
-    AnomalyEvent,
-    CusumDetector,
-    EwmaMadDetector,
-    SpsaWatchdog,
-    WatchdogReport,
-)
-from .critical import (
-    SEGMENT_SPANS,
-    TILING_TOL,
-    CriticalStep,
-    DelayBreakdown,
-    Epoch,
-    OracleAgreement,
-    SegmentStat,
-    TraceDecomposition,
-    analyze_decompositions,
-    analyze_spans,
-    critical_path,
-    decompose,
-    decompose_spans,
-    group_spans_by_trace,
-    render_breakdown,
-    split_epochs,
-    steady_state_agreement,
-)
-from .exporters import (
-    chrome_trace_json,
-    escape_help_text,
-    escape_label_value,
-    folded_stacks,
-    parse_jsonl_spans,
-    prometheus_text,
-    render_metrics_summary,
-    render_timeline,
-    save_chrome_trace,
-    save_folded,
-    save_spans,
-    spans_to_jsonl,
-)
-from .profiler import (
-    COMPONENT_SPANS,
-    PROCESSING_SPANS,
-    ComponentTime,
-    SpanProfile,
-    WallClockProfiler,
-    profile_spans,
-    render_hotspots,
-)
-from .catalog import (
-    CATALOG,
-    MetricSpec,
-    catalog_json,
-    catalog_markdown,
-    check_registry,
-    governance_report,
-    lint_catalog,
-)
-from .dash import build_dashboard, dashboard_json
-from .emit import (
-    EmissionBatcher,
-    JsonlSink,
-    metric_events,
-    trace_summary_event,
-)
-from .report import (
-    FaultOutcome,
-    RunJudge,
-    RunReport,
-    build_run_report,
-)
-from .slo import (
-    SLO,
-    SLOEvaluator,
-    SLOVerdict,
-    default_slos,
-    has_critical_breach,
-)
-from .registry import (
-    CARDINALITY_REJECTED_NAME,
-    DEFAULT_COUNT_BUCKETS,
-    DEFAULT_MAX_CHILDREN,
-    DEFAULT_SECONDS_BUCKETS,
-    NOOP_FAMILY,
-    NOOP_INSTRUMENT,
-    NOOP_REGISTRY,
-    Counter,
-    CounterFamily,
-    Gauge,
-    GaugeFamily,
-    Histogram,
-    HistogramFamily,
-    MetricFamily,
-    MetricsRegistry,
-)
-from .span import NOOP_SPAN, Span, SpanEvent, TraceContext
-from .tracer import NOOP_TELEMETRY, Telemetry, Tracer
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Alert",
-    "BurnRateAlerter",
-    "BurnRatePolicy",
-    "default_policies",
-    "delay_above",
-    "unstable_batch",
-    "MAD_TO_SIGMA",
-    "AnomalyEvent",
-    "CusumDetector",
-    "EwmaMadDetector",
-    "SpsaWatchdog",
-    "WatchdogReport",
-    "escape_help_text",
-    "escape_label_value",
-    "SEGMENT_SPANS",
-    "TILING_TOL",
-    "CriticalStep",
-    "DelayBreakdown",
-    "Epoch",
-    "OracleAgreement",
-    "SegmentStat",
-    "TraceDecomposition",
-    "analyze_decompositions",
-    "analyze_spans",
-    "critical_path",
-    "decompose",
-    "decompose_spans",
-    "group_spans_by_trace",
-    "render_breakdown",
-    "split_epochs",
-    "steady_state_agreement",
-    "chrome_trace_json",
-    "folded_stacks",
-    "save_chrome_trace",
-    "save_folded",
-    "CATALOG",
-    "MetricSpec",
-    "catalog_json",
-    "catalog_markdown",
-    "check_registry",
-    "governance_report",
-    "lint_catalog",
-    "build_dashboard",
-    "dashboard_json",
-    "EmissionBatcher",
-    "JsonlSink",
-    "metric_events",
-    "trace_summary_event",
-    "COMPONENT_SPANS",
-    "PROCESSING_SPANS",
-    "ComponentTime",
-    "SpanProfile",
-    "WallClockProfiler",
-    "profile_spans",
-    "render_hotspots",
-    "FaultOutcome",
-    "RunJudge",
-    "RunReport",
-    "build_run_report",
-    "SLO",
-    "SLOEvaluator",
-    "SLOVerdict",
-    "default_slos",
-    "has_critical_breach",
-    "AuditTrail",
-    "ReplayMismatch",
-    "RuleFiring",
-    "SPSADecision",
-    "clipped_axes",
-    "parse_jsonl_spans",
-    "prometheus_text",
-    "render_metrics_summary",
-    "render_timeline",
-    "save_spans",
-    "spans_to_jsonl",
-    "CARDINALITY_REJECTED_NAME",
-    "DEFAULT_COUNT_BUCKETS",
-    "DEFAULT_MAX_CHILDREN",
-    "DEFAULT_SECONDS_BUCKETS",
-    "NOOP_FAMILY",
-    "NOOP_INSTRUMENT",
-    "NOOP_REGISTRY",
-    "Counter",
-    "CounterFamily",
-    "Gauge",
-    "GaugeFamily",
-    "Histogram",
-    "HistogramFamily",
-    "MetricFamily",
-    "MetricsRegistry",
-    "NOOP_SPAN",
-    "Span",
-    "SpanEvent",
-    "TraceContext",
-    "NOOP_TELEMETRY",
-    "Telemetry",
-    "Tracer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "alerts": (
+        "Alert", "BurnRateAlerter", "BurnRatePolicy", "default_policies",
+        "delay_above", "unstable_batch",
+    ),
+    "audit": (
+        "AuditTrail", "ReplayMismatch", "RuleFiring", "SPSADecision",
+        "clipped_axes",
+    ),
+    "catalog": (
+        "CATALOG", "MetricSpec", "catalog_json", "catalog_markdown",
+        "check_registry", "governance_report", "lint_catalog",
+    ),
+    "critical": (
+        "SEGMENT_SPANS", "TILING_TOL", "CriticalStep", "DelayBreakdown", "Epoch",
+        "OracleAgreement", "SegmentStat", "TraceDecomposition",
+        "analyze_decompositions", "analyze_spans", "critical_path", "decompose",
+        "decompose_spans", "group_spans_by_trace", "render_breakdown",
+        "split_epochs", "steady_state_agreement",
+    ),
+    "dash": ("build_dashboard", "dashboard_json"),
+    "detect": (
+        "MAD_TO_SIGMA", "AnomalyEvent", "CusumDetector", "EwmaMadDetector",
+        "SpsaWatchdog", "WatchdogReport",
+    ),
+    "emit": (
+        "EmissionBatcher", "JsonlSink", "metric_events", "trace_summary_event",
+    ),
+    "exporters": (
+        "chrome_trace_json", "escape_help_text", "escape_label_value",
+        "folded_stacks", "parse_jsonl_spans", "prometheus_text",
+        "render_metrics_summary", "render_timeline", "save_chrome_trace",
+        "save_folded", "save_spans", "spans_to_jsonl",
+    ),
+    "profiler": (
+        "COMPONENT_SPANS", "PROCESSING_SPANS", "ComponentTime", "SpanProfile",
+        "WallClockProfiler", "profile_spans", "render_hotspots",
+    ),
+    "registry": (
+        "CARDINALITY_REJECTED_NAME", "DEFAULT_COUNT_BUCKETS",
+        "DEFAULT_MAX_CHILDREN", "DEFAULT_SECONDS_BUCKETS", "NOOP_FAMILY",
+        "NOOP_INSTRUMENT", "NOOP_REGISTRY", "Counter", "CounterFamily", "Gauge",
+        "GaugeFamily", "Histogram", "HistogramFamily", "MetricFamily",
+        "MetricsRegistry",
+    ),
+    "report": ("FaultOutcome", "RunJudge", "RunReport", "build_run_report"),
+    "slo": (
+        "SLO", "SLOEvaluator", "SLOVerdict", "default_slos",
+        "has_critical_breach",
+    ),
+    "span": ("NOOP_SPAN", "Span", "SpanEvent", "TraceContext"),
+    "tracer": ("NOOP_TELEMETRY", "Telemetry", "Tracer"),
+})

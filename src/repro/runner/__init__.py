@@ -12,40 +12,16 @@ resumable, and failures structured instead of fatal.  See DESIGN.md
 §12 and §14.
 """
 
-from .cache import (
-    CACHE_ENV,
-    ResultCache,
-    cell_digest,
-    default_cache_dir,
-    substrate_version_tag,
-)
-from .cells import cell_kinds, execute_cell, register_cell
-from .journal import KILL_AFTER_ENV, SweepJournal, spec_digest
-from .runner import SweepResult, SweepRunner, SweepStats
-from .spec import SweepCell, SweepSpec, canonical_json, spawn_seeds
-from .supervisor import CellFailure, CellSupervisor, RetryPolicy, is_failure
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CACHE_ENV",
-    "CellFailure",
-    "CellSupervisor",
-    "KILL_AFTER_ENV",
-    "ResultCache",
-    "RetryPolicy",
-    "SweepCell",
-    "SweepJournal",
-    "SweepResult",
-    "SweepRunner",
-    "SweepSpec",
-    "SweepStats",
-    "canonical_json",
-    "cell_digest",
-    "cell_kinds",
-    "default_cache_dir",
-    "execute_cell",
-    "is_failure",
-    "register_cell",
-    "spawn_seeds",
-    "spec_digest",
-    "substrate_version_tag",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": (
+        "CACHE_ENV", "ResultCache", "cell_digest", "default_cache_dir",
+        "substrate_version_tag",
+    ),
+    "cells": ("cell_kinds", "execute_cell", "register_cell"),
+    "journal": ("KILL_AFTER_ENV", "SweepJournal", "spec_digest"),
+    "runner": ("SweepResult", "SweepRunner", "SweepStats"),
+    "spec": ("SweepCell", "SweepSpec", "canonical_json", "spawn_seeds"),
+    "supervisor": ("CellFailure", "CellSupervisor", "RetryPolicy", "is_failure"),
+})

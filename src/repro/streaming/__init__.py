@@ -5,25 +5,14 @@ reconfiguration of batch interval and executor count, a JSON-reporting
 listener (paper Fig. 4), and Spark's PID back-pressure estimator.
 """
 
-from .backpressure import BackPressureController, PIDRateEstimator
-from .batch_queue import BatchQueue, QueuedBatch
-from .context import StreamingConfig, StreamingContext
-from .listener import StreamingListener
-from .metrics import BatchInfo, StreamingMetrics
-from .receiver import ReceivedBatch, Receiver
-from .simulator import MicroBatchEngine
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BackPressureController",
-    "BatchInfo",
-    "BatchQueue",
-    "MicroBatchEngine",
-    "PIDRateEstimator",
-    "QueuedBatch",
-    "ReceivedBatch",
-    "Receiver",
-    "StreamingConfig",
-    "StreamingContext",
-    "StreamingListener",
-    "StreamingMetrics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "backpressure": ("BackPressureController", "PIDRateEstimator"),
+    "batch_queue": ("BatchQueue", "QueuedBatch"),
+    "context": ("StreamingConfig", "StreamingContext"),
+    "listener": ("StreamingListener",),
+    "metrics": ("BatchInfo", "StreamingMetrics"),
+    "receiver": ("ReceivedBatch", "Receiver"),
+    "simulator": ("MicroBatchEngine",),
+})

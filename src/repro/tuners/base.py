@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
@@ -111,6 +112,17 @@ class Tuner(abc.ABC):
 
 _REGISTRY: Dict[str, Type[Tuner]] = {}
 
+#: Modules whose import registers the built-in tuners.  Readers of the
+#: registry import them first, so the roster is complete without the
+#: package ``__init__`` having to load them.
+_BUILTIN_MODULES = ("adapters", "rl", "safe_online")
+
+
+def _registry() -> Dict[str, Type[Tuner]]:
+    for module in _BUILTIN_MODULES:
+        import_module(f"repro.tuners.{module}")
+    return _REGISTRY
+
 
 def register_tuner(name: str) -> Callable[[Type[Tuner]], Type[Tuner]]:
     """Class decorator adding a tuner to the tournament registry."""
@@ -127,7 +139,7 @@ def register_tuner(name: str) -> Callable[[Type[Tuner]], Type[Tuner]]:
 
 def tuner_names() -> List[str]:
     """All registered tuner names, sorted (the tournament roster)."""
-    return sorted(_REGISTRY)
+    return sorted(_registry())
 
 
 def make_tuner(
@@ -135,7 +147,7 @@ def make_tuner(
 ) -> Tuner:
     """Instantiate a registered tuner over a configuration space."""
     try:
-        cls = _REGISTRY[name]
+        cls = _registry()[name]
     except KeyError:
         raise KeyError(
             f"unknown tuner {name!r}; expected one of {tuner_names()}"

@@ -5,61 +5,19 @@ model → stage/task chain) and a real compute kernel (NumPy SGD trainers,
 word counting, Nginx log analytics).
 """
 
-from typing import Dict, Type
+from repro._exports import lazy_exports
 
-from .base import Workload
-from .cost_models import (
-    LINEAR_REGRESSION_COSTS,
-    LOGISTIC_REGRESSION_COSTS,
-    PAGE_ANALYZE_COSTS,
-    WORDCOUNT_COSTS,
-    IterationModel,
-    StageCost,
-    WorkloadCostModel,
-)
-from .linear_regression import StreamingLinearRegression
-from .logistic_regression import StreamingLogisticRegression
-from .page_analyze import AnalyzeResult, PageAnalyze, PageStats
-from .windowed import WindowedWordCount
-from .wordcount import WordCount
-
-#: Registry of the paper's workloads by name.
-WORKLOADS: Dict[str, Type[Workload]] = {
-    StreamingLogisticRegression.name: StreamingLogisticRegression,
-    StreamingLinearRegression.name: StreamingLinearRegression,
-    WordCount.name: WordCount,
-    PageAnalyze.name: PageAnalyze,
-    WindowedWordCount.name: WindowedWordCount,
-}
-
-
-def make_workload(name: str, **kwargs) -> Workload:
-    """Instantiate a paper workload by registry name."""
-    try:
-        cls = WORKLOADS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown workload {name!r}; expected one of {sorted(WORKLOADS)}"
-        ) from None
-    return cls(**kwargs)
-
-
-__all__ = [
-    "AnalyzeResult",
-    "IterationModel",
-    "LINEAR_REGRESSION_COSTS",
-    "LOGISTIC_REGRESSION_COSTS",
-    "PAGE_ANALYZE_COSTS",
-    "PageAnalyze",
-    "PageStats",
-    "StageCost",
-    "StreamingLinearRegression",
-    "StreamingLogisticRegression",
-    "WORDCOUNT_COSTS",
-    "WORKLOADS",
-    "WindowedWordCount",
-    "WordCount",
-    "Workload",
-    "WorkloadCostModel",
-    "make_workload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("Workload",),
+    "cost_models": (
+        "LINEAR_REGRESSION_COSTS", "LOGISTIC_REGRESSION_COSTS",
+        "PAGE_ANALYZE_COSTS", "WORDCOUNT_COSTS", "IterationModel", "StageCost",
+        "WorkloadCostModel",
+    ),
+    "linear_regression": ("StreamingLinearRegression",),
+    "logistic_regression": ("StreamingLogisticRegression",),
+    "page_analyze": ("AnalyzeResult", "PageAnalyze", "PageStats"),
+    "registry": ("WORKLOADS", "make_workload"),
+    "windowed": ("WindowedWordCount",),
+    "wordcount": ("WordCount",),
+})

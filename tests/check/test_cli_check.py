@@ -87,7 +87,7 @@ class TestCli:
 
         rc = main(["lint", str(Path(repro.__file__).parent)])
         assert rc == 0
-        assert "determinism lint clean" in capsys.readouterr().out
+        assert "repro lint clean" in capsys.readouterr().out
 
     def test_lint_subcommand_flags_hazards(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

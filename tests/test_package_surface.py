@@ -1,0 +1,123 @@
+"""The lazy package surface: export tables, registries, import budget.
+
+Every ``repro`` package declares its public names in one export table
+(``repro._exports.lazy_exports``) and imports nothing until a name is
+read.  A misspelt table entry therefore no longer fails at import time;
+these tests make it fail here instead.  The import-budget tests spawn
+fresh interpreters and assert which modules a command's imports load.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
+
+PACKAGES = ["repro"] + sorted(
+    f"repro.{info.name}"
+    for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg
+)
+
+
+def _fresh(code: str):
+    """Run ``code`` in a new interpreter; return its stdout parsed as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def _loaded_after(statement: str):
+    return _fresh(
+        f"import json, sys\n{statement}\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m == 'repro' or m.startswith('repro.'))))"
+    )
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_exports_resolve(name):
+    pkg = importlib.import_module(name)
+    assert pkg.__all__, f"{name} exports nothing"
+    assert len(set(pkg.__all__)) == len(pkg.__all__)
+    listed = dir(pkg)
+    for export in pkg.__all__:
+        getattr(pkg, export)
+        assert export in listed, f"{name}.{export} missing from dir()"
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_unknown_name_is_attribute_error(name):
+    pkg = importlib.import_module(name)
+    with pytest.raises(AttributeError, match=repr(name)):
+        getattr(pkg, "nope")
+    assert not hasattr(pkg, "nope")
+
+
+def test_submodule_import_through_lazy_package():
+    from repro.core import nostop
+
+    assert nostop.NoStopController is repro.core.NoStopController
+
+
+def test_tuner_registry_complete_on_first_read():
+    names = _fresh(
+        "import json\n"
+        "from repro.tuners.base import tuner_names\n"
+        "print(json.dumps(tuner_names()))"
+    )
+    assert names == [
+        "annealing", "bo", "grid", "nostop", "random", "rl", "safe-online",
+    ]
+
+
+def test_cell_registry_complete_on_first_read():
+    kinds = _fresh(
+        "import json\n"
+        "from repro.runner.cells import cell_kinds\n"
+        "print(json.dumps(cell_kinds()))"
+    )
+    assert kinds == [
+        "bo", "fault_probe", "fixed_config", "nostop", "rate_series",
+        "tournament",
+    ]
+
+
+def test_import_repro_loads_only_the_export_helper():
+    assert _loaded_after("import repro") == ["repro", "repro._exports"]
+
+
+#: What building one deployment must not pay for.
+NOT_FOR_BUILD = [
+    "repro.obs.report", "repro.obs.dash", "repro.obs.detect",
+    "repro.obs.exporters", "repro.obs.alerts", "repro.obs.slo",
+    "repro.obs.critical", "repro.obs.profiler",
+    "repro.runner.supervisor", "repro.runner.journal",
+    "repro.runner.runner", "repro.runner.cells",
+    "repro.core.nostop", "repro.core.spsa",
+    "repro.tuners", "repro.chaos", "repro.check", "repro.baselines",
+    "repro.fast.engine",
+]
+
+
+def test_experiment_scaffolding_import_budget():
+    loaded = _loaded_after("import repro.experiments.common")
+    for module in NOT_FOR_BUILD:
+        offenders = [m for m in loaded if m == module or m.startswith(module + ".")]
+        assert not offenders, f"{offenders} loaded by experiments.common"
+    assert not [m for m in loaded if m.startswith("repro.experiments.fig")]
+    assert len(loaded) <= 56, loaded
