@@ -12,9 +12,14 @@ every tier:
   indices are strictly ordered; a completed batch's processing window is
   well-formed (``batch_time <= processing_start <= processing_end``) and
   its mean arrival precedes its close.
-* **queue-accounting** (batch level) — jobs on the serialized engine
-  never overlap, and scheduling-delay slack stays within the injected
-  pause budget (below).
+* **queue-accounting** — the batch queue's own ledger balances
+  (``enqueued = dequeued + dropped + waiting``); jobs on the serialized
+  engine never overlap; and scheduling delay is consistent with
+  backlog: a batch's start time equals
+  ``max(batch_time, previous job's finish)`` except for slack introduced
+  by reconfiguration pauses, so cumulative slack is bounded by the
+  engine's injected pause total (Little's-law bookkeeping — waiting time
+  comes from queued work plus accounted pauses, never from nowhere).
 * **job-conservation** — the engine ran exactly one job per recorded
   batch.
 
@@ -26,13 +31,6 @@ where the context has them:
   batch, waiting in the batch queue, or was dropped with an evicted
   batch:  ``produced = consumed + lag`` and
   ``consumed = processed + queued + dropped``.
-* **queue-accounting** — the batch queue's own ledger balances
-  (``enqueued = dequeued + dropped + waiting``), and scheduling delay is
-  consistent with backlog: a batch's start time equals
-  ``max(batch_time, previous job's finish)`` except for slack introduced
-  by reconfiguration pauses, so cumulative slack is bounded by the
-  engine's injected pause total (Little's-law bookkeeping — waiting time
-  comes from queued work plus accounted pauses, never from nowhere).
 * **busy-time** — per job, the summed task busy time never exceeds the
   job's wall time × executor count × cores per executor.
 
@@ -70,10 +68,10 @@ EPS = 1e-6
 class InvariantEngine:
     """Boundary-hooked conservation checker for one streaming context.
 
-    The check sets follow from the context's class: the ledger and
-    busy-time checks need the exact tier's Kafka topic, batch queue
-    ledger and task scheduler; the delay identity needs the fast tier's
-    midpoint arrivals.
+    The check sets follow from the context's class: the record ledger
+    and busy-time checks need the exact tier's Kafka topic and task
+    scheduler; the delay identity needs the fast tier's midpoint
+    arrivals.
     """
 
     def __init__(
@@ -169,9 +167,10 @@ class InvariantEngine:
             )
         self._last_boundary = boundary
         if not self._fast:
-            self._check_ledgers(boundary)
+            self._check_records(boundary)
+        self._check_queue(boundary)
 
-    def _check_ledgers(self, boundary: float) -> None:
+    def _check_records(self, boundary: float) -> None:
         ctx = self.context
         producer = ctx.generator.producer
         consumer = ctx.receiver.consumer
@@ -211,17 +210,20 @@ class InvariantEngine:
             queued=queued,
             dropped=dropped,
         )
+
+    def _check_queue(self, boundary: float) -> None:
+        queue = self.context.queue
         self._check(
-            ctx.queue.conservation_ok(),
+            queue.conservation_ok(),
             "queue-accounting",
             boundary,
-            f"queue ledger unbalanced: enqueued {ctx.queue.total_enqueued} "
-            f"!= dequeued {ctx.queue.total_dequeued} + dropped "
-            f"{ctx.queue.total_dropped} + waiting {len(ctx.queue)}",
-            enqueued=ctx.queue.total_enqueued,
-            dequeued=ctx.queue.total_dequeued,
-            dropped=ctx.queue.total_dropped,
-            waiting=len(ctx.queue),
+            f"queue ledger unbalanced: enqueued {queue.total_enqueued} "
+            f"!= dequeued {queue.total_dequeued} + dropped "
+            f"{queue.total_dropped} + waiting {len(queue)}",
+            enqueued=queue.total_enqueued,
+            dequeued=queue.total_dequeued,
+            dropped=queue.total_dropped,
+            waiting=len(queue),
         )
 
     # -- per-batch checks ---------------------------------------------------

@@ -19,9 +19,11 @@ per-tick producer append:
   evaluated directly; deterministic and effectively free.
 
 Both tiers sit behind :class:`~repro.fast.context.FastStreamingContext`,
-a :class:`~repro.streaming.context.StreamingContext` that inherits the
-whole control surface and swaps in only the record and cost substrates,
-so NoStop's controller, the SLO judge, the figure drivers, and
+a :class:`~repro.streaming.context.StreamingContext` that runs the one
+batch-formation loop, batch queue and drain loop and swaps in only the
+record source (:class:`~repro.fast.context.TraceSource`) and the batch
+coster (:class:`~repro.fast.engine.FastBatchEngine`), so NoStop's
+controller, the SLO judge, the figure drivers, and
 ``repro check`` (with its live invariant engine) consume fast-tier runs
 unchanged.  Select a tier with the ``fidelity`` knob on
 :func:`repro.experiments.common.build_experiment`, on sweep cells, or

@@ -358,7 +358,7 @@ class CellSupervisor:
         try:
             while waiting or any(not w.idle for w in pool):
                 self._dispatch(pool, waiting)
-                self._drain_results(
+                self._collect_results(
                     pool, result_queue, by_index, waiting, done
                 )
                 self._reap_timeouts(pool, ctx, result_queue, waiting, done)
@@ -403,7 +403,7 @@ class CellSupervisor:
                 (ready.cell.index, ready.cell.kind, ready.cell.param_dict)
             )
 
-    def _drain_results(
+    def _collect_results(
         self, pool, result_queue, by_index, waiting, done
     ) -> None:
         """Collect finished attempts; block briefly so polling is cheap."""

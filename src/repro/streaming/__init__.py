@@ -13,6 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "context": ("StreamingConfig", "StreamingContext"),
     "listener": ("StreamingListener",),
     "metrics": ("BatchInfo", "StreamingMetrics"),
-    "receiver": ("ReceivedBatch", "Receiver"),
+    "receiver": ("Receiver",),
     "simulator": ("MicroBatchEngine",),
 })

@@ -1,7 +1,7 @@
 """Streaming context: the user-facing simulation facade.
 
 A :class:`StreamingContext` wires the substrates together the way the
-paper's Fig. 4 architecture does — Kafka-fed receiver → batch queue →
+paper's Fig. 4 architecture does — record source → batch queue →
 micro-batch engine over a dynamically sized executor pool — and exposes
 exactly the control surface NoStop needs:
 
@@ -35,7 +35,7 @@ from repro.obs.span import NOOP_SPAN, Span
 from repro.obs.tracer import NOOP_TELEMETRY, Telemetry
 from repro.workloads.base import Workload
 
-from .batch_queue import BatchQueue, QueuedBatch
+from .batch_queue import BatchQueue
 from .listener import StreamingListener
 from .metrics import BatchInfo
 from .receiver import Receiver
@@ -63,13 +63,18 @@ class StreamingConfig:
 class StreamingContext:
     """End-to-end simulated Spark Streaming application.
 
-    This class is the one control surface of every fidelity tier: the
-    configuration, the reconfiguration transaction, boundary hooks,
-    advancing, failure injection, and status.  The exact tier builds its
-    record and task substrates here; a faster tier
-    (:class:`~repro.fast.context.FastStreamingContext`) builds its own in
-    their place and overrides only :meth:`advance_one_batch` and the two
-    invalidation hooks :meth:`_pool_changed` and :meth:`_invalidate`.
+    This class is the one pipeline of every fidelity tier: the
+    configuration, the reconfiguration transaction, boundary hooks, the
+    batch queue, the batch-formation loop, failure injection, and
+    status.  A tier differs only in the two parts its constructor
+    builds: the record source on ``receiver`` (here the Kafka-fed
+    :class:`~repro.streaming.receiver.Receiver`) and the batch coster on
+    ``engine`` (a :class:`~repro.streaming.simulator.BusyTimeline`; here
+    the task-level :class:`~repro.streaming.simulator.MicroBatchEngine`).
+    A faster tier (:class:`~repro.fast.context.FastStreamingContext`)
+    builds its own parts and overrides only the two invalidation hooks
+    :meth:`_pool_changed` and :meth:`_invalidate`, plus
+    :meth:`advance_one_batch` to run the loop without batch traces.
     """
 
     def __init__(
@@ -86,20 +91,18 @@ class StreamingContext:
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self._init_shared(
-            cluster, workload, generator, config, seed, overhead, telemetry
+            cluster, workload, generator, config, seed, overhead,
+            queue_max_length, telemetry,
         )
         self.receiver = Receiver(generator, telemetry=self.telemetry)
-        self.queue = BatchQueue(max_length=queue_max_length)
         self.engine = MicroBatchEngine(
             self.resource_manager,
+            workload,
             TaskScheduler(overhead=overhead, noise=noise, faults=faults),
             self.listener,
             self.rng,
             telemetry=self.telemetry,
         )
-        #: Monotonic batch-trace sequence (trace ids stay unique even if
-        #: job ids ever restart).
-        self._trace_seq = 0
 
     def _init_shared(
         self,
@@ -109,9 +112,11 @@ class StreamingContext:
         config: StreamingConfig,
         seed: int,
         overhead: OverheadModel,
+        queue_max_length: Optional[int],
         telemetry: Optional[Telemetry],
     ) -> None:
-        """State every tier shares: pool, listener, clock, instruments."""
+        """State every tier shares: pool, listener, batch queue, clock,
+        instruments."""
         self.cluster = cluster
         self.workload = workload
         self.generator = generator
@@ -123,6 +128,7 @@ class StreamingContext:
         self.resource_manager.instrument(self.telemetry.metrics)
         self.resource_manager.scale_to(config.num_executors, now=0.0)
         self.listener = StreamingListener(telemetry=self.telemetry)
+        self.queue = BatchQueue(max_length=queue_max_length)
 
         self._interval = config.batch_interval
         #: Simulation time of the most recent batch boundary.
@@ -134,6 +140,9 @@ class StreamingContext:
         #: Root span of the batch currently being formed; chaos-engine
         #: boundary hooks attach fault span events here.
         self.current_batch_span: Span = NOOP_SPAN
+        #: Monotonic batch-trace sequence (trace ids stay unique even if
+        #: job ids ever restart).
+        self._trace_seq = 0
         registry = self.telemetry.metrics
         self._m_reconfigs = catalog.instrument(
             registry, "repro_streaming_reconfigurations_total"
@@ -272,11 +281,15 @@ class StreamingContext:
         unstable phase is still running, possibly several as the engine
         catches up).
         """
+        return self._advance(self.telemetry.tracer.enabled)
+
+    def _advance(self, traced: bool) -> List[BatchInfo]:
+        """The batch-formation loop of every tier; ``traced`` gives the
+        batch a trace (ingest, queue, schedule and execute spans)."""
         boundary = self.time + self._interval
-        tracer = self.telemetry.tracer
-        traced = tracer.enabled
         root = NOOP_SPAN
         if traced:
+            tracer = self.telemetry.tracer
             self._trace_seq += 1
             root = tracer.start_trace(
                 "batch",
@@ -287,7 +300,9 @@ class StreamingContext:
             self.current_batch_span = root
         for hook in self._boundary_hooks:
             hook(boundary)
-        received = self.receiver.close_batch(boundary)
+        batch = self.receiver.close_batch(boundary)
+        batch.interval = self._interval
+        self.engine.prepare(batch)
         if traced:
             # Ingest covers the arrival window that became this batch:
             # the Kafka fetch (direct-stream offset ranges) and the
@@ -295,41 +310,33 @@ class StreamingContext:
             ingest = tracer.start_span("ingest", root, self.time)
             kafka_span = tracer.start_span(
                 "ingest.kafka", ingest, self.time,
-                records=received.records, backlog=self.receiver.backlog,
+                records=batch.records, backlog=self.receiver.backlog,
             )
             kafka_span.finish(boundary)
             blocks = tracer.start_span(
                 "ingest.blocks", ingest, self.time,
-                mean_arrival=received.mean_arrival_time,
+                mean_arrival=batch.mean_arrival_time,
             )
             blocks.finish(boundary)
             ingest.finish(boundary)
-        job = self.workload.build_job(boundary, received.records, self.rng)
-        if traced:
-            root.set_attribute("batch_index", job.job_id)
-            root.set_attribute("records", received.records)
-        self.queue.enqueue(
-            QueuedBatch(
-                job=job,
-                enqueued_at=boundary,
-                mean_arrival_time=received.mean_arrival_time,
-                interval=self._interval,
-                trace=root.context if traced else None,
-            )
-        )
-        evicted = self.queue.last_evicted
-        if evicted is not None:
+            root.set_attribute("batch_index", batch.batch_index)
+            root.set_attribute("records", batch.records)
+            batch.trace = root.context
+        queue = self.queue
+        if not queue.enqueue(batch):
             self._m_dropped.inc()
+            evicted = queue.last_evicted
             if evicted.trace is not None:
-                dropped_root = tracer.span_for(evicted.trace)
+                dropped_root = self.telemetry.tracer.span_for(evicted.trace)
                 dropped_root.add_event("dropped", boundary, reason="queue_full")
                 dropped_root.set_attribute("dropped", True)
                 dropped_root.finish(boundary)
         self.time = boundary
-        completed = self.engine.drain(self.queue, until=boundary + self._interval)
+        completed = self.engine.drain(queue, until=boundary + self._interval)
         if self.telemetry.enabled:
-            self._m_queue_len.set(len(self.queue))
-        self.current_batch_span = NOOP_SPAN
+            self._m_queue_len.set(len(queue))
+        if traced:
+            self.current_batch_span = NOOP_SPAN
         return completed
 
     def advance_batches(self, n: int) -> List[BatchInfo]:

@@ -3,28 +3,32 @@
 Bridges the Kafka substrate and the micro-batch pipeline: at every batch
 boundary the receiver advances the external data generator to the
 boundary time, polls the direct-stream consumer for the offset ranges
-that arrived during the interval, and reports the record count plus the
-record-weighted mean arrival time (needed for end-to-end delay).
+that arrived during the interval, and closes a batch with the record
+count plus the record-weighted mean arrival time (needed for end-to-end
+delay).  The fast tiers' record source, ``TraceSource``, has its surface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.datagen.generator import DataGenerator
+from repro.datagen.rates import RateTrace
 from repro.kafka.consumer import DirectStreamConsumer
 from repro.obs import catalog
 from repro.obs.tracer import NOOP_TELEMETRY, Telemetry
 
+from .batch_queue import QueuedBatch
 
-@dataclass(frozen=True)
-class ReceivedBatch:
-    """What the receiver hands the batch queue at a boundary."""
 
-    batch_time: float
-    records: int
-    mean_arrival_time: float
+def trailing_rate(trace: RateTrace, now: float, window: float) -> float:
+    """Arrival rate of ``trace`` over the ``window`` seconds before ``now``."""
+    if window <= 0:
+        raise ValueError("window must be positive")
+    start = max(0.0, now - window)
+    if now <= start:
+        return trace.rate(0.0)
+    return trace.records_between(start, now) / (now - start)
 
 
 class Receiver:
@@ -39,7 +43,6 @@ class Receiver:
         self.consumer = DirectStreamConsumer(generator.producer.topic)
         self._last_poll = 0.0
         self._stalled = False
-        self.stall_windows = 0
         self.telemetry = telemetry or NOOP_TELEMETRY
         registry = self.telemetry.metrics
         self.consumer.instrument(registry)
@@ -75,16 +78,12 @@ class Receiver:
 
     def observed_rate(self, window: float = 10.0) -> float:
         """Arrival rate over the trailing window, from the trace."""
-        now = self.generator.producer.produced_until
-        if window <= 0:
-            raise ValueError("window must be positive")
-        start = max(0.0, now - window)
-        if now <= start:
-            return self.generator.trace.rate(0.0)
-        count = self.generator.trace.records_between(start, now)
-        return count / (now - start)
+        return trailing_rate(
+            self.generator.trace, self.generator.producer.produced_until,
+            window,
+        )
 
-    def close_batch(self, batch_time: float) -> ReceivedBatch:
+    def close_batch(self, batch_time: float) -> QueuedBatch:
         """Close the batch ending at ``batch_time``.
 
         Materializes arrivals up to the boundary and consumes exactly the
@@ -101,16 +100,9 @@ class Receiver:
             # fetched, so this batch is empty.  Offsets stay committed
             # where they were; the post-recovery poll gets the backlog.
             self._last_poll = batch_time
-            self.stall_windows += 1
             self._m_stalls.inc()
-            return ReceivedBatch(
-                batch_time=batch_time, records=0, mean_arrival_time=batch_time
-            )
+            return QueuedBatch(batch_time, 0, batch_time)
         batch = self.consumer.poll(batch_time)
         mean_arrival = self.consumer.mean_arrival_time(batch)
         self._last_poll = batch_time
-        return ReceivedBatch(
-            batch_time=batch_time,
-            records=batch.total_records,
-            mean_arrival_time=mean_arrival,
-        )
+        return QueuedBatch(batch_time, batch.total_records, mean_arrival)

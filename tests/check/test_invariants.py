@@ -121,6 +121,23 @@ class TestTamperDetection:
             v.invariant == "queue-accounting" for v in engine.violations
         )
 
+    @pytest.mark.parametrize("fidelity", FAST_FIDELITIES)
+    def test_fast_queue_ledger_tamper_detected(self, fidelity):
+        """Every tier forms batches into the one batch queue, so its
+        ledger is checked on the fast tiers too."""
+        setup = build_experiment(
+            "logistic_regression", seed=3, fidelity=fidelity
+        )
+        engine = InvariantEngine(setup.context)
+        run_fixed_configuration(setup.context, batches=3, warmup=1)
+        assert engine.ok
+        setup.context.queue.total_dequeued += 1  # tamper
+        setup.context.advance_one_batch()
+        assert not engine.ok
+        assert {v.invariant for v in engine.violations} == {
+            "queue-accounting"
+        }
+
     @pytest.mark.parametrize("fidelity", FIDELITIES)
     def test_clock_regression_detected(self, fidelity):
         setup = build_experiment(

@@ -101,12 +101,10 @@ class TestBatchQueueProperties:
         t = 0.0
         for enq in ops:
             t += 1.0
-            if enq or q.empty:
+            if enq or not q:
                 job = wl.build_job(t, 10, rng)
                 q.enqueue(
-                    QueuedBatch(
-                        job=job, enqueued_at=t, mean_arrival_time=t, interval=1.0
-                    )
+                    QueuedBatch(t, 10, t, interval=1.0, cost=job)
                 )
             else:
                 q.dequeue(t)

@@ -10,7 +10,7 @@ from repro.workloads.wordcount import WordCount
 def qb(t=0.0, records=10):
     wl = WordCount(partitions=2)
     job = wl.build_job(t, records, np.random.default_rng(0))
-    return QueuedBatch(job=job, enqueued_at=t, mean_arrival_time=t - 1.0, interval=2.0)
+    return QueuedBatch(t, records, t - 1.0, interval=2.0, cost=job)
 
 
 class TestBatchQueue:
@@ -18,8 +18,8 @@ class TestBatchQueue:
         q = BatchQueue()
         q.enqueue(qb(1.0))
         q.enqueue(qb(2.0))
-        assert q.dequeue(5.0).enqueued_at == 1.0
-        assert q.dequeue(5.0).enqueued_at == 2.0
+        assert q.dequeue(5.0).batch_time == 1.0
+        assert q.dequeue(5.0).batch_time == 2.0
 
     def test_dequeue_empty_raises(self):
         with pytest.raises(IndexError):
@@ -45,7 +45,7 @@ class TestBatchQueue:
         assert q.enqueue(qb(2.0))
         assert not q.enqueue(qb(3.0))  # evicts the t=1 batch
         assert q.total_dropped == 1
-        assert q.dequeue(10.0).enqueued_at == 2.0
+        assert q.dequeue(10.0).batch_time == 2.0
 
     def test_conservation_invariant(self):
         q = BatchQueue(max_length=3)
@@ -58,9 +58,3 @@ class TestBatchQueue:
     def test_invalid_max_length_rejected(self):
         with pytest.raises(ValueError):
             BatchQueue(max_length=0)
-
-    def test_length_history_recorded(self):
-        q = BatchQueue()
-        q.enqueue(qb(1.0))
-        q.dequeue(2.0)
-        assert q.length_history == [(1.0, 1), (2.0, 0)]
