@@ -13,6 +13,7 @@ runs this module with ``REPRO_PERF_SMOKE=1`` to keep runtimes small,
 and a determinism break must fail the perf job regardless of timing.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -32,6 +33,11 @@ from .conftest import emit
 SMOKE = bool(os.environ.get("REPRO_PERF_SMOKE"))
 
 WORKLOAD = "logistic_regression"
+#: SHA-256 of the exact tier's batch series on the >= 50x configuration
+#: (600 batches, seed 101), as ``BatchInfo.to_dict`` JSON with sorted keys.
+EXACT_SERIES_DIGEST = (
+    "0c0b5c5bbb3dc6b0c3d67acece99ef9cf97c9f6f73431ba32f5f23b7a14fdd35"
+)
 REPEATS = 2 if SMOKE else 3
 ROUNDS = 6 if SMOKE else 12
 SWEEP_WORKERS = 4
@@ -284,6 +290,43 @@ class TestHotPaths:
             f"{pe:.2f}s vs {pf:.2f}s"
         )
         assert speedup >= 50.0
+
+    def test_exact_tier_batch_cost(self, bench_record):
+        """Host µs per simulated batch of the exact tier: a record, not a
+        gate.
+
+        The exact side of the >= 50x configuration (LR at its paper rate
+        band, 10 s x 10 executors, 600 batches, seed 101), fastest of
+        ``repeats`` runs.  Every run's batch series must hash to the
+        pinned digest, so a speedup here cannot change what the tier
+        computes.
+        """
+        from repro.experiments.common import build_experiment
+
+        batches = 600
+        repeats = 1 if SMOKE else 5
+        best = float("inf")
+        for _ in range(repeats):
+            setup = build_experiment(WORKLOAD, seed=101, fidelity="exact")
+            _, elapsed = _timed(lambda: setup.context.advance_batches(batches))
+            series = json.dumps(
+                [b.to_dict() for b in setup.context.listener.metrics.batches],
+                sort_keys=True,
+            )
+            digest = hashlib.sha256(series.encode("utf-8")).hexdigest()
+            assert digest == EXACT_SERIES_DIGEST
+            best = min(best, elapsed)
+        us_per_batch = best * 1e6 / batches
+        bench_record(
+            batches=batches,
+            repeats=repeats,
+            exactSeconds=round(best, 4),
+            usPerBatch=round(us_per_batch, 1),
+        )
+        emit(
+            f"exact tier ({batches} batches, fastest of {repeats}): "
+            f"{us_per_batch:.0f} us/batch"
+        )
 
     def test_tournament_cell_throughput(self, bench_record):
         """Host µs per simulated batch of the vectorized tournament cell.

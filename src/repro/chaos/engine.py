@@ -37,10 +37,6 @@ class EventRecord:
     """Engine-wide firing sequence number; the same id is stamped on the
     ``chaos.inject`` span event, so traces and ChaosReport rows join."""
 
-    @property
-    def active_at(self) -> bool:
-        return self.recover_due is not None and self.recovered_at is None
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "eventId": self.event_id,
@@ -117,25 +113,6 @@ class ChaosEngine:
     @property
     def injections(self) -> int:
         return len(self.records)
-
-    def fault_windows(self) -> List[tuple]:
-        """``(fired_at, outage_end)`` per firing, in firing order.
-
-        The window closes at the recorded recovery when one happened, at
-        the scheduled recovery when still pending, and degenerates to the
-        firing instant for no-recovery (instantaneous) events — handy for
-        overlapping burn-rate alerts with outages in the run report.
-        """
-        windows: List[tuple] = []
-        for r in self.records:
-            if r.recovered_at is not None:
-                end = r.recovered_at
-            elif r.recover_due is not None:
-                end = r.recover_due
-            else:
-                end = r.fired_at
-            windows.append((r.fired_at, end))
-        return windows
 
     def first_fire_time(self) -> Optional[float]:
         return self.records[0].fired_at if self.records else None

@@ -78,10 +78,6 @@ class Cluster:
     def total_cores(self) -> int:
         return sum(n.cpu.cores for n in self._nodes)
 
-    @property
-    def free_executor_slots(self) -> int:
-        return sum(n.free_cores for n in self.workers)
-
     def is_heterogeneous(self) -> bool:
         """True if worker nodes differ in speed or disk technology."""
         speeds = {n.speed_factor for n in self.workers}

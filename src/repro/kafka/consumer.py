@@ -41,10 +41,8 @@ class ConsumedBatch:
 
     batch_time: float
     ranges: List[OffsetRange]
-
-    @property
-    def total_records(self) -> int:
-        return sum(r.count for r in self.ranges)
+    total_records: int
+    """Records over all ``ranges``, counted as they are consumed."""
 
 
 class DirectStreamConsumer:
@@ -73,10 +71,6 @@ class DirectStreamConsumer:
             registry, "repro_kafka_consumer_lag_records"
         ).labels(topic=self.topic.name)
 
-    @property
-    def committed_offsets(self) -> List[int]:
-        return list(self._committed)
-
     def lag(self) -> int:
         """Records appended but not yet consumed (input-queue backlog)."""
         return sum(
@@ -87,36 +81,42 @@ class DirectStreamConsumer:
     def poll(self, batch_time: float) -> ConsumedBatch:
         """Consume everything that arrived strictly before ``batch_time``."""
         ranges: List[OffsetRange] = []
+        committed = self._committed
+        total = 0
+        lag = 0
         for p in self.topic.partitions:
+            pid = p.partition_id
             end = p.offset_at(batch_time)
-            start = self._committed[p.partition_id]
+            start = committed[pid]
             if end < start:
                 raise RuntimeError(
-                    f"partition {p.partition_id}: offset went backwards "
+                    f"partition {pid}: offset went backwards "
                     f"({end} < committed {start})"
                 )
-            ranges.append(OffsetRange(p.partition_id, start, end))
-            self._committed[p.partition_id] = end
-        batch = ConsumedBatch(batch_time=batch_time, ranges=ranges)
-        self.total_consumed += batch.total_records
+            ranges.append(OffsetRange(pid, start, end))
+            committed[pid] = end
+            total += end - start
+            lag += p.end_offset - end
+        self.total_consumed += total
         self._m_polls.inc()
-        self._m_consumed.inc(batch.total_records)
-        self._m_lag.set(self.lag())
-        return batch
+        self._m_consumed.inc(total)
+        self._m_lag.set(lag)
+        return ConsumedBatch(batch_time, ranges, total)
 
     def mean_arrival_time(self, batch: ConsumedBatch) -> float:
         """Record-weighted mean arrival time of a consumed batch.
 
         Falls back to the batch time for empty batches.
         """
+        partitions = self.topic.partitions
         total_t = 0.0
         total_n = 0
         for r in batch.ranges:
-            if r.count == 0:
-                continue
-            p = self.topic.partitions[r.partition_id]
-            total_t += p.mean_arrival_time(r.start, r.end) * r.count
-            total_n += r.count
+            count = r.end - r.start
+            if count:
+                p = partitions[r.partition_id]
+                total_t += p.mean_arrival_time(r.start, r.end) * count
+                total_n += count
         if total_n == 0:
             return batch.batch_time
         return total_t / total_n

@@ -98,6 +98,11 @@ class Partition:
 
     def append(self, t0: float, t1: float, count: int) -> None:
         """Append ``count`` records spread uniformly over ``[t0, t1)``."""
+        self._check(t0, t1, count)
+        self._extend(t0, t1, count)
+
+    def _check(self, t0: float, t1: float, count: int) -> None:
+        """Raise unless ``count`` records over ``[t0, t1)`` may follow."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         if t1 < t0:
@@ -107,7 +112,11 @@ class Partition:
                 f"append at t0={t0} overlaps previous segment ending at "
                 f"{self._last_t1}"
             )
-        self._last_t1 = max(self._last_t1, t1)
+
+    def _extend(self, t0: float, t1: float, count: int) -> None:
+        """:meth:`append` after :meth:`_check` passed for ``(t0, t1)``."""
+        if t1 > self._last_t1:
+            self._last_t1 = t1
         if count == 0:
             return
         self._nonempty_appends += 1
@@ -173,21 +182,21 @@ class Partition:
             raise ValueError("empty offset range")
         if end_offset > self._end_offset:
             raise IndexError("end_offset beyond log end")
+        bases, counts, t0s, t1s = self._bases, self._counts, self._t0, self._t1
         total_time = 0.0
         total_count = 0
         # First segment overlapping the range.
-        i = bisect.bisect_right(self._bases, start_offset) - 1
-        i = max(i, 0)
-        while i < len(self._t0) and self._bases[i] < end_offset:
-            base, count = self._bases[i], self._counts[i]
-            lo = max(start_offset, base)
-            hi = min(end_offset, base + count)
+        i = max(bisect.bisect_right(bases, start_offset) - 1, 0)
+        while i < len(t0s) and bases[i] < end_offset:
+            base = bases[i]
+            hi = base + counts[i]
+            lo = start_offset if start_offset > base else base
+            if end_offset < hi:
+                hi = end_offset
             if hi > lo:
                 # Mean timestamp of offsets [lo, hi) inside a uniform segment.
-                mid_frac = ((lo + hi) / 2.0 - base) / count
-                total_time += (
-                    self._t0[i] + mid_frac * (self._t1[i] - self._t0[i])
-                ) * (hi - lo)
+                mid_frac = ((lo + hi) / 2.0 - base) / counts[i]
+                total_time += (t0s[i] + mid_frac * (t1s[i] - t0s[i])) * (hi - lo)
                 total_count += hi - lo
             i += 1
         return total_time / total_count

@@ -185,11 +185,6 @@ class CusumDetector:
         self._neg = 0.0
         self.events: List[AnomalyEvent] = []
 
-    @property
-    def armed(self) -> bool:
-        """Whether a reference level exists and shifts can fire."""
-        return self._armed
-
     def _refit(self) -> None:
         samples = list(self._recent)
         med = _median(samples)

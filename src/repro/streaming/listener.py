@@ -76,10 +76,6 @@ class StreamingListener:
         """
         self.subscribe(observer.observe_batch)
 
-    def unwatch(self, observer) -> None:
-        """Detach a previously watched observer (idempotent)."""
-        self.unsubscribe(observer.observe_batch)
-
     def unsubscribe(self, callback: BatchCallback) -> None:
         """Remove a callback; a no-op if it was never registered.
 

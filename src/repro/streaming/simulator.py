@@ -102,15 +102,9 @@ class BusyTimeline:
             self.free_at = end
             self.jobs_run += 1
             info = BatchInfo(
-                batch_index=qb.batch_index,
-                batch_time=qb.batch_time,
-                interval=qb.interval,
-                records=qb.records,
-                num_executors=executors,
-                mean_arrival_time=qb.mean_arrival_time,
-                processing_start=start,
-                processing_end=end,
-                first_after_reconfig=self._reconfig_pending,
+                qb.batch_index, qb.batch_time, qb.interval, qb.records,
+                executors, qb.mean_arrival_time, start, end,
+                self._reconfig_pending,
             )
             self._reconfig_pending = False
             on_batch_completed(info)

@@ -73,21 +73,20 @@ class Workload(abc.ABC):
             raise ValueError(f"records must be >= 0, got {records}")
         cost_records = self.effective_records(records)
         iters = self.cost_model.iterations.draw(rng)
+        partitions = self.partitions
+        per_task, rem = divmod(cost_records, partitions)
         stages: List[Stage] = []
         for sid, sc in enumerate(self.cost_model.stages):
-            per_task, rem = divmod(cost_records, self.partitions)
-            tasks = []
-            for tid in range(self.partitions):
-                n = per_task + (1 if tid < rem else 0)
-                tasks.append(
-                    TaskSpec(
-                        task_id=tid,
-                        records=n,
-                        compute_cost=sc.fixed_compute / self.partitions
-                        + n * sc.compute_per_record,
-                        io_cost=n * sc.io_per_record,
-                    )
-                )
+            # A stage has two task sizes: the first ``rem`` tasks take one
+            # record more.  Each size's costs are computed once.
+            fixed = sc.fixed_compute / partitions
+            sizes = [
+                (n, fixed + n * sc.compute_per_record, n * sc.io_per_record)
+                for n in (per_task, per_task + 1)
+            ]
+            tasks = [
+                TaskSpec(tid, *sizes[tid < rem]) for tid in range(partitions)
+            ]
             stages.append(
                 Stage(
                     stage_id=sid,

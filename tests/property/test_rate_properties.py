@@ -140,6 +140,38 @@ class TestBlockIntegration:
         ]
         assert _bits(got) == _bits(want)
 
+    @given(
+        hold=st.sampled_from([10.0, 7.5, 2.5, 0.3]),
+        segment=st.integers(0, 400),
+        offset=st.sampled_from([0.0, 1e-9, -1e-9, 0.5, -0.5]),
+        widths=st.sampled_from([1.0, 1 / 3, 2.5, 1 - 1e-9, 1 + 1e-9, 0.0]),
+        k=st.integers(1, 30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_uniform_block_straddles_segment_edges(
+        self, hold, segment, offset, widths, k
+    ):
+        # Boundaries on, just before and just after the held segments'
+        # edges; intervals shorter, longer and equal to one hold.
+        trace = UniformRandomRate(7_000, 13_000, hold=hold, seed=segment % 5)
+        t0 = max(0.0, segment * hold + offset)
+        interval = widths * hold
+        edges = [t0 + i * interval for i in range(k + 1)]
+        assert trace.records_in(edges[:-1], edges[1:]) == [
+            trace.records_between(a, b) for a, b in zip(edges, edges[1:])
+        ]
+
+    def test_uniform_block_takes_the_array_path(self, monkeypatch):
+        trace = TRACES["uniform"]
+        edges = [3.75 + i * 10.0 for i in range(41)]
+        want = [trace.records_between(a, b) for a, b in zip(edges, edges[1:])]
+
+        def per_interval(self, t0, t1):
+            raise AssertionError("records_in fell back to records_between")
+
+        monkeypatch.setattr(UniformRandomRate, "records_between", per_interval)
+        assert trace.records_in(edges[:-1], edges[1:]) == want
+
     def test_empty_intervals_hold_no_records(self):
         trace = TRACES["step"]
         assert trace.records_in([5.0, 7.0, 9.0], [5.0, 9.0, 9.0]) == [
