@@ -1,5 +1,8 @@
 """Unit tests for streaming batch metrics."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.streaming.metrics import BatchInfo, StreamingMetrics
@@ -41,6 +44,26 @@ class TestBatchInfo:
     def test_end_before_start_rejected(self):
         with pytest.raises(ValueError):
             info(start=10.0, end=9.0)
+
+    def test_init_takes_every_field_in_order(self):
+        # BatchInfo writes its own __init__; a field missing from it would
+        # leave instances without that attribute.
+        params = list(inspect.signature(BatchInfo.__init__).parameters)
+        assert params[1:] == [f.name for f in dataclasses.fields(BatchInfo)]
+        defaults = {
+            name: p.default
+            for name, p in inspect.signature(BatchInfo.__init__).parameters.items()
+            if p.default is not inspect.Parameter.empty
+        }
+        assert defaults == {
+            f.name: f.default
+            for f in dataclasses.fields(BatchInfo)
+            if f.default is not dataclasses.MISSING
+        }
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            info().records = 5
 
     def test_to_dict_round_trips_keys(self):
         d = info().to_dict()
