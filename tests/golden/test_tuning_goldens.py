@@ -97,6 +97,39 @@ def _chaos_report() -> Any:
 
 
 @functools.lru_cache(maxsize=None)
+def _chaos_report_40():
+    """The 40-round judged run ``repro report`` makes, run once."""
+    from repro.experiments.common import judged_chaos_run
+
+    return judged_chaos_run("wordcount", rounds=40).report
+
+
+def _chaos_rendering(render: str) -> Callable[[], Any]:
+    return lambda: getattr(_chaos_report_40(), render)()
+
+
+def _report_cli_json() -> Any:
+    """``repro report --json`` at default arguments: the file it writes
+    and the text it prints."""
+    import tempfile
+    from pathlib import Path
+
+    from repro.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            status = main(["report", "--json", str(path)])
+        return {
+            "status": status,
+            "json": path.read_text(encoding="utf-8"),
+            "stdout": out.getvalue(),
+        }
+
+
+@functools.lru_cache(maxsize=None)
 def _compare_table() -> Dict[str, list]:
     """``repro compare --rounds 10``, run once, rows split into cells."""
     from repro.cli import main
@@ -128,6 +161,14 @@ CASES: Dict[str, Callable[[], Any]] = {
     },
     "records-between/table": _records_table,
     "chaos-report/wordcount/rounds10": _chaos_report,
+    **{
+        f"chaos-report/wordcount/rounds40/{fmt}": _chaos_rendering(render)
+        for fmt, render in (
+            ("json", "to_json"), ("text", "render_text"),
+            ("html", "render_html"),
+        )
+    },
+    "cli/report --json": _report_cli_json,
     **{f"compare/{row}": _compare_row(row) for row in COMPARE_ROWS},
 }
 
@@ -137,6 +178,10 @@ GOLDEN: Dict[str, str] = {
     "bo-cell/wordcount/seed0": "17f2bf0ad1becd0425d05e14c5e3d111a19ff1fa5750cb8097d43adf9b6ae24b",
     "bo-cell/wordcount/seed1": "73983dfebdae0372dd9fd56382d50f44cd5ae767a81b86ed30d93f2e27c1ce4a",
     "chaos-report/wordcount/rounds10": "a9bc63ac351f728b9c381c49ce54fcf0fb6c4dfb04a3d89037efe2df86192bc8",
+    "chaos-report/wordcount/rounds40/html": "6947af23ace662801154adad3394c8a402aa48dba96164a8fce287fd8f2d763e",
+    "chaos-report/wordcount/rounds40/json": "0d713b0ba5e45d05095bb5e411dd4344a25e725745d74b5c4f3482c6b68a8a02",
+    "chaos-report/wordcount/rounds40/text": "655ee7e9150ed66be8b144a2240aa0a6f571fed054608b77b8d2caaae9900296",
+    "cli/report --json": "09b092b28af3bee476b40cd9ba1f11ed1a0150e03ef7eb66eb8982985399f32e",
     "compare/Bayesian opt": "9e7e5ba410d0b6c3c5a0f8f079b3c5fd45a4793d2306e36682ee2455b528e972",
     "compare/SPSA (NoStop)": "5ccd7cd29b5145be659942b065d11d8e918372858323d64af868162591817230",
     "compare/Simulated annealing": "69ab7c1b5db567780540231b9753db76e70128bc3c2e0800ebce8a31763bd3cc",
