@@ -85,6 +85,7 @@ class ChaosEngine:
             e.name: None for e in schedule
         }
         self._active: List[_ActiveFault] = []
+        self._reads_rate = any(e.trigger.reads_rate for e in schedule)
         #: Complete firing log, in firing order.
         self.records: List[EventRecord] = []
         self.telemetry = context.telemetry
@@ -134,7 +135,7 @@ class ChaosEngine:
         fault whose window closed cannot shadow the next one.
         """
         self._recover_due(boundary)
-        rate = self._observed_rate()
+        rate = self._observed_rate() if self._reads_rate else 0.0
         for event in self.schedule:
             fires = event.trigger.fire_times(
                 self._last_tick, boundary, rate, self._last_fired[event.name]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 from .injectors import Injector
 
@@ -32,13 +32,18 @@ from .injectors import Injector
 class Trigger(abc.ABC):
     """When a fault event fires."""
 
+    reads_rate: ClassVar[bool] = True
+    """Whether :meth:`fire_times` reads ``rate``.  The engine computes
+    the trailing ingest rate only when some scheduled trigger does."""
+
     @abc.abstractmethod
     def fire_times(
         self, t0: float, t1: float, rate: float, last_fired: Optional[float]
     ) -> Tuple[float, ...]:
         """Firing times within the half-open window ``(t0, t1]``.
 
-        ``rate`` is the currently observed ingest rate (records/second);
+        ``rate`` is the currently observed ingest rate (records/second),
+        or 0.0 when no trigger in the schedule reads it;
         ``last_fired`` is the previous firing time of this trigger, or
         None if it has never fired.
         """
@@ -49,6 +54,7 @@ class AtTime(Trigger):
     """One-shot trigger at a fixed simulation time."""
 
     time: float
+    reads_rate: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         if self.time < 0:
@@ -71,6 +77,7 @@ class Periodic(Trigger):
     period: float
     start: float = 0.0
     end: float = math.inf
+    reads_rate: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         if self.period <= 0:

@@ -44,6 +44,7 @@ disabled instance every component defaults to; its hot-path cost is one
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
@@ -63,6 +64,71 @@ RETAIN_CHAOS = "chaos"
 EVICT_SAMPLED_OUT = "sampled_out"
 #: Eviction reason for traces whose spans were all consumed by the ring.
 EVICT_RING = "ring"
+
+
+class _InterestIndex:
+    """Interest windows in insertion order, indexed for first-overlap
+    queries.
+
+    A segment tree over insertion order holds each node's smallest window
+    start and largest window end.  :meth:`first_overlap` descends
+    leftmost first and skips every subtree that cannot overlap the query,
+    so it returns what a scan in insertion order would.  Windows are
+    noted near the simulated time they cover, so old subtrees fall away
+    near the root and a query costs about O(log windows), not a scan.
+    """
+
+    __slots__ = ("windows", "_cap", "_lo", "_hi")
+
+    def __init__(self) -> None:
+        self.windows: List[Tuple[float, float, str]] = []
+        self._cap = 1
+        self._lo = [math.inf] * 2
+        self._hi = [-math.inf] * 2
+
+    def append(self, window: Tuple[float, float, str]) -> None:
+        self.windows.append(window)
+        if len(self.windows) <= self._cap:
+            self._insert(len(self.windows) - 1, window)
+            return
+        self._cap *= 2
+        self._lo = [math.inf] * (2 * self._cap)
+        self._hi = [-math.inf] * (2 * self._cap)
+        for i, w in enumerate(self.windows):
+            self._insert(i, w)
+
+    def _insert(self, i: int, window: Tuple[float, float, str]) -> None:
+        # Strict comparisons are False for NaN, so a NaN bound (which
+        # never overlaps anything) never enters the tree.
+        w_lo, w_hi = window[0], window[1]
+        lo, hi = self._lo, self._hi
+        node = i + self._cap
+        while node:
+            if w_lo < lo[node]:
+                lo[node] = w_lo
+            if w_hi > hi[node]:
+                hi[node] = w_hi
+            node >>= 1
+
+    def first_overlap(self, lo: float, hi: float) -> Optional[str]:
+        """Reason of the first-noted window overlapping ``[lo, hi]``."""
+        windows, cap = self.windows, self._cap
+        mins, maxs = self._lo, self._hi
+        stack = [1]
+        while stack:
+            node = stack.pop()
+            if mins[node] > hi or maxs[node] < lo:
+                continue
+            if node < cap:
+                stack.append(2 * node + 1)
+                stack.append(2 * node)
+                continue
+            i = node - cap
+            if i < len(windows):
+                w_lo, w_hi, reason = windows[i]
+                if w_lo <= hi and w_hi >= lo:
+                    return reason
+        return None
 
 
 class Tracer:
@@ -144,7 +210,7 @@ class Tracer:
         self._head_keep: Dict[str, bool] = {}
         self._forced: Dict[str, str] = {}
         self._partial: Dict[str, bool] = {}
-        self._interest: List[Tuple[float, float, str]] = []
+        self._interest = _InterestIndex()
         self._by_id: Dict[int, Span] = {}
         self._children: Dict[int, Deque[Span]] = {}
         self._next_span_id = 1
@@ -264,7 +330,7 @@ class Tracer:
 
     @property
     def interest_windows(self) -> List[Tuple[float, float, str]]:
-        return list(self._interest)
+        return list(self._interest.windows)
 
     def _retention_reason(
         self,
@@ -277,18 +343,19 @@ class Tracer:
         if forced is not None:
             return forced
         if self.retain_interesting:
-            for s in spans:
-                for ev in s.events:
-                    if ev.name.startswith("chaos."):
-                        return RETAIN_CHAOS
+            chaos = False
             lo = root.start
             hi = root.end if root.end is not None else root.start
             for s in spans:
+                if s.events and not chaos:
+                    chaos = any(ev.name.startswith("chaos.") for ev in s.events)
                 lo = min(lo, s.start)
                 hi = max(hi, s.start if s.end is None else s.end)
-            for w_lo, w_hi, w_reason in self._interest:
-                if w_lo <= hi and w_hi >= lo:
-                    return w_reason
+            if chaos:
+                return RETAIN_CHAOS
+            reason = self._interest.first_overlap(lo, hi)
+            if reason is not None:
+                return reason
         return RETAIN_SAMPLED if head else None
 
     def _finalize_decidable(self) -> None:
