@@ -6,8 +6,8 @@ Three configurations of the same fixed-seed NoStop run:
   shared no-op instruments);
 * **disabled** — an explicit ``Telemetry(enabled=False)`` bundle threaded
   through the stack (the contract under test: <5% over baseline);
-* **enabled**  — full tracing + metrics + audit, reported for context
-  (no bound asserted; span construction is real work).
+* **enabled**  — full tracing + metrics + audit; span construction is
+  real work, so its budget (``MAX_ENABLED_OVERHEAD``) is wider.
 
 Wall times are medians over repeated runs because a single ~1 s run is
 too noisy to support a 5% claim.
@@ -35,6 +35,13 @@ REPEATS = 5
 #: The ISSUE bound is 5%; asserting a little above it keeps the check
 #: meaningful without flaking on scheduler jitter in CI containers.
 MAX_DISABLED_OVERHEAD = 0.08
+#: Measured on a shared 2-vCPU VM over 10 interleaved pairs of runs
+#: (this code vs the code before the judge's running state went
+#: incremental): the enabled overhead read 5-44% (median 26%), and
+#: 9-41% before.  The budget adds ~30 points of margin over the highest
+#: run, so it catches the tracer's cost growing by half or more without
+#: flaking on a loaded host.
+MAX_ENABLED_OVERHEAD = 0.75
 
 
 def one_run(telemetry):
@@ -86,6 +93,10 @@ def test_telemetry_overhead(benchmark):
     assert result["disabled_overhead"] < MAX_DISABLED_OVERHEAD, (
         f"disabled telemetry cost {result['disabled_overhead']:.1%}, "
         f"bound is {MAX_DISABLED_OVERHEAD:.0%}"
+    )
+    assert result["enabled_overhead"] < MAX_ENABLED_OVERHEAD, (
+        f"enabled telemetry cost {result['enabled_overhead']:.1%}, "
+        f"bound is {MAX_ENABLED_OVERHEAD:.0%}"
     )
 
 
