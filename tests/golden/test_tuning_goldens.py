@@ -108,25 +108,33 @@ def _chaos_rendering(render: str) -> Callable[[], Any]:
     return lambda: getattr(_chaos_report_40(), render)()
 
 
-def _report_cli_json() -> Any:
-    """``repro report --json`` at default arguments: the file it writes
-    and the text it prints."""
-    import tempfile
-    from pathlib import Path
+def _cli_json(*argv: str, stdout: bool = True) -> Callable[[], Any]:
+    """``repro <argv> --json FILE``: the exit status, the file written
+    and, when ``stdout`` is set, the text printed.  ``{tmp}`` in
+    ``argv`` names a fresh temporary directory (a cache, say)."""
 
-    from repro.cli import main
+    def run() -> Any:
+        import tempfile
+        from pathlib import Path
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "report.json"
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(io.StringIO()):
-            status = main(["report", "--json", str(path)])
-        return {
-            "status": status,
-            "json": path.read_text(encoding="utf-8"),
-            "stdout": out.getvalue(),
-        }
+        from repro.cli import main
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.json"
+            args = [a.replace("{tmp}", tmp) for a in argv]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                status = main([*args, "--json", str(path)])
+            result = {
+                "status": status,
+                "json": path.read_text(encoding="utf-8"),
+            }
+            if stdout:
+                result["stdout"] = out.getvalue()
+            return result
+
+    return run
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,7 +176,15 @@ CASES: Dict[str, Callable[[], Any]] = {
             ("html", "render_html"),
         )
     },
-    "cli/report --json": _report_cli_json,
+    "cli/report --json": _cli_json("report"),
+    # `check` prints the path it wrote, so only its file is pinned.
+    "cli/check quickstart --json": _cli_json(
+        "check", "quickstart", stdout=False
+    ),
+    "cli/tournament --json": _cli_json(
+        "tournament", "--budget", "4", "--workers", "1", "--no-cache",
+        "--cache-dir", "{tmp}/cache",
+    ),
     **{f"compare/{row}": _compare_row(row) for row in COMPARE_ROWS},
 }
 
@@ -181,7 +197,9 @@ GOLDEN: Dict[str, str] = {
     "chaos-report/wordcount/rounds40/html": "6947af23ace662801154adad3394c8a402aa48dba96164a8fce287fd8f2d763e",
     "chaos-report/wordcount/rounds40/json": "0d713b0ba5e45d05095bb5e411dd4344a25e725745d74b5c4f3482c6b68a8a02",
     "chaos-report/wordcount/rounds40/text": "655ee7e9150ed66be8b144a2240aa0a6f571fed054608b77b8d2caaae9900296",
+    "cli/check quickstart --json": "54553e5f4cc52538b4938eb9a7e69b102c329479007c36790974ca1adc36d755",
     "cli/report --json": "09b092b28af3bee476b40cd9ba1f11ed1a0150e03ef7eb66eb8982985399f32e",
+    "cli/tournament --json": "a9f518cfe7fc8225fc5db46a7777b5b53dde20cd37220471bf16d3f4dd0a66cb",
     "compare/Bayesian opt": "9e7e5ba410d0b6c3c5a0f8f079b3c5fd45a4793d2306e36682ee2455b528e972",
     "compare/SPSA (NoStop)": "5ccd7cd29b5145be659942b065d11d8e918372858323d64af868162591817230",
     "compare/Simulated annealing": "69ab7c1b5db567780540231b9753db76e70128bc3c2e0800ebce8a31763bd3cc",
