@@ -114,18 +114,3 @@ class GaussianProcess:
         mean = mean_n * self._y_std + self._y_mean
         std = np.sqrt(var_n) * self._y_std
         return mean, std
-
-    def log_marginal_likelihood(self) -> float:
-        """Standardized-space log evidence of the fitted data."""
-        if not self.fitted:
-            raise RuntimeError("log_marginal_likelihood() before fit()")
-        yn = np.linalg.solve(self._chol, self._chol @ np.zeros(len(self._x)))
-        # Recover standardized targets from alpha: y = K alpha.
-        k = self._chol @ self._chol.T
-        y_std_space = k @ self._alpha
-        n = len(self._x)
-        return float(
-            -0.5 * y_std_space @ self._alpha
-            - np.sum(np.log(np.diag(self._chol)))
-            - 0.5 * n * np.log(2.0 * np.pi)
-        )

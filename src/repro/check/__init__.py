@@ -29,8 +29,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "lint": ("LintFinding", "lint_file", "lint_paths", "lint_source"),
     "metamorphic": ("executor_homogeneity_check", "time_dilation_check"),
     "oracles": (
-        "predict_processing_time", "run_oracles", "steady_state_delay_oracle",
-        "utilization_oracle",
+        "run_oracles", "steady_state_delay_oracle", "utilization_oracle",
     ),
     "run": ("run_check",),
     "violations": ("CheckReport", "InvariantViolation", "OracleResult"),

@@ -17,6 +17,8 @@ against analytic expectations):
   execution, compute core-seconds divide by ``sum(cores x speed)``, I/O
   core-seconds pay the pool-average disk penalty over ``sum(cores)``,
   plus the serial driver-side overheads the overhead model charges.
+  The law is the fluid tier's coster,
+  :func:`repro.fast.engine.fluid_proc_times`, evaluated for one batch.
   List-scheduling imbalance and task noise keep this from being exact;
   the tolerance is stated relative to the prediction.
 
@@ -27,10 +29,12 @@ wait time, double-charged stage, wrong capacity aggregation) fails them.
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional, Sequence
 
 from repro.cluster.executor import Executor
 from repro.engine.overhead import OverheadModel
+from repro.fast.engine import ExecutorProfile, fluid_proc_times
 from repro.streaming.metrics import BatchInfo
 from repro.workloads.base import Workload
 
@@ -71,45 +75,6 @@ def clean_batches(
             continue
         out.append(b)
     return out
-
-
-def predict_processing_time(
-    workload: Workload,
-    records: int,
-    executors: Sequence[Executor],
-    overhead: OverheadModel,
-    iterations: Optional[float] = None,
-) -> float:
-    """Utilization-law prediction of batch processing time.
-
-    ``iterations`` overrides the expected iteration count per iterated
-    stage (defaults to the cost model's mean — correct on average over
-    many batches, since draws are uniform).
-    """
-    if not executors:
-        raise ValueError("prediction needs at least one executor")
-    model = workload.cost_model
-    cost_records = workload.effective_records(records)
-    compute_capacity = sum(ex.cores * ex.speed_factor for ex in executors)
-    total_cores = sum(ex.cores for ex in executors)
-    mean_io_penalty = (
-        sum(ex.cores * ex.io_penalty for ex in executors) / total_cores
-    )
-    coord = overhead.coordination_cost(len(executors))
-    t = overhead.batch_setup
-    for sc in model.stages:
-        reps = 1.0
-        if sc.name in model.iterated_stages:
-            reps = model.iterations.mean if iterations is None else iterations
-        compute = cost_records * sc.compute_per_record + sc.fixed_compute
-        io = cost_records * sc.io_per_record
-        parallel_time = (
-            compute / compute_capacity
-            + io * mean_io_penalty / total_cores
-            + workload.partitions * overhead.task_dispatch / total_cores
-        )
-        t += reps * (overhead.stage_setup + coord + parallel_time)
-    return t
 
 
 def steady_state_delay_oracle(
@@ -164,9 +129,13 @@ def utilization_oracle(
             detail="no clean batches to compare",
         )
     mean_records = sum(b.records for b in batches) / len(batches)
-    expected = predict_processing_time(
-        workload, int(round(mean_records)), executors, overhead
+    # On a copy: a windowed workload's effective_records slides its window.
+    cost_records = copy.deepcopy(workload).effective_records(
+        int(round(mean_records))
     )
+    expected = float(fluid_proc_times(
+        workload, overhead, ExecutorProfile(executors), [cost_records]
+    )[0])
     actual = sum(b.processing_time for b in batches) / len(batches)
     return OracleResult(
         oracle="utilization-law",

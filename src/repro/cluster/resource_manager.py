@@ -122,10 +122,6 @@ class ResourceManager:
             total += min(by_cores, by_mem)
         return total
 
-    @property
-    def total_cores(self) -> int:
-        return sum(e.cores for e in self._executors.values())
-
     def capacity_with(
         self, cores: int, memory_gb: Optional[float] = None
     ) -> int:

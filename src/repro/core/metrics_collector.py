@@ -127,10 +127,6 @@ class MetricsCollector:
             w += self.degraded_extra
         return w
 
-    @property
-    def degraded(self) -> bool:
-        return self._degraded
-
     def set_degraded(self, active: bool) -> None:
         """Enter/leave degraded mode (faults active on the substrate).
 

@@ -62,10 +62,6 @@ class RateMonitor:
         if self._cooldown_left > 0:
             self._cooldown_left -= 1
 
-    @property
-    def samples(self) -> int:
-        return len(self._rates)
-
     def current_std(self) -> float:
         """Standard deviation of the recent input speed (possibly
         normalized by the mean when ``relative``)."""

@@ -46,11 +46,6 @@ class SPSAIteration:
     gradient: np.ndarray
     theta_next: np.ndarray
 
-    @property
-    def measurements(self) -> int:
-        """Objective evaluations consumed by this iteration (always 2)."""
-        return 2
-
 
 class SPSAOptimizer:
     """Stateful SPSA minimizer over a box-constrained domain."""

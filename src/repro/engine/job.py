@@ -62,10 +62,6 @@ class BatchJob:
         """Baseline compute-seconds over the whole job."""
         return sum(s.total_compute_cost for s in self.stages)
 
-    @property
-    def total_io_cost(self) -> float:
-        return sum(s.total_io_cost for s in self.stages)
-
     def critical_path_lower_bound(self, total_cores: int, speed: float = 1.0) -> float:
         """Cheap lower bound on the job's makespan with ``total_cores`` cores.
 

@@ -59,7 +59,3 @@ class Stage:
     def total_compute_cost(self) -> float:
         """Baseline compute-seconds across all tasks and iterations."""
         return self.iterations * sum(t.compute_cost for t in self.tasks)
-
-    @property
-    def total_io_cost(self) -> float:
-        return self.iterations * sum(t.io_cost for t in self.tasks)

@@ -84,10 +84,9 @@ def build_experiment(
     — the sweep runner turns it on for cost-model-driven cells.
 
     ``telemetry`` attaches a tracing/metrics/audit bundle to the whole
-    stack.  When left ``None`` and ``REPRO_TRACE`` (or
-    ``REPRO_FORCE_TRACE``) is set in the environment, an enabled bundle
-    is created automatically — the CI hook for running the full test
-    suite with tracing on.
+    stack.  When left ``None`` and ``REPRO_TRACE`` is set in the
+    environment, an enabled bundle is created automatically — the CI
+    hook for running the full test suite with tracing on.
 
     ``fidelity`` selects the simulation tier: ``"exact"`` (the default)
     is the per-record/per-task DES; ``"vectorized"`` and ``"fluid"``
@@ -103,9 +102,7 @@ def build_experiment(
         raise ValueError(
             f"fidelity must be one of {FIDELITIES}, got {fidelity!r}"
         )
-    if telemetry is None and (
-        os.environ.get("REPRO_TRACE") or os.environ.get("REPRO_FORCE_TRACE")
-    ):
+    if telemetry is None and os.environ.get("REPRO_TRACE"):
         telemetry = Telemetry(enabled=True)
     cluster = cluster or paper_cluster()
     kafka = paper_kafka_cluster(cluster.total_cores)
@@ -346,8 +343,7 @@ def judged_chaos_run(
         seed=seed,
         rounds=rounds,
         nostop_report=chaos.nostop,
-        chaos_records=chaos.engine.records,
-        batches=setup.context.listener.metrics.batches,
+        events=chaos.report.events,
         sim_duration=setup.context.time,
         records_total=setup.context.listener.metrics.total_records(),
     )

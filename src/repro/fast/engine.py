@@ -33,9 +33,10 @@ least one core per task no assignment is needed at all (each task runs
 alone on one core, popped in executor order off the barrier tie exactly
 as the heap does), which is what makes 10k-executor scenarios cheap.
 
-The ``fluid`` mode evaluates the utilization-law closed form
-(:func:`repro.check.oracles.predict_processing_time`) over the same
-arrays: no noise, mean iteration counts, instant.
+The ``fluid`` mode evaluates the utilization law
+(:func:`fluid_proc_times`) over the same arrays: no noise, mean
+iteration counts, instant.  The law is written only there; the
+utilization oracle (:mod:`repro.check.oracles`) calls it too.
 """
 
 from __future__ import annotations
@@ -131,6 +132,40 @@ class ExecutorProfile:
         return (1.0 - io_fraction) * self.inv_speed + io_fraction * self.io_penalty
 
 
+def fluid_proc_times(
+    workload: Workload,
+    overhead: OverheadModel,
+    profile: ExecutorProfile,
+    cost_records: Sequence[int],
+) -> np.ndarray:
+    """The utilization law: processing times of batches on ``profile``.
+
+    ``cost_records`` holds each batch's *effective* record count.  Per
+    stage execution, compute divides by the pool's capacity, I/O pays
+    the mean disk penalty over the cores, plus stage setup,
+    coordination and task dispatch; iterated stages run their mean
+    iteration count.  The fluid tier and the utilization oracle both
+    evaluate this one function.
+    """
+    model = workload.cost_model
+    serial = overhead.stage_setup + overhead.coordination_cost(profile.num_executors)
+    cores = float(profile.total_cores)
+    dispatch = workload.partitions * overhead.task_dispatch / cores
+    crf = np.asarray(cost_records, dtype=np.float64)
+    t = np.full(crf.shape[0], overhead.batch_setup)
+    for sc in model.stages:
+        reps = model.iterations.mean if sc.name in model.iterated_stages else 1.0
+        compute = crf * sc.compute_per_record + sc.fixed_compute
+        io = crf * sc.io_per_record
+        t += reps * (
+            serial
+            + compute / profile.compute_capacity
+            + io * profile.mean_io_penalty / cores
+            + dispatch
+        )
+    return t
+
+
 class FastBatchEngine(BusyTimeline):
     """Block-vectorized (or fluid) batch processing-time engine.
 
@@ -212,34 +247,10 @@ class FastBatchEngine(BusyTimeline):
             raise RuntimeError("set_profile() must run before batch costs")
         cr = np.asarray(cost_records, dtype=np.int64)
         if self.mode == "fluid":
-            return self._fluid_proc_times(cr)
+            return fluid_proc_times(
+                self.workload, self.overhead, self.profile, cr
+            )
         return self._vectorized_proc_times(cr)
-
-    def _fluid_proc_times(self, cr: np.ndarray) -> np.ndarray:
-        prof = self.profile
-        ov = self.overhead
-        model = self.workload.cost_model
-        partitions = self.workload.partitions
-        serial = ov.stage_setup + ov.coordination_cost(prof.num_executors)
-        cores = float(prof.total_cores)
-        dispatch = partitions * ov.task_dispatch / cores
-        crf = cr.astype(np.float64)
-        t = np.full(cr.shape[0], ov.batch_setup)
-        for sc in model.stages:
-            reps = (
-                model.iterations.mean
-                if sc.name in model.iterated_stages
-                else 1.0
-            )
-            compute = crf * sc.compute_per_record + sc.fixed_compute
-            io = crf * sc.io_per_record
-            t += reps * (
-                serial
-                + compute / prof.compute_capacity
-                + io * prof.mean_io_penalty / cores
-                + dispatch
-            )
-        return t
 
     def _vectorized_proc_times(self, cr: np.ndarray) -> np.ndarray:
         prof = self.profile

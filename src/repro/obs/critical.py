@@ -47,13 +47,6 @@ class CriticalStep:
     start: float
     duration: float
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "start": self.start,
-            "duration": self.duration,
-        }
-
 
 @dataclass(frozen=True)
 class TraceDecomposition:
@@ -88,11 +81,6 @@ class TraceDecomposition:
         return self.end - self.start
 
     @property
-    def wait(self) -> float:
-        """Time before processing: arrival window plus queue wait."""
-        return self.ingest + self.queue
-
-    @property
     def segment_sum(self) -> float:
         return self.ingest + self.queue + self.schedule + self.execute
 
@@ -108,27 +96,6 @@ class TraceDecomposition:
         scheduler and executor — the trace-side twin of the oracle's
         ``interval/2 + scheduling delay + processing time``."""
         return self.ingest / 2.0 + self.queue + self.schedule + self.execute
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "traceId": self.trace_id,
-            "start": self.start,
-            "end": self.end,
-            "ingest": self.ingest,
-            "queue": self.queue,
-            "schedule": self.schedule,
-            "execute": self.execute,
-            "residual": self.residual,
-            "complete": self.complete,
-            "dropped": self.dropped,
-            "partial": self.partial,
-            "batchIndex": self.batch_index,
-            "records": self.records,
-            "interval": self.interval,
-            "executors": self.executors,
-            "firstAfterReconfig": self.first_after_reconfig,
-            "criticalPath": [s.to_dict() for s in self.critical_path],
-        }
 
 
 def group_spans_by_trace(
@@ -469,15 +436,6 @@ class OracleAgreement:
         return self.samples == 0 or abs(
             self.expected - self.actual
         ) <= self.tolerance
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "expected": self.expected,
-            "actual": self.actual,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "ok": self.ok,
-        }
 
 
 def steady_state_agreement(

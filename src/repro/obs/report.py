@@ -669,26 +669,21 @@ def build_run_report(
     seed: int = 0,
     rounds: int = 0,
     nostop_report=None,
-    chaos_records: Optional[Sequence] = None,
-    batches: Optional[Sequence] = None,
+    events: Optional[Sequence] = None,
     sim_duration: float = 0.0,
     records_total: int = 0,
     watchdog: Optional[SpsaWatchdog] = None,
-    consecutive_stable: int = 3,
 ) -> RunReport:
     """Stitch one run's signals into a :class:`RunReport`.
 
     ``judge`` holds the incremental verdicts (attach it to the listener
     before the run); ``telemetry`` supplies spans, metrics, and the audit
-    trail; ``chaos_records`` (the engine's ``records``) and ``batches``
-    (the listener's batch history) drive the per-fault MTTR/overshoot
-    join.  ``nostop_report`` fills the optimizer-side summary.
+    trail; ``events`` (the chaos runner's
+    :class:`~repro.chaos.report.EventOutcome` list, MTTR and overshoot
+    already measured) are joined to their traces.  ``nostop_report``
+    fills the optimizer-side summary.
     """
-    from repro.analysis.chaos import (
-        delay_overshoot,
-        join_faults_to_traces,
-        time_to_recover,
-    )
+    from repro.analysis.chaos import join_faults_to_traces
 
     judge.alerter.finish(judge.last_time)
 
@@ -703,40 +698,28 @@ def build_run_report(
     faults: List[FaultOutcome] = []
     orphans = 0
     mttr_pairs = []
-    if chaos_records:
-        batch_history = list(batches or [])
+    if events:
         join = join_faults_to_traces(
-            telemetry.tracer.spans, records=chaos_records
+            telemetry.tracer.spans, records=[e.record for e in events]
         )
         orphans = join.orphans
         by_event = {j.event_id: j for j in join}
-        for rec in chaos_records:
-            mttr = time_to_recover(
-                batch_history,
-                fault_start=rec.fired_at,
-                consecutive=consecutive_stable,
-            )
-            overshoot = delay_overshoot(
-                batch_history,
-                fault_start=rec.fired_at,
-                recovered_by=(
-                    rec.fired_at + mttr if math.isfinite(mttr) else None
-                ),
-            )
+        for event in events:
+            rec = event.record
             j = by_event.get(rec.event_id)
             faults.append(FaultOutcome(
                 event_id=rec.event_id,
                 name=rec.name,
                 kind=rec.kind,
                 fired_at=rec.fired_at,
-                mttr=mttr,
-                overshoot=overshoot,
+                mttr=event.mttr,
+                overshoot=event.overshoot,
                 trace_id=j.trace_id if j is not None else "",
                 recover_trace_id=(
                     j.recover_trace_id if j is not None else None
                 ),
             ))
-            mttr_pairs.append((rec.name, mttr))
+            mttr_pairs.append((rec.name, event.mttr))
 
     verdicts = judge.evaluator.verdicts(
         fault_mttrs=mttr_pairs or None, registry=telemetry.metrics

@@ -203,12 +203,6 @@ class SweepJournal:
                 out[index] = result
         return out
 
-    def sections(self) -> List[Dict[str, Any]]:
-        """Sweep headers present in the journal (for CLI inspection)."""
-        return [
-            e for e in self._read_entries() if e.get("type") == "sweep"
-        ]
-
     def __len__(self) -> int:
         return sum(
             1 for e in self._read_entries() if e.get("type") == "cell"

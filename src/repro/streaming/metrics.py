@@ -231,12 +231,6 @@ class StreamingMetrics:
             raise ValueError("no batches recorded")
         return sum(b.processing_time for b in batch) / len(batch)
 
-    def mean_end_to_end_delay(self, last_n: Optional[int] = None) -> float:
-        batch = self.batches if last_n is None else self.recent(last_n)
-        if not batch:
-            raise ValueError("no batches recorded")
-        return sum(b.end_to_end_delay for b in batch) / len(batch)
-
     def processing_time_percentile(self, q: float) -> float:
         pt, _ = self._sorted_views()
         return percentile_sorted(pt, q)

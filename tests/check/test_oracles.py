@@ -7,7 +7,6 @@ import pytest
 from repro.baselines.fixed import run_fixed_configuration
 from repro.check.oracles import (
     clean_batches,
-    predict_processing_time,
     run_oracles,
     steady_state_delay_oracle,
     utilization_oracle,
@@ -17,6 +16,7 @@ from repro.cluster.node import DiskType, I5_9400, Node, NodeRole
 from repro.engine.overhead import ZERO_OVERHEAD
 from repro.engine.task_scheduler import NoiseModel, TaskScheduler
 from repro.experiments.common import build_experiment
+from repro.fast.engine import ExecutorProfile, fluid_proc_times
 from repro.streaming.metrics import BatchInfo
 from repro.workloads import make_workload
 
@@ -48,9 +48,9 @@ class TestPredictProcessingTime:
             for i in range(4)
         ]
         records = wl.partitions * 4000  # divides evenly over partitions
-        predicted = predict_processing_time(
-            wl, records, executors, ZERO_OVERHEAD
-        )
+        predicted = fluid_proc_times(
+            wl, ZERO_OVERHEAD, ExecutorProfile(executors), [records]
+        )[0]
         rng = np.random.default_rng(0)
         job = wl.build_job(0.0, records, rng)
         scheduler = TaskScheduler(
@@ -64,7 +64,7 @@ class TestPredictProcessingTime:
     def test_needs_executors(self):
         wl = make_workload("wordcount")
         with pytest.raises(ValueError):
-            predict_processing_time(wl, 1000, [], ZERO_OVERHEAD)
+            utilization_oracle(wl, [_info(0, bt=10.0)], [], ZERO_OVERHEAD)
 
 
 class TestSteadyStateOracle:
@@ -135,6 +135,34 @@ class TestUtilizationOracle:
             ctx.overhead,
         )
         assert not res.passed
+
+
+class TestWindowedWorkload:
+    """The oracles read a windowed workload's cost without sliding its
+    live window."""
+
+    @staticmethod
+    def _run(fidelity="exact"):
+        setup = build_experiment("windowed_wordcount", seed=3,
+                                 fidelity=fidelity)
+        run_fixed_configuration(setup.context, batches=20, warmup=3)
+        return setup
+
+    @pytest.mark.parametrize("fidelity", ["exact", "vectorized"])
+    def test_repeated_calls_agree(self, fidelity):
+        setup = self._run(fidelity)
+        first = run_oracles(setup)
+        assert run_oracles(setup) == first
+
+    def test_checked_run_continues_like_its_unchecked_twin(self):
+        checked, twin = self._run(), self._run()
+        run_oracles(checked)
+        for setup in (checked, twin):
+            run_fixed_configuration(setup.context, batches=5, warmup=1)
+        assert [b.processing_time for b in
+                checked.context.listener.metrics.batches] == [
+            b.processing_time for b in twin.context.listener.metrics.batches
+        ]
 
 
 class TestCleanBatches:

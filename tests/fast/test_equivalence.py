@@ -63,16 +63,6 @@ class TestVectorizedTierOracles:
 
 
 class TestFluidTier:
-    @pytest.mark.parametrize("workload", WORKLOADS)
-    def test_fluid_oracles(self, workload):
-        setup = build_experiment(workload, seed=11, fidelity="fluid")
-        setup.context.advance_batches(60)
-        for oracle in run_oracles(setup, warmup=5):
-            assert oracle.passed, (
-                f"{workload}: {oracle.oracle} delta {oracle.delta:.3f} "
-                f"tol {oracle.tolerance:.3f}"
-            )
-
     def test_fluid_is_noise_free(self):
         setup = build_experiment("logistic_regression", seed=3,
                                  fidelity="fluid")

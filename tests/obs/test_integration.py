@@ -202,9 +202,7 @@ class TestChaosJoin:
         )
 
 
-_TRACE_FORCED = bool(
-    os.environ.get("REPRO_TRACE") or os.environ.get("REPRO_FORCE_TRACE")
-)
+_TRACE_FORCED = bool(os.environ.get("REPRO_TRACE"))
 
 
 class TestDisabledPath:
