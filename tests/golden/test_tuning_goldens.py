@@ -181,6 +181,13 @@ CASES: Dict[str, Callable[[], Any]] = {
     "cli/check quickstart --json": _cli_json(
         "check", "quickstart", stdout=False
     ),
+    "cli/check fig7 --json": _cli_json(
+        "check", "fig7", "--rounds", "10", "--fidelity", "vectorized",
+        stdout=False,
+    ),
+    "cli/check chaos --json": _cli_json(
+        "check", "chaos", "--rounds", "10", stdout=False
+    ),
     "cli/tournament --json": _cli_json(
         "tournament", "--budget", "4", "--workers", "1", "--no-cache",
         "--cache-dir", "{tmp}/cache",
@@ -197,6 +204,8 @@ GOLDEN: Dict[str, str] = {
     "chaos-report/wordcount/rounds40/html": "6947af23ace662801154adad3394c8a402aa48dba96164a8fce287fd8f2d763e",
     "chaos-report/wordcount/rounds40/json": "0d713b0ba5e45d05095bb5e411dd4344a25e725745d74b5c4f3482c6b68a8a02",
     "chaos-report/wordcount/rounds40/text": "655ee7e9150ed66be8b144a2240aa0a6f571fed054608b77b8d2caaae9900296",
+    "cli/check chaos --json": "a824df7e0114dc8387f8cfd418da3db5fe728bb4bea7821368a7f6dcabe9c830",
+    "cli/check fig7 --json": "de37c811f0fe53d5e56ac478ea3a0d4d961a09f72bd0a5adebf7be4a21198142",
     "cli/check quickstart --json": "54553e5f4cc52538b4938eb9a7e69b102c329479007c36790974ca1adc36d755",
     "cli/report --json": "09b092b28af3bee476b40cd9ba1f11ed1a0150e03ef7eb66eb8982985399f32e",
     "cli/tournament --json": "a9f518cfe7fc8225fc5db46a7777b5b53dde20cd37220471bf16d3f4dd0a66cb",
