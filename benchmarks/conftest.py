@@ -12,7 +12,8 @@ sane while still reporting wall time per figure.
 ``bench_record`` persists each benchmark's headline numbers (end-to-end
 delay p50/p95/p99, objective, wall runtime) to ``BENCH_<suite>.json`` in
 the working directory at session end — one file per benchmark module, so
-CI can archive the suite's results without scraping stdout.
+CI can archive the suite's results without scraping stdout.  The file is
+merged, not rewritten: hand-written before/after records survive a run.
 """
 
 import json
@@ -20,6 +21,7 @@ import os
 import sys
 import time
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -81,11 +83,27 @@ def bench_record(request):
     _BENCH_RECORDS[suite][request.node.name] = payload
 
 
+def write_bench_records(records, directory=".") -> None:
+    """Merge ``{suite: {test: payload}}`` into ``BENCH_<suite>.json``.
+
+    Each payload's fields replace those of the test's entry; every other
+    key in the file — other tests, hand-written fields of an entry, and
+    top-level records such as ``history`` — is kept.
+    """
+    for suite, tests in sorted(records.items()):
+        path = Path(directory) / f"BENCH_{suite}.json"
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            data = {}
+        data["suite"] = suite
+        entries = data.setdefault("tests", {})
+        for name, payload in tests.items():
+            entries.setdefault(name, {}).update(payload)
+        path.write_text(
+            json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+
+
 def pytest_sessionfinish(session, exitstatus):
-    for suite, tests in sorted(_BENCH_RECORDS.items()):
-        with open(f"BENCH_{suite}.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {"suite": suite, "tests": tests},
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+    write_bench_records(_BENCH_RECORDS)

@@ -33,6 +33,7 @@ Chaos scenarios therefore require the exact tier.
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional
 
 from repro.cluster.cluster import Cluster
@@ -63,6 +64,9 @@ class TraceSource:
     It has the exact receiver's surface; broker stalls are not modeled,
     so :meth:`stall` and :meth:`resume` raise.  Each refill hands the
     block's records to the coster, which serves their costs in step.
+    A windowed workload's effective records are sized ahead on a copy;
+    its live window slides as each batch forms, so it holds exactly the
+    formed batches, as on the exact tier.
     """
 
     stalled = False
@@ -79,6 +83,7 @@ class TraceSource:
         self.trace = trace
         self.workload = workload
         self.engine = engine
+        self._slide = workload.effective_records if workload.windowed else None
         self._interval = interval
         #: The most recent boundary closed (the receiver's last poll).
         self._now = 0.0
@@ -125,6 +130,8 @@ class TraceSource:
         self._pos = pos + 1
         self._now = batch_time
         records = self._records[pos]
+        if self._slide is not None:
+            self._slide(records)
         return QueuedBatch(
             batch_time,
             records,
@@ -142,7 +149,10 @@ class TraceSource:
     def _refill(self, first_boundary: float) -> None:
         size = self._size
         interval = self._interval
-        effective = self.workload.effective_records
+        workload = self.workload
+        if workload.windowed:
+            workload = copy.deepcopy(workload)
+        effective = workload.effective_records
         t0 = first_boundary - interval
         # Batch i covers [t0 + i * interval, t0 + (i + 1) * interval):
         # one integration pass over the whole block.

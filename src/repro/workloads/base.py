@@ -35,6 +35,9 @@ class Workload(abc.ABC):
     name: str = ""
     #: Payload kind understood by :class:`repro.datagen.DataGenerator`.
     payload_kind: str = "text"
+    #: Whether :meth:`effective_records` slides a window of past batches,
+    #: so it must run once per formed batch, in order.
+    windowed: bool = False
 
     def __init__(self, cost_model: WorkloadCostModel, partitions: int = 40) -> None:
         if partitions < 1:

@@ -36,6 +36,7 @@ class WindowedWordCount(WordCount):
 
     name = "windowed_wordcount"
     payload_kind = "text"
+    windowed = True
 
     def __init__(
         self,

@@ -196,6 +196,60 @@ class TestReconfiguration:
         assert post[0].processing_time < pre_mean
 
 
+class TestWindowedWorkload:
+    """The prefetch sizes a windowed workload's batches ahead, but the live
+    window holds exactly the formed batches, as on the exact tier, and
+    every batch is priced against it, across reconfigurations too."""
+
+    @staticmethod
+    def _served(ctx):
+        """Spy on the coster: (records, effective records) per formed batch."""
+        served = []
+        prepare = ctx.engine.prepare
+
+        def spy(batch):
+            prepare(batch)
+            served.append((batch.records, batch.cost_records))
+
+        ctx.engine.prepare = spy
+        return served
+
+    def test_window_holds_formed_batches(self):
+        setup = build_experiment(
+            "windowed_wordcount", seed=3, fidelity="vectorized"
+        )
+        ctx, wl = setup.context, setup.workload
+        served = self._served(ctx)
+        ctx.advance_batches(5)
+        formed = [r for r, _ in served]
+        assert list(wl._window_counts) == formed
+        ctx.change_configuration(batch_interval=7.0, num_executors=12)
+        ctx.advance_batches(4)
+        formed = [r for r, _ in served]
+        assert len(formed) == 9
+        assert list(wl._window_counts) == formed[-wl.window_batches:]
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_batches_priced_against_formed_window(self, incremental):
+        from repro.workloads.windowed import WindowedWordCount
+
+        setup = build_experiment(
+            "windowed_wordcount", seed=3, fidelity="vectorized"
+        )
+        setup.workload.incremental = incremental
+        ctx = setup.context
+        served = self._served(ctx)
+        ctx.advance_batches(5)
+        ctx.change_configuration(batch_interval=3.0)
+        ctx.advance_batches(3)
+        ctx.change_configuration(num_executors=14)
+        ctx.advance_batches(12)
+        replay = WindowedWordCount(incremental=incremental)
+        assert [c for _, c in served] == [
+            replay.effective_records(r) for r, _ in served
+        ]
+
+
 class TestQueueBound:
     def test_oldest_batch_evicted_at_capacity(self):
         ctx = make_fast_context(
