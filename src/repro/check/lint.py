@@ -35,7 +35,7 @@ One more rule keeps deleted code deleted:
   in a registry by ``@register_tuner`` / ``@register_cell`` are exempt.
   It runs when ``lint_paths`` is given a top-level package directory.
 
-Legitimate sites (the self-profiler's timing clock, the runner's
+Legitimate sites (``repro report``'s stage timer, the runner's
 wall-time accounting — measurement, not results) carry a pragma comment
 on the offending line::
 

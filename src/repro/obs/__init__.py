@@ -35,8 +35,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "SEGMENT_SPANS", "TILING_TOL", "CriticalStep", "DelayBreakdown", "Epoch",
         "OracleAgreement", "SegmentStat", "TraceDecomposition",
         "analyze_decompositions", "analyze_spans", "critical_path", "decompose",
-        "decompose_spans", "group_spans_by_trace", "render_breakdown",
-        "split_epochs", "steady_state_agreement",
+        "decompose_spans", "group_spans_by_trace", "split_epochs",
+        "steady_state_agreement",
     ),
     "dash": ("build_dashboard", "dashboard_json"),
     "detect": (
@@ -52,10 +52,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "render_metrics_summary", "render_timeline", "save_chrome_trace",
         "save_folded", "save_spans", "spans_to_jsonl",
     ),
-    "profiler": (
-        "COMPONENT_SPANS", "PROCESSING_SPANS", "ComponentTime", "SpanProfile",
-        "WallClockProfiler", "profile_spans", "render_hotspots",
-    ),
     "registry": (
         "CARDINALITY_REJECTED_NAME", "DEFAULT_COUNT_BUCKETS",
         "DEFAULT_MAX_CHILDREN", "DEFAULT_SECONDS_BUCKETS", "NOOP_FAMILY",
@@ -63,7 +59,10 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "GaugeFamily", "Histogram", "HistogramFamily", "MetricFamily",
         "MetricsRegistry",
     ),
-    "report": ("FaultOutcome", "RunJudge", "RunReport", "build_run_report"),
+    "report": (
+        "FaultOutcome", "RunJudge", "RunReport", "Section", "breakdown_section",
+        "build_run_report", "section_text",
+    ),
     "slo": (
         "SLO", "SLOEvaluator", "SLOVerdict", "default_slos",
         "has_critical_breach",

@@ -475,37 +475,3 @@ def steady_state_agreement(
         samples=n,
     )
 
-
-# -- rendering ---------------------------------------------------------------
-
-
-def render_breakdown(breakdown: DelayBreakdown) -> str:
-    """Terminal table: where the delay went, per epoch."""
-    lines: List[str] = []
-    lines.append(
-        f"{breakdown.traces} batch traces analyzed "
-        f"({breakdown.complete} complete, {breakdown.dropped} dropped, "
-        f"{breakdown.partial} partial); max tiling residual "
-        f"{breakdown.max_tiling_residual:.2e}s"
-    )
-    for epoch in breakdown.epochs:
-        config = (
-            f"interval={epoch.interval:.2f}s x {epoch.executors} executors"
-            if epoch.interval is not None and epoch.executors is not None
-            else "config unknown"
-        )
-        lines.append(
-            f"epoch {epoch.index}: {config}, {epoch.traces} batches "
-            f"({epoch.complete} complete)"
-        )
-        lines.append("  segment     total(s)    share   mean(s)")
-        for s in epoch.segments:
-            lines.append(
-                f"  {s.name:<10}{s.total:>10.3f}  {s.share:>6.1%}"
-                f"  {s.mean:>8.3f}"
-            )
-        top = ", ".join(
-            f"{s.name} {s.share:.0%}" for s in epoch.critical[:3]
-        )
-        lines.append(f"  critical-path time: {top or '(none)'}")
-    return "\n".join(lines)

@@ -5,17 +5,19 @@ listener (``listener.watch(judge)``) and it feeds every completed batch
 through the SLO evaluator, the burn-rate alerter, and the delay/rate
 anomaly detectors as the run executes.  :func:`build_run_report` is the
 offline half — after the run it stitches the judge's verdicts together
-with the SPSA watchdog's audit-trail scan, the span profiler's hotspot
-attribution, and the chaos engine's fault log (joined to exact batch
+with the SPSA watchdog's audit-trail scan, the critical-path delay
+decomposition, and the chaos engine's fault log (joined to exact batch
 traces, with MTTR and overshoot per fault) into a single
 :class:`RunReport`.
 
-The report renders three ways — terminal text, single-file HTML (zero
-dependencies, inline CSS), and JSON — and all three are
-**byte-deterministic** for a given (workload, seed, schedule): floats go
-through fixed-precision formatting, iteration orders are explicit, and
-no wall-clock value is embedded (wall-clock profiling prints separately,
-see :class:`~repro.obs.profiler.WallClockProfiler`).
+:meth:`RunReport.to_dict` is the report's data and :meth:`RunReport.to_json`
+writes it.  :meth:`RunReport.sections` turns that data into one ordered
+list of :class:`Section` values, and the two human views only lay the
+list out: :meth:`RunReport.render_text` for the terminal and
+:meth:`RunReport.render_html` as one self-contained HTML file.  All
+three are **byte-deterministic** for a given (workload, seed, schedule):
+floats go through fixed-precision formatting, iteration orders are
+explicit, and no wall-clock value is embedded.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ import html as _html
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
 from .alerts import Alert, BurnRateAlerter, BurnRatePolicy
 from .audit import RuleFiring
-from .critical import DelayBreakdown, analyze_spans, render_breakdown
+from .critical import DelayBreakdown, analyze_spans
 from .detect import (
     AnomalyEvent,
     CusumDetector,
@@ -37,7 +39,6 @@ from .detect import (
     SpsaWatchdog,
     WatchdogReport,
 )
-from .profiler import SpanProfile, profile_spans, render_hotspots
 from .slo import (
     SLO,
     SLOEvaluator,
@@ -49,6 +50,83 @@ from .tracer import Telemetry
 #: Renderings list at most this many anomaly rows (counts stay exact,
 #: the JSON report always carries the full list).
 MAX_ANOMALY_ROWS = 25
+
+
+@dataclass(frozen=True)
+class Section:
+    """One block of the report, the same in every view.
+
+    ``rows`` are formatted cell strings under ``headers``; a view shows
+    ``empty`` in place of a table with no rows, then the ``notes``.
+    """
+
+    title: str
+    headers: Tuple[str, ...] = ()
+    rows: Tuple[Tuple[str, ...], ...] = ()
+    empty: str = "(none)"
+    notes: Tuple[str, ...] = ()
+
+
+def section_text(section: Section) -> str:
+    """A section as terminal text: ``-- title --``, then the table in
+    aligned columns (or the empty-state text) and the notes, indented."""
+    lines = [f"-- {section.title} --"]
+    if section.rows:
+        table = [section.headers, *section.rows]
+        widths = [max(len(row[i]) for row in table)
+                  for i in range(len(section.headers))]
+        lines += [
+            "  " + "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+            for row in table
+        ]
+    else:
+        lines.append(f"  {section.empty}")
+    lines += [f"  {note}" for note in section.notes]
+    return "\n".join(lines)
+
+
+def breakdown_section(data: Optional[Dict]) -> Section:
+    """Where the delay went, from ``DelayBreakdown.to_dict()``: one
+    run-wide row, then one row per configuration epoch.  Each segment
+    cell is its total seconds and its share of the row's time."""
+    title = "where the delay went (critical path)"
+    if not data or not data["traces"]:
+        return Section(title, empty="(no batch traces retained)")
+
+    def row(label: str, config: str, part: Dict) -> Tuple[str, ...]:
+        top = ", ".join(
+            f"{s['name']} {s['share']:.0%}" for s in part["critical"][:3]
+        )
+        return (
+            label, config, str(part["traces"]), str(part["complete"]),
+            *(f"{s['total']:.3f} ({s['share']:.1%})"
+              for s in part["segments"]),
+            top or "-",
+        )
+
+    rows = [row("run", "-", data)]
+    for ep in data["epochs"]:
+        config = (
+            f"{ep['interval']:.2f} s x {ep['executors']}"
+            if ep["interval"] is not None and ep["executors"] is not None
+            else "-"
+        )
+        rows.append(row(str(ep["index"]), config, ep))
+    return Section(
+        title,
+        ("epoch", "config", "traces", "complete",
+         *(f"{s['name']} (s)" for s in data["segments"]), "critical path"),
+        tuple(rows),
+        notes=(
+            f"{data['traces']} batch traces ({data['complete']} complete, "
+            f"{data['dropped']} dropped, {data['partial']} partial); max "
+            f"tiling residual {data['maxTilingResidual']:.2e} s",
+        ),
+    )
+
+
+def _or_dash(value, fmt: str, missing: str = "-") -> str:
+    return missing if value is None else fmt.format(value)
 
 
 class RunJudge:
@@ -171,7 +249,6 @@ class RunReport:
     alerts: List[Alert] = field(default_factory=list)
     anomalies: List[AnomalyEvent] = field(default_factory=list)
     watchdog: WatchdogReport = field(default_factory=WatchdogReport)
-    profile: Optional[SpanProfile] = None
     faults: List[FaultOutcome] = field(default_factory=list)
     orphan_fault_events: int = 0
     rule_firings: List[RuleFiring] = field(default_factory=list)
@@ -199,12 +276,6 @@ class RunReport:
     def all_anomalies(self) -> List[AnomalyEvent]:
         """Detector + watchdog events, detectors first."""
         return list(self.anomalies) + list(self.watchdog.events)
-
-    def _anomaly_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for ev in self.all_anomalies:
-            counts[ev.kind] = counts.get(ev.kind, 0) + 1
-        return dict(sorted(counts.items()))
 
     def alerts_during_faults(self) -> List[Alert]:
         """Alerts whose active period overlaps any fault's outage window."""
@@ -249,7 +320,6 @@ class RunReport:
                 "stepClipFraction": self.watchdog.step_clip_fraction,
                 "probeClipFraction": self.watchdog.probe_clip_fraction,
             },
-            "profile": self.profile.to_dict() if self.profile else None,
             "faults": [f.to_dict() for f in self.faults],
             "orphanFaultEvents": self.orphan_fault_events,
             "ruleFirings": [f.to_dict() for f in self.rule_firings],
@@ -265,297 +335,179 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
-    # -- terminal rendering --------------------------------------------------
+    # -- the document --------------------------------------------------------
 
-    def render_text(self) -> str:
-        out: List[str] = []
-        out.append(f"== {self.title} ==")
-        out.append(
-            f"workload={self.workload} seed={self.seed} rounds={self.rounds}"
-        )
+    def sections(self) -> List[Section]:
+        """The report as one ordered list of sections, built from
+        :meth:`to_dict`: the head (title and run summary) first, the
+        verdict line last.  Every rendering lays out this list."""
+        d = self.to_dict()
         pause = (
-            f"paused at round {self.first_pause_round}"
-            if self.first_pause_round is not None
+            f"paused at round {d['firstPauseRound']}"
+            if d["firstPauseRound"] is not None
             else "never paused"
         )
-        out.append(
-            f"run: {self.batches} batches, {self.records_total} records, "
-            f"{self.sim_duration:.1f} s simulated; "
-            f"final config {self.final_interval:.2f} s x "
-            f"{self.final_executors} executors; {pause}; "
-            f"resets={self.resets}"
+        head = Section(d["title"], notes=(
+            f"workload={d['workload']} seed={d['seed']} rounds={d['rounds']}",
+            f"run: {d['batches']} batches, {d['recordsTotal']} records, "
+            f"{d['simDuration']:.1f} s simulated; final config "
+            f"{d['finalInterval']:.2f} s x {d['finalExecutors']} executors; "
+            f"{pause}; resets={d['resets']}",
+        ))
+
+        verdicts = d["sloVerdicts"]
+        slos = Section(
+            "SLO verdicts",
+            ("result", "SLO", "severity", "value", "threshold",
+             "first violated", "detail"),
+            tuple(
+                (
+                    "PASS" if v["passed"] else "FAIL",
+                    v["slo"],
+                    v["severity"],
+                    "inf" if v["value"] is None else f"{v['value']:.3f}",
+                    f"<= {v['threshold']:g}",
+                    _or_dash(v["violatedAt"], "t={:.1f}s"),
+                    v["detail"],
+                )
+                for v in verdicts
+            ),
         )
 
-        out.append("")
-        out.append("-- SLO verdicts --")
-        for v in self.verdicts:
-            mark = "PASS" if v.passed else "FAIL"
-            value = f"{v.value:.3f}" if math.isfinite(v.value) else "inf"
-            line = (
-                f"  {mark} [{v.severity:>8}] {v.slo.name}: "
-                f"{value} vs <= {v.slo.threshold:g}"
-            )
-            if v.violated_at is not None:
-                line += f" (violated at t={v.violated_at:.1f}s)"
-            if v.detail:
-                line += f"  # {v.detail}"
-            out.append(line)
-
-        out.append("")
-        out.append(f"-- burn-rate alerts ({len(self.alerts)}) --")
         during = {id(a) for a in self.alerts_during_faults()}
-        for a in self.alerts:
-            resolved = (
-                f"{a.resolved_at:.1f}" if a.resolved_at is not None else "active"
-            )
-            tag = "  [during fault]" if id(a) in during else ""
-            out.append(
-                f"  {a.policy} [{a.severity}] fired t={a.fired_at:.1f}s "
-                f"resolved t={resolved}s "
-                f"(burn fast={a.fast_burn:.1f}x slow={a.slow_burn:.1f}x)"
-                f"{tag}"
-            )
-        if not self.alerts:
-            out.append("  (none)")
-
-        out.append("")
-        counts = self._anomaly_counts()
-        by_kind = " ".join(f"{k}={n}" for k, n in counts.items())
-        out.append(
-            f"-- anomalies ({len(self.all_anomalies)}"
-            + (f": {by_kind}" if counts else "")
-            + ") --"
+        alerts = Section(
+            f"burn-rate alerts ({len(d['alerts'])})",
+            ("policy", "severity", "fired (s)", "resolved (s)", "fast burn",
+             "slow burn", "during fault"),
+            tuple(
+                (
+                    a["policy"],
+                    a["severity"],
+                    f"{a['firedAt']:.1f}",
+                    _or_dash(a["resolvedAt"], "{:.1f}", "active"),
+                    f"{a['fastBurn']:.1f}x",
+                    f"{a['slowBurn']:.1f}x",
+                    "yes" if id(alert) in during else "-",
+                )
+                for a, alert in zip(d["alerts"], self.alerts)
+            ),
         )
-        shown = self.all_anomalies[:MAX_ANOMALY_ROWS]
-        for e in shown:
-            out.append(
-                f"  {e.kind} t={e.time:.1f}s value={e.value:.3f} "
-                f"score={e.score:.2f} (> {e.threshold:g})  {e.detail}"
-            )
-        hidden = len(self.all_anomalies) - len(shown)
-        if hidden:
-            out.append(f"  (... {hidden} more, see the JSON report)")
-        if not self.all_anomalies:
-            out.append("  (none)")
 
-        if self.profile is not None:
-            out.append("")
-            out.append("-- simulated-time hotspots --")
-            out.extend(
-                "  " + line
-                for line in render_hotspots(self.profile).splitlines()
-            )
-
-        out.append("")
-        out.append("-- where the delay went (critical path) --")
-        if self.breakdown is not None and self.breakdown.traces:
-            out.extend(
-                "  " + line
-                for line in render_breakdown(self.breakdown).splitlines()
-            )
-        else:
-            out.append("  (no batch traces retained)")
-
-        out.append("")
-        out.append(f"-- chaos faults ({len(self.faults)}) --")
-        for f in self.faults:
-            mttr = f"{f.mttr:.1f}s" if math.isfinite(f.mttr) else "never"
-            over = (
-                f"{f.overshoot:.1f}s" if f.overshoot is not None else "n/a"
-            )
-            out.append(
-                f"  #{f.event_id} {f.name} [{f.kind}] fired t={f.fired_at:.1f}s "
-                f"mttr={mttr} overshoot={over} trace={f.trace_id or '-'}"
-            )
-        if not self.faults:
-            out.append("  (none)")
-        if self.orphan_fault_events:
-            out.append(
-                f"  ({self.orphan_fault_events} fault event(s) had no "
-                f"matching trace span)"
-            )
-
-        out.append("")
-        out.append("-- resources --")
-        if self.resources:
-            for name, value in sorted(self.resources.items()):
-                out.append(f"  {name} = {value:g}")
-        else:
-            out.append("  (no sweep activity)")
-
-        out.append("")
-        out.append("-- SPSA --")
-        out.append(
-            f"  decisions={self.decisions} guarded={self.guarded_decisions} "
-            f"(watchdog scanned {self.watchdog.rounds_scanned}: "
-            f"sign-flip {self.watchdog.sign_flip_fraction:.0%}, "
-            f"step-clip {self.watchdog.step_clip_fraction:.0%})"
+        events = d["anomalies"]
+        counts: Dict[str, int] = {}
+        for ev in events:
+            counts[ev["kind"]] = counts.get(ev["kind"], 0) + 1
+        by_kind = " ".join(f"{k}={n}" for k, n in sorted(counts.items()))
+        hidden = len(events) - MAX_ANOMALY_ROWS
+        anomalies = Section(
+            f"anomalies ({len(events)}" + (f": {by_kind})" if events else ")"),
+            ("kind", "t (s)", "value", "score", "threshold", "detail"),
+            tuple(
+                (
+                    ev["kind"],
+                    f"{ev['time']:.1f}",
+                    f"{ev['value']:.3f}",
+                    f"{ev['score']:.2f}",
+                    f"{ev['threshold']:g}",
+                    ev["detail"],
+                )
+                for ev in events[:MAX_ANOMALY_ROWS]
+            ),
+            notes=(
+                (f"(... {hidden} more, see the JSON report)",)
+                if hidden > 0 else ()
+            ),
         )
-        for f in self.rule_firings:
-            out.append(
-                f"  rule {f.kind} @ round {f.round_index} "
-                f"t={f.sim_time:.1f}s: {f.detail}"
-            )
-        if self.rate_shift_agreement is not None:
-            cusum_fired = any(
-                e.kind == "rate_shift" for e in self.anomalies
-            )
-            out.append(
-                f"  rate-shift cross-check: CUSUM "
-                f"{'fired' if cusum_fired else 'quiet'}, NoStop resets="
-                f"{self.resets} -> "
-                f"{'AGREE' if self.rate_shift_agreement else 'DISAGREE'}"
-            )
 
-        out.append("")
-        if self.critical_breach:
-            broken = [
-                v.slo.name
-                for v in self.verdicts
-                if not v.passed and v.severity == "critical"
-            ]
-            out.append(f"verdict: CRITICAL BREACH ({', '.join(broken)})")
-        else:
-            out.append("verdict: OK (no critical SLO breach)")
-        return "\n".join(out)
+        faults = Section(
+            f"chaos faults ({len(d['faults'])})",
+            ("#", "fault", "kind", "fired (s)", "MTTR (s)", "overshoot (s)",
+             "trace", "recovery trace"),
+            tuple(
+                (
+                    str(f["eventId"]),
+                    f["name"],
+                    f["kind"],
+                    f"{f['firedAt']:.1f}",
+                    _or_dash(f["mttr"], "{:.1f}", "never"),
+                    _or_dash(f["overshoot"], "{:.1f}", "n/a"),
+                    f["traceId"] or "-",
+                    f["recoverTraceId"] or "-",
+                )
+                for f in d["faults"]
+            ),
+            notes=(
+                (f"({d['orphanFaultEvents']} fault event(s) had no matching "
+                 "trace span)",)
+                if d["orphanFaultEvents"] else ()
+            ),
+        )
 
-    # -- HTML rendering ------------------------------------------------------
+        resources = Section(
+            "resources",
+            ("counter", "value"),
+            tuple((name, f"{value:g}") for name, value in d["resources"].items()),
+            empty="(no sweep activity)",
+        )
+
+        wd = d["watchdog"]
+        spsa_notes = [
+            f"decisions={d['decisions']} guarded={d['guardedDecisions']} "
+            f"(watchdog scanned {wd['roundsScanned']}: "
+            f"sign-flip {wd['signFlipFraction']:.0%}, "
+            f"step-clip {wd['stepClipFraction']:.0%})"
+        ]
+        if d["rateShiftAgreement"] is not None:
+            cusum = any(ev["kind"] == "rate_shift" for ev in events)
+            spsa_notes.append(
+                f"rate-shift cross-check: CUSUM "
+                f"{'fired' if cusum else 'quiet'}, NoStop resets="
+                f"{d['resets']} -> "
+                f"{'AGREE' if d['rateShiftAgreement'] else 'DISAGREE'}"
+            )
+        spsa = Section(
+            "SPSA",
+            ("rule", "round", "t (s)", "detail"),
+            tuple(
+                (f["kind"], str(f["round"]), f"{f['simTime']:.1f}",
+                 f["detail"])
+                for f in d["ruleFirings"]
+            ),
+            empty="(no rule firings)",
+            notes=tuple(spsa_notes),
+        )
+
+        broken = [
+            v["slo"] for v in verdicts
+            if not v["passed"] and v["severity"] == "critical"
+        ]
+        verdict = Section(
+            f"verdict: CRITICAL BREACH ({', '.join(broken)})"
+            if d["criticalBreach"]
+            else "verdict: OK (no critical SLO breach)"
+        )
+        return [
+            head, slos, alerts, anomalies, breakdown_section(d["breakdown"]),
+            faults, resources, spsa, verdict,
+        ]
+
+    # -- views ---------------------------------------------------------------
+
+    def render_text(self) -> str:
+        head, *body, verdict = self.sections()
+        lines = [f"== {head.title} ==", *head.notes]
+        for section in body:
+            lines += ["", section_text(section)]
+        lines += ["", verdict.title]
+        return "\n".join(lines)
 
     def render_html(self) -> str:
         e = _html.escape
-
-        def table(headers: List[str], rows: List[List[str]], cls: str = "") -> str:
-            head = "".join(f"<th>{e(h)}</th>" for h in headers)
-            body = "".join(
-                "<tr>" + "".join(f"<td>{cell}</td>" for cell in row) + "</tr>"
-                for row in rows
-            )
-            return (
-                f'<table class="{cls}"><thead><tr>{head}</tr></thead>'
-                f"<tbody>{body}</tbody></table>"
-            )
-
-        def badge(ok: bool, yes: str = "PASS", no: str = "FAIL") -> str:
-            cls = "ok" if ok else "bad"
-            return f'<span class="badge {cls}">{yes if ok else no}</span>'
-
-        slo_rows = []
-        for v in self.verdicts:
-            value = f"{v.value:.3f}" if math.isfinite(v.value) else "&infin;"
-            violated = (
-                f"t={v.violated_at:.1f}s" if v.violated_at is not None else "—"
-            )
-            slo_rows.append([
-                badge(v.passed),
-                e(v.slo.name),
-                e(v.severity),
-                value,
-                f"&le; {v.slo.threshold:g}",
-                violated,
-                e(v.detail),
-            ])
-
-        during = {id(a) for a in self.alerts_during_faults()}
-        alert_rows = []
-        for a in self.alerts:
-            resolved = (
-                f"{a.resolved_at:.1f}" if a.resolved_at is not None else "active"
-            )
-            alert_rows.append([
-                e(a.policy),
-                e(a.severity),
-                f"{a.fired_at:.1f}",
-                resolved,
-                f"{a.fast_burn:.1f}&times;",
-                f"{a.slow_burn:.1f}&times;",
-                "yes" if id(a) in during else "—",
-            ])
-
-        anomaly_rows = [
-            [
-                e(ev.kind),
-                f"{ev.time:.1f}",
-                f"{ev.value:.3f}",
-                f"{ev.score:.2f}",
-                f"{ev.threshold:g}",
-                e(ev.detail),
-            ]
-            for ev in self.all_anomalies[:MAX_ANOMALY_ROWS]
-        ]
-        hidden_anomalies = len(self.all_anomalies) - len(anomaly_rows)
-
-        hotspot_rows = []
-        if self.profile is not None:
-            for c in self.profile.hotspots(len(self.profile.components)):
-                hotspot_rows.append([
-                    e(c.name),
-                    f"{c.total:.3f}",
-                    str(c.count),
-                    f"{c.mean:.3f}",
-                    f"{c.max:.3f}",
-                    f"{c.share:.1%}",
-                ])
-
-        epoch_rows = []
-        if self.breakdown is not None:
-            for ep in self.breakdown.epochs:
-                config = (
-                    f"{ep.interval:.2f} s &times; {ep.executors}"
-                    if ep.interval is not None and ep.executors is not None
-                    else "—"
-                )
-                top = ", ".join(
-                    f"{s.name} {s.share:.0%}" for s in ep.critical[:3]
-                )
-                row = [str(ep.index), config, str(ep.traces)]
-                row.extend(
-                    f"{s.total:.3f} ({s.share:.0%})" for s in ep.segments
-                )
-                row.append(e(top) if top else "—")
-                epoch_rows.append(row)
-
-        fault_rows = []
-        for f in self.faults:
-            mttr = f"{f.mttr:.1f}" if math.isfinite(f.mttr) else "never"
-            over = f"{f.overshoot:.1f}" if f.overshoot is not None else "n/a"
-            fault_rows.append([
-                str(f.event_id),
-                e(f.name),
-                e(f.kind),
-                f"{f.fired_at:.1f}",
-                mttr,
-                over,
-                e(f.trace_id or "—"),
-                e(f.recover_trace_id or "—"),
-            ])
-
-        firing_rows = [
-            [e(f.kind), str(f.round_index), f"{f.sim_time:.1f}", e(f.detail)]
-            for f in self.rule_firings
-        ]
-
-        pause = (
-            f"paused at round {self.first_pause_round}"
-            if self.first_pause_round is not None
-            else "never paused"
-        )
-        agreement = ""
-        if self.rate_shift_agreement is not None:
-            agreement = (
-                "<p>rate-shift cross-check (CUSUM vs &sect;5.5 restart): "
-                + badge(self.rate_shift_agreement, "AGREE", "DISAGREE")
-                + "</p>"
-            )
-        proc = (
-            f"{self.profile.processing_total:.3f}"
-            if self.profile is not None
-            else "0.000"
-        )
-
+        head, *body, verdict = self.sections()
         parts = [
             "<!DOCTYPE html>",
             '<html lang="en"><head><meta charset="utf-8">',
-            f"<title>{e(self.title)}</title>",
+            f"<title>{e(head.title)}</title>",
             "<style>",
             "body{font:14px/1.5 -apple-system,Segoe UI,sans-serif;"
             "margin:2rem auto;max-width:70rem;padding:0 1rem;color:#1a1a2e}",
@@ -565,99 +517,31 @@ class RunReport:
             "th,td{border:1px solid #e2e2ea;padding:.3rem .6rem;"
             "text-align:left;font-variant-numeric:tabular-nums}",
             "th{background:#f6f6fa}",
-            ".badge{padding:.05rem .45rem;border-radius:.6rem;"
-            "font-size:.8rem;font-weight:600}",
-            ".badge.ok{background:#e3f6e8;color:#116329}",
-            ".badge.bad{background:#fde8e8;color:#b42318}",
             ".meta{color:#555}",
             "</style></head><body>",
-            f"<h1>{e(self.title)} "
-            + badge(not self.critical_breach, "OK", "CRITICAL BREACH")
-            + "</h1>",
-            f'<p class="meta">workload <b>{e(self.workload)}</b> · '
-            f"seed {self.seed} · {self.rounds} rounds · "
-            f"{self.batches} batches · {self.records_total} records · "
-            f"{self.sim_duration:.1f} s simulated · final config "
-            f"{self.final_interval:.2f} s &times; {self.final_executors} "
-            f"executors · {e(pause)} · resets={self.resets}</p>",
-            "<h2>SLO verdicts</h2>",
-            table(
-                ["", "SLO", "severity", "value", "threshold",
-                 "first violated", "detail"],
-                slo_rows,
-            ),
-            f"<h2>Burn-rate alerts ({len(self.alerts)})</h2>",
-            table(
-                ["policy", "severity", "fired (s)", "resolved (s)",
-                 "fast burn", "slow burn", "during fault"],
-                alert_rows,
-            ) if alert_rows else "<p>(none)</p>",
-            f"<h2>Anomalies ({len(self.all_anomalies)})</h2>",
-            table(
-                ["kind", "t (s)", "value", "score", "threshold", "detail"],
-                anomaly_rows,
-            ) if anomaly_rows else "<p>(none)</p>",
-            (
-                f'<p class="meta">&hellip; {hidden_anomalies} more '
-                "(see the JSON report)</p>"
-                if hidden_anomalies
-                else ""
-            ),
-            "<h2>Simulated-time hotspots</h2>",
-            table(
-                ["component", "total (s)", "count", "mean (s)", "max (s)",
-                 "share"],
-                hotspot_rows,
-            ) if hotspot_rows else "<p>(no spans profiled)</p>",
-            f'<p class="meta">schedule + execute = {proc} s '
-            "(total batch processing time)</p>",
-            "<h2>Where the delay went (critical path)</h2>",
-            table(
-                ["epoch", "config", "traces", "ingest", "queue",
-                 "schedule", "execute", "critical-path time"],
-                epoch_rows,
-            ) if epoch_rows else "<p>(no batch traces retained)</p>",
-            (
-                f'<p class="meta">{self.breakdown.traces} traces '
-                f"({self.breakdown.complete} complete, "
-                f"{self.breakdown.dropped} dropped, "
-                f"{self.breakdown.partial} partial); max tiling residual "
-                f"{self.breakdown.max_tiling_residual:.2e} s</p>"
-                if self.breakdown is not None and self.breakdown.traces
-                else ""
-            ),
-            f"<h2>Chaos faults ({len(self.faults)})</h2>",
-            table(
-                ["#", "fault", "kind", "fired (s)", "MTTR (s)",
-                 "overshoot (s)", "trace", "recovery trace"],
-                fault_rows,
-            ) if fault_rows else "<p>(none)</p>",
-            (
-                f'<p class="meta">{self.orphan_fault_events} fault event(s) '
-                "had no matching trace span</p>"
-                if self.orphan_fault_events
-                else ""
-            ),
-            "<h2>Resources</h2>",
-            table(
-                ["counter", "value"],
-                [
-                    [e(name), f"{value:g}"]
-                    for name, value in sorted(self.resources.items())
-                ],
-            ) if self.resources else "<p>(no sweep activity)</p>",
-            "<h2>SPSA</h2>",
-            f"<p>{self.decisions} decisions ({self.guarded_decisions} "
-            f"guarded); watchdog scanned {self.watchdog.rounds_scanned} "
-            f"rounds: sign-flip {self.watchdog.sign_flip_fraction:.0%}, "
-            f"step-clip {self.watchdog.step_clip_fraction:.0%}</p>",
-            table(
-                ["rule", "round", "t (s)", "detail"], firing_rows
-            ) if firing_rows else "<p>(no rule firings)</p>",
-            agreement,
-            "</body></html>",
+            f"<h1>{e(head.title)}</h1>",
         ]
-        return "\n".join(p for p in parts if p)
+        parts += [f'<p class="meta">{e(note)}</p>' for note in head.notes]
+        for section in body:
+            parts.append(f"<h2>{e(section.title)}</h2>")
+            if section.rows:
+                header = "".join(f"<th>{e(h)}</th>" for h in section.headers)
+                rows = "".join(
+                    "<tr>" + "".join(f"<td>{e(c)}</td>" for c in row)
+                    + "</tr>"
+                    for row in section.rows
+                )
+                parts.append(
+                    f"<table><thead><tr>{header}</tr></thead>"
+                    f"<tbody>{rows}</tbody></table>"
+                )
+            else:
+                parts.append(f"<p>{e(section.empty)}</p>")
+            parts += [
+                f'<p class="meta">{e(note)}</p>' for note in section.notes
+            ]
+        parts += [f"<p><b>{e(verdict.title)}</b></p>", "</body></html>"]
+        return "\n".join(parts)
 
 
 def build_run_report(
@@ -741,8 +625,6 @@ def build_run_report(
 
     spans = telemetry.tracer.spans
     breakdown = analyze_spans(spans) if spans else None
-
-    profile = profile_spans(spans)
     wd_report = (watchdog or SpsaWatchdog()).scan(telemetry.audit)
 
     resets = sum(1 for f in telemetry.audit.firings if f.kind == "reset")
@@ -777,7 +659,6 @@ def build_run_report(
         alerts=list(judge.alerter.log),
         anomalies=judge.anomalies(),
         watchdog=wd_report,
-        profile=profile,
         faults=faults,
         orphan_fault_events=orphans,
         rule_firings=list(telemetry.audit.firings),

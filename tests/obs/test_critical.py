@@ -11,8 +11,9 @@ from repro.obs import (
     analyze_spans,
     critical_path,
     decompose,
+    breakdown_section,
     decompose_spans,
-    render_breakdown,
+    section_text,
     split_epochs,
     steady_state_agreement,
 )
@@ -146,17 +147,24 @@ class TestEpochs:
         assert seg["execute"].share == pytest.approx(0.7 / 2.0)
         assert breakdown.max_tiling_residual <= TILING_TOL
 
-    def test_render_breakdown_shows_epochs_and_segments(self):
+    def test_breakdown_section_shows_epochs_and_segments(self):
         spans = []
         for i in range(3):
             spans.extend(batch_trace(
                 trace_id=f"a{i}", offset=2.0 * i, batch_index=i,
                 base_id=10 * i,
             ))
-        text = render_breakdown(analyze_spans(spans))
-        assert "epoch 1" in text
-        assert "segment" in text
-        assert "critical-path time" in text
+        section = breakdown_section(analyze_spans(spans).to_dict())
+        assert section.headers[4:8] == (
+            "ingest (s)", "queue (s)", "schedule (s)", "execute (s)"
+        )
+        # The run-wide row first, then one row per epoch.
+        assert [row[0] for row in section.rows] == ["run", "1"]
+        assert section.rows[0][4] == "3.000 (50.0%)"
+        assert section.rows[1][-1].startswith("batch ")
+        text = section_text(section)
+        assert text.startswith("-- where the delay went (critical path) --")
+        assert "3 batch traces (3 complete" in text
 
 
 class TestRealRun:

@@ -3,10 +3,11 @@
 The ``TestJudgedChaosRun`` class runs the seeded quickstart behind
 ``repro report`` once (module-scoped) and asserts the PR's acceptance
 criteria against it: byte-determinism, SLO verdicts, an alert during an
-injected fault, hotspot attribution tiling processing time, and the
+injected fault, the delay decomposition tiling processing time, and the
 CUSUM-vs-restart-rule cross-check on the scripted rate shift.
 """
 
+import html
 import json
 
 import pytest
@@ -156,13 +157,13 @@ class TestJudgedChaosRun:
             assert f.trace_id
             assert f.mttr < float("inf")
 
-    def test_hotspots_tile_total_processing_time(self, judged):
-        total = sum(
-            b.processing_time
-            for b in judged.setup.context.listener.metrics.batches
-        )
-        assert judged.report.profile.processing_total == pytest.approx(
-            total, rel=1e-9
+    def test_decomposition_tiles_total_processing_time(self, judged):
+        batches = judged.setup.context.listener.metrics.batches
+        breakdown = judged.report.breakdown
+        assert breakdown.complete == len(batches)
+        segments = {s.name: s.total for s in breakdown.segments}
+        assert segments["schedule"] + segments["execute"] == pytest.approx(
+            sum(b.processing_time for b in batches), rel=1e-9
         )
 
     def test_cusum_fires_within_three_batches_of_the_shift(self, judged):
@@ -211,8 +212,11 @@ class TestResourcesSection:
         assert "repro_supervisor_retries_total" in report.resources
         text = report.render_text()
         assert "-- resources --" in text
-        assert "repro_runner_cells_total = 2" in text
-        assert "Resources" in report.render_html()
+        assert any(
+            line.split() == ["repro_runner_cells_total", "2"]
+            for line in text.splitlines()
+        )
+        assert "<h2>resources</h2>" in report.render_html()
         assert json.loads(report.to_json())["resources"][
             "repro_runner_cells_total"
         ] == 2.0
@@ -223,3 +227,34 @@ class TestResourcesSection:
         assert report.resources == {}
         assert "(no sweep activity)" in report.render_text()
         assert "(no sweep activity)" in report.render_html()
+
+
+def _in_order(document, pieces):
+    """Each piece occurs in ``document`` after the one before it."""
+    at = 0
+    for piece in pieces:
+        found = document.find(piece, at)
+        assert found >= 0, f"{piece!r} missing or out of order"
+        at = found + len(piece)
+
+
+def _document_pieces(report):
+    for section in report.sections():
+        yield section.title
+        for row in (section.headers, *section.rows) if section.rows else ():
+            yield from row
+        yield from section.notes
+
+
+class TestOneDocument:
+    """Both views lay out the same sections, in the same order."""
+
+    @pytest.mark.parametrize("which", ["minimal", "judged"])
+    def test_views_show_every_section_in_order(self, which, request):
+        report = (
+            minimal_report() if which == "minimal"
+            else request.getfixturevalue("judged").report
+        )
+        pieces = list(_document_pieces(report))
+        _in_order(report.render_text(), pieces)
+        _in_order(report.render_html(), [html.escape(p) for p in pieces])

@@ -105,7 +105,7 @@ def test_import_repro_loads_only_the_export_helper():
 NOT_FOR_BUILD = [
     "repro.obs.report", "repro.obs.dash", "repro.obs.detect",
     "repro.obs.exporters", "repro.obs.alerts", "repro.obs.slo",
-    "repro.obs.critical", "repro.obs.profiler",
+    "repro.obs.critical",
     "repro.runner.supervisor", "repro.runner.journal",
     "repro.runner.runner", "repro.runner.cells",
     "repro.core.nostop", "repro.core.spsa",
