@@ -33,7 +33,7 @@ def run_variants(seed=13, rounds=30):
     for name, schedule in VARIANTS.items():
         setup = build_experiment(WORKLOAD, seed=seed)
         controller = make_controller(setup, seed=seed)
-        controller.rho = schedule
+        controller.tuner.schedule = schedule
         report = controller.run(rounds)
         results[name] = (controller.pause_rule.best_config(), report)
     return results

@@ -17,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.core.gains import GainSchedule
 from repro.core.metrics_collector import MetricsCollector
 from repro.core.nostop import NoStopController, NoStopReport, RoundRecord
 from repro.core.objective import penalized_objective
-from repro.core.pause import PauseRule
 from repro.core.rate_monitor import RateMonitor
 
 from .engine import ChaosEngine
@@ -108,12 +106,6 @@ def run_chaos_scenario(
     seed: int = 0,
     harden: bool = True,
     scenario: str = "chaos",
-    gains: Optional[GainSchedule] = None,
-    collector_window: int = 3,
-    mad_threshold: float = 3.5,
-    rate_cooldown: int = 6,
-    confirm: bool = True,
-    consecutive_stable: int = 3,
 ) -> ChaosRunResult:
     """Run NoStop on ``setup`` while ``schedule`` injects faults.
 
@@ -122,25 +114,22 @@ def run_chaos_scenario(
     cooldown, degraded-mode window widening); ``harden=False`` runs the
     plain paper controller against the same faults, which is the ablation
     arm that shows poisoned SPSA steps actually being taken.
+
+    The controller is built here rather than by
+    :func:`~repro.experiments.common.make_controller`: its rate-monitor
+    cooldown and MAD outlier-rejecting collector are not the paper's
+    §6.2.1 settings.
     """
     engine = ChaosEngine(setup.context, schedule, seed=seed)
     setup.system.health_source = engine
     controller = NoStopController(
         system=setup.system,
         scaler=setup.scaler,
-        gains=gains,
-        pause_rule=PauseRule(n_best=10, std_threshold=1.0),
-        rate_monitor=RateMonitor(
-            threshold=0.25, cooldown=rate_cooldown if harden else 0
-        ),
+        rate_monitor=RateMonitor(cooldown=6 if harden else 0),
         # The unhardened arm keeps outlier *detection* on (so poisoned
         # steps can be counted) but never rejects/retries — its
         # measurements are exactly the paper's.
-        collector=MetricsCollector(
-            window=collector_window,
-            mad_threshold=mad_threshold,
-            reject_outliers=harden,
-        ),
+        collector=MetricsCollector(mad_threshold=3.5, reject_outliers=harden),
         seed=seed,
         harden=harden,
         # Inherit the setup's telemetry bundle: without it the chaos
@@ -149,15 +138,15 @@ def run_chaos_scenario(
         # would silently stay empty.
         telemetry=setup.telemetry,
     )
-    nostop = controller.run(rounds, confirm=confirm)
+    nostop = controller.run(rounds)
     engine.finish()
 
     batches = setup.context.listener.metrics.batches
-    outcomes = build_event_outcomes(
-        engine.records, batches, consecutive_stable=consecutive_stable
-    )
+    outcomes = build_event_outcomes(engine.records, batches)
 
-    samples = _objective_samples(nostop.rounds, controller.rho.cap)
+    samples = _objective_samples(
+        nostop.rounds, controller.tuner.schedule.cap
+    )
     first_fire = engine.first_fire_time()
     last_recovery = engine.last_recovery_time()
     pre = post = None

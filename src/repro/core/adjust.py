@@ -152,6 +152,15 @@ def theta_to_configuration(
     return tuple(out)
 
 
+def apply_theta(
+    system: ControlledSystem, theta_scaled: Sequence[float], scaler: MinMaxScaler
+) -> tuple:
+    """Apply a scaled θ to ``system``; returns the configuration applied."""
+    config = theta_to_configuration(theta_scaled, scaler)
+    system.apply_configuration(*config)
+    return config
+
+
 def evaluate_config(
     result: "AdjustResult",
     theta_scaled: Sequence[float],
@@ -203,13 +212,9 @@ class AdjustFunction:
         currently has active faults *before* the window opens, so fault
         windows are measured with the widened window rather than
         retro-actively."""
-        config = theta_to_configuration(theta_scaled, self.scaler)
-        interval, executors = config[0], config[1]
-        partitions = config[2] if len(config) > 2 else None
-        cores = config[3] if len(config) > 3 else None
-        self.system.apply_configuration(
-            interval, executors, partitions=partitions, executor_cores=cores
-        )
+        interval, executors = apply_theta(
+            self.system, theta_scaled, self.scaler
+        )[:2]
         apply_failed = bool(self.system.last_apply_failed)
         self.collector.set_degraded(self.system.degraded())
         self.collector.start_measurement()

@@ -2,11 +2,11 @@
 
 Ties together every piece of the scheme:
 
-* the :class:`~repro.core.spsa.SPSAOptimizer` in min–max-scaled
-  configuration space (§5.1–§5.2),
+* the :class:`~repro.tuners.adapters.NoStopTuner`, which owns the SPSA
+  iterate in min–max-scaled configuration space (§5.1–§5.2), its RNG and
+  the ρ penalty schedule (Eq. 3),
 * the :class:`~repro.core.adjust.AdjustFunction` performing live
   perturbed measurements (Algorithm 2),
-* the ρ penalty schedule (Eq. 3),
 * the impeded-progress :class:`~repro.core.pause.PauseRule` (§5.3.5),
 * the additive-increase :class:`~repro.core.metrics_collector.MetricsCollector`
   window (§5.4),
@@ -22,23 +22,33 @@ paper's Fig. 6 evolution plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.obs import catalog
 from repro.obs.audit import SPSADecision, clipped_axes
 from repro.obs.tracer import NOOP_TELEMETRY, Telemetry
+from repro.tuners.adapters import NoStopTuner
 
-from .adjust import AdjustFunction, AdjustResult, ControlledSystem
+from .adjust import (
+    AdjustFunction,
+    AdjustResult,
+    ControlledSystem,
+    apply_theta,
+    evaluate_config,
+    theta_to_configuration,
+)
 from .bounds import MinMaxScaler
-from .gains import GainSchedule, paper_gains
+from .gains import GainSchedule
 from .metrics_collector import Measurement, MetricsCollector
-from .objective import RhoSchedule
-from .pause import EvaluatedConfig, PauseRule, confirm_best
-from .perturbation import PerturbationGenerator
+from .objective import penalized_objective
+from .pause import EvaluatedConfig, PauseRule, confirm_best, steady_state_delay
 from .rate_monitor import RateMonitor
-from .spsa import SPSAOptimizer
+
+#: Format version stamped into every :meth:`NoStopController.checkpoint`.
+#: Version 2 holds the SPSA and ρ state under ``"tuner"``.
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -120,21 +130,27 @@ class NoStopReport:
 
 
 class NoStopController:
-    """Online configuration optimizer for a controlled streaming system."""
+    """Online configuration optimizer for a controlled streaming system.
+
+    The SPSA iteration itself lives in :attr:`tuner`; the controller
+    keeps the paper's operational rules around it: probe retry and the
+    poisoned-step guard, pause and monitoring rounds, the §5.5 reset,
+    :meth:`confirm_best` and checkpointing.
+    """
+
+    #: A paused configuration resumes optimizing once its processing
+    #: time exceeds the interval by this factor.
+    STABILITY_SLACK = 1.05
 
     def __init__(
         self,
         system: ControlledSystem,
         scaler: MinMaxScaler,
         gains: Optional[GainSchedule] = None,
-        theta_initial_scaled: Optional[Sequence[float]] = None,
-        perturbation: Optional[PerturbationGenerator] = None,
         pause_rule: Optional[PauseRule] = None,
         rate_monitor: Optional[RateMonitor] = None,
         collector: Optional[MetricsCollector] = None,
-        rho_schedule: Optional[RhoSchedule] = None,
         seed: int = 0,
-        stability_slack: float = 1.05,
         harden: bool = True,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
@@ -142,24 +158,9 @@ class NoStopController:
         self.scaler = scaler
         self.collector = collector or MetricsCollector()
         self.adjust = AdjustFunction(system, scaler, self.collector)
-        theta0 = (
-            np.asarray(theta_initial_scaled, dtype=float)
-            if theta_initial_scaled is not None
-            else scaler.scaled.center()
-        )
-        self.spsa = SPSAOptimizer(
-            gains=gains or paper_gains(),
-            box=scaler.scaled,
-            theta_initial=theta0,
-            perturbation=perturbation,
-            seed=seed,
-        )
+        self.tuner = NoStopTuner(scaler, seed=seed, gains=gains)
         self.pause_rule = pause_rule or PauseRule()
         self.rate_monitor = rate_monitor or RateMonitor()
-        self.rho = rho_schedule or RhoSchedule()
-        if stability_slack < 1.0:
-            raise ValueError("stability_slack must be >= 1.0")
-        self.stability_slack = stability_slack
         #: Fault-tolerant adjust loop: retry corrupted probes once and
         #: skip SPSA updates that would consume a corrupted measurement.
         #: Has no effect while the substrate behaves (corruption flags
@@ -187,14 +188,28 @@ class NoStopController:
         self._start_time = system.time
         self.report = NoStopReport()
 
+    @property
+    def spsa(self):
+        """The tuner's SPSA optimizer (iterate, k, RNG, history)."""
+        return self.tuner.spsa
+
     # -- helpers ------------------------------------------------------------
 
-    def _current_configuration(self) -> tuple:
-        """(interval, executors) of the current estimate (extra axes of a
-        multi-parameter space are dropped from the round record)."""
-        from .adjust import theta_to_configuration
-
-        return theta_to_configuration(self.spsa.theta, self.scaler)[:2]
+    def _record(self, phase: str, theta: np.ndarray, **fields) -> RoundRecord:
+        """This round's record, at the configuration ``theta`` (extra axes
+        of a multi-parameter space are dropped)."""
+        interval, executors = theta_to_configuration(theta, self.scaler)[:2]
+        return RoundRecord(
+            round_index=self._rounds_run,
+            k=self.spsa.k,
+            phase=phase,
+            sim_time=self.system.time,
+            rho=self.tuner.schedule.value,
+            theta_scaled=np.array(theta, dtype=float),
+            batch_interval=interval,
+            num_executors=executors,
+            **fields,
+        )
 
     def _note_trace_interest(self, kind: str) -> None:
         """Mark the batches around an audit-rule firing interesting.
@@ -204,7 +219,7 @@ class NoStopController:
         batches that absorbed — a reset/pause/resume decision are always
         available for critical-path analysis, regardless of sampling.
         """
-        interval, _ = self._current_configuration()
+        interval = theta_to_configuration(self.spsa.theta, self.scaler)[0]
         t = self.system.time
         self.telemetry.tracer.note_interest(t - interval, t + interval, kind)
 
@@ -212,10 +227,10 @@ class NoStopController:
         self.rate_monitor.observe(self.system.observed_input_rate())
 
     def _record_evaluation(self, result: AdjustResult, theta: np.ndarray) -> None:
-        from .adjust import evaluate_config
-
         self.pause_rule.record(
-            evaluate_config(result, theta, self.spsa.k, rho_cap=self.rho.cap)
+            evaluate_config(
+                result, theta, self.spsa.k, rho_cap=self.tuner.schedule.cap
+            )
         )
 
     def _record_decision(
@@ -223,15 +238,20 @@ class NoStopController:
         theta_before: np.ndarray,
         theta_plus: np.ndarray,
         theta_minus: np.ndarray,
-        delta: np.ndarray,
-        c_k: float,
+        pending: Dict[str, Any],
+        rho: float,
         plus: AdjustResult,
         minus: AdjustResult,
         guarded: bool,
     ) -> None:
-        """Explain this round's SPSA arithmetic in the audit trail."""
+        """Explain this round's SPSA arithmetic in the audit trail.
+
+        ``pending`` is the tuner's asked pair (Δ, c_k) and ``rho`` the
+        penalty the probes were measured at."""
         if not self.audit.enabled:
             return
+        delta = np.asarray(pending["delta"], dtype=float)
+        c_k = pending["ck"]
         probe_clipped = tuple(
             p or m
             for p, m in zip(
@@ -259,7 +279,7 @@ class NoStopController:
                 round_index=self._rounds_run,
                 k=self.spsa.k,
                 sim_time=self.system.time,
-                rho=self.rho.value,
+                rho=rho,
                 a_k=float(a_k),
                 c_k=float(c_k),
                 theta=tuple(float(v) for v in theta_before),
@@ -283,8 +303,7 @@ class NoStopController:
         # Capture the drift that tripped the trigger before the
         # acknowledgement below clears the monitor's window.
         self._reset_std = self.rate_monitor.current_std()
-        self.spsa.reset()
-        self.rho.reset()
+        self.tuner.restart()
         self.pause_rule.reset()
         self.collector.reset_window()
         self.rate_monitor.acknowledge_reset()
@@ -300,44 +319,104 @@ class NoStopController:
                 f"{self.rate_monitor.threshold:g})"
             ),
         )
-        interval, executors = self._current_configuration()
-        return RoundRecord(
-            round_index=self._rounds_run,
-            k=self.spsa.k,
-            phase="reset",
-            sim_time=self.system.time,
-            rho=self.rho.value,
-            theta_scaled=self.spsa.theta.copy(),
-            batch_interval=interval,
-            num_executors=executors,
-        )
+        return self._record("reset", self.spsa.theta)
 
     # -- checkpoint / restore ------------------------------------------------
 
-    def checkpoint(self) -> dict:
-        """Serialize full resumable tuner state (JSON-safe).
+    def checkpoint(self) -> Dict[str, Any]:
+        """Serialize full resumable controller state (JSON-safe).
 
-        Captures the SPSA iterate and RNG state, gain-schedule position,
-        ρ schedule, pause-rule evaluation history, metrics-collector
-        window, rate-monitor window, and round/pause bookkeeping — the
-        alternative to the paper's throw-it-all-away §5.5 restart.  See
-        :mod:`repro.core.checkpoint`.
+        The paper's §5.5 restart throws away the SPSA iterate, the
+        gain-schedule position, ρ and every evaluation
+        (arXiv:2309.01901 names this restart cost as NoStop's core
+        limitation).  A checkpoint keeps all of it: the tuner's own
+        checkpoint (θ, k, RNG bit-generator state, ρ, pending pair), the
+        pause rule's evaluation history, the §5.4 collector window, the
+        §5.5 rate-monitor window, and round/pause bookkeeping plus the
+        audit-trail cursor.  Journal it, write it to disk, or hand it to
+        a freshly built controller: restored onto the same live system,
+        the continuation matches an uninterrupted run round for round.
         """
-        from .checkpoint import controller_checkpoint
+        report = self.report
+        return {
+            "version": CHECKPOINT_VERSION,
+            "simTime": float(self.system.time),
+            "roundsRun": int(self._rounds_run),
+            "paused": bool(self.paused),
+            "startTime": float(self._start_time),
+            "adjustCalls": int(self.adjust.calls),
+            "tuner": self.tuner.checkpoint(),
+            "pauseRule": self.pause_rule.checkpoint(),
+            "collector": self.collector.checkpoint(),
+            "rateMonitor": self.rate_monitor.checkpoint(),
+            "counters": {
+                "poisonedStepsAvoided": int(self.poisoned_steps_avoided),
+                "poisonedStepsTaken": int(self.poisoned_steps_taken),
+                "corruptedRetries": int(self.corrupted_retries),
+            },
+            "report": {
+                "resets": int(report.resets),
+                "firstPauseRound": report.first_pause_round,
+                "firstPauseTime": report.first_pause_time,
+                "adjustCallsToPause": report.adjust_calls_to_pause,
+            },
+            "audit": {
+                "decisions": len(self.audit.decisions),
+                "firings": len(self.audit.firings),
+            },
+        }
 
-        return controller_checkpoint(self)
-
-    def restore(self, state: dict, reapply: bool = False) -> None:
+    def restore(self, state: Dict[str, Any], reapply: bool = False) -> None:
         """Resume from a :meth:`checkpoint` snapshot.
 
         On the same live system (``reapply=False``) the continuation is
         bit-exact; ``reapply=True`` additionally re-applies the
-        checkpointed configuration, as a restarted driver must.
-        Records a ``"restore"`` audit firing either way.
+        checkpointed configuration, as a restarted driver resubmitting
+        the job must, at the cost of one configuration change.  Records
+        a ``"restore"`` audit firing either way.
         """
-        from .checkpoint import controller_restore
+        version = state.get("version")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(
+                f"unsupported checkpoint version {version!r} "
+                f"(expected {CHECKPOINT_VERSION})"
+            )
+        self.tuner.restore(state["tuner"])
+        self.pause_rule.restore(state["pauseRule"])
+        self.collector.restore(state["collector"])
+        self.rate_monitor.restore(state["rateMonitor"])
+        self.paused = bool(state["paused"])
+        self._rounds_run = int(state["roundsRun"])
+        self._start_time = float(state["startTime"])
+        self.adjust.calls = int(state["adjustCalls"])
+        counters = state["counters"]
+        self.poisoned_steps_avoided = int(counters["poisonedStepsAvoided"])
+        self.poisoned_steps_taken = int(counters["poisonedStepsTaken"])
+        self.corrupted_retries = int(counters["corruptedRetries"])
+        report = state["report"]
+        self.report.resets = int(report["resets"])
+        self.report.first_pause_round = report["firstPauseRound"]
+        self.report.first_pause_time = report["firstPauseTime"]
+        self.report.adjust_calls_to_pause = report["adjustCallsToPause"]
 
-        controller_restore(self, state, reapply=reapply)
+        if reapply:
+            if self.paused and self.pause_rule.evaluations:
+                theta = self.pause_rule.best_config().theta
+            else:
+                theta = self.spsa.theta
+            apply_theta(self.system, theta, self.scaler)
+
+        audit_cursor = state.get("audit", {})
+        self.audit.record_firing(
+            "restore", self._rounds_run, self.system.time,
+            detail=(
+                f"controller restored from checkpoint: k={self.spsa.k}, "
+                f"paused={self.paused}, "
+                f"evaluations={self.pause_rule.evaluations}, "
+                f"audit cursor decisions={audit_cursor.get('decisions', 0)} "
+                f"firings={audit_cursor.get('firings', 0)}"
+            ),
+        )
 
     # -- control rounds ------------------------------------------------------
 
@@ -354,45 +433,47 @@ class NoStopController:
         self.report.rounds.append(record)
         return record
 
-    def _probe(self, theta: np.ndarray) -> AdjustResult:
+    def _probe(self, theta: np.ndarray, rho: float) -> AdjustResult:
         """One perturbed measurement, re-measured once if corrupted.
 
         The re-measure re-applies θ, so a transient failure (executor
         slot back, broker recovered) heals within the same round; a
         persisting outage leaves the result corrupted for the guard.
         """
-        result = self.adjust(theta, self.rho.value)
+        result = self.adjust(theta, rho)
         self._observe_rate()
         if result.corrupted and self.harden:
             self.corrupted_retries += 1
-            result = self.adjust(theta, self.rho.value)
+            result = self.adjust(theta, rho)
             self._observe_rate()
         return result
 
     def _optimize_round(self) -> RoundRecord:
+        tuner = self.tuner
         theta_before = self.spsa.theta.copy()
-        theta_plus, theta_minus, delta, c_k = self.spsa.propose()
-        plus = self._probe(theta_plus)
-        minus = self._probe(theta_minus)
+        theta_plus, theta_minus = tuner.ask(), tuner.ask()
+        pending = tuner.pending
+        # The ρ in force during the probes; observing the pair steps it.
+        rho = tuner.schedule.value
+        plus = self._probe(theta_plus, rho)
+        minus = self._probe(theta_minus, rho)
         corrupted = plus.corrupted or minus.corrupted
-        guarded = False
-        if corrupted and self.harden:
+        guarded = corrupted and self.harden
+        if guarded:
             # Guard: differentiating through a measurement of "some other
             # configuration" (failed apply) or a fault transient would
             # hand SPSA a garbage gradient.  Roll back — θ stays at the
             # current estimate — and let the next round re-probe.
-            guarded = True
+            tuner.discard()
             self.poisoned_steps_avoided += 1
             self._m_guarded.inc()
         else:
             if corrupted:
                 self.poisoned_steps_taken += 1
-            self.spsa.apply_measurements(
-                theta_plus, theta_minus, delta, c_k,
-                plus.objective, minus.objective,
-            )
+            tuner.observe(theta_plus, plus.objective)
+            tuner.observe(theta_minus, minus.objective)
         self._record_decision(
-            theta_before, theta_plus, theta_minus, delta, c_k,
+            theta_before, theta_plus, theta_minus, pending, rho,
             plus, minus, guarded,
         )
         # Corrupted probes never enter the ranking history either: a
@@ -402,37 +483,20 @@ class NoStopController:
             self._record_evaluation(plus, theta_plus)
         if not minus.corrupted:
             self._record_evaluation(minus, theta_minus)
-        self.rho.step()
 
         if self.pause_rule.should_pause():
             self._enter_pause()
 
-        interval, executors = self._current_configuration()
-        return RoundRecord(
-            round_index=self._rounds_run,
-            k=self.spsa.k,
-            phase="optimize",
-            sim_time=self.system.time,
-            rho=self.rho.value,
-            theta_scaled=self.spsa.theta.copy(),
-            batch_interval=interval,
-            num_executors=executors,
-            plus_result=plus,
-            minus_result=minus,
-            guarded=guarded,
+        return self._record(
+            "optimize", self.spsa.theta,
+            plus_result=plus, minus_result=minus, guarded=guarded,
         )
 
     def _enter_pause(self) -> None:
         """Stop optimizing; run at the best configuration found."""
         self.paused = True
-        best = self.pause_rule.best_config()
-        from .adjust import theta_to_configuration
-
-        config = theta_to_configuration(np.asarray(best.theta), self.scaler)
-        self.system.apply_configuration(
-            config[0], config[1],
-            partitions=config[2] if len(config) > 2 else None,
-            executor_cores=config[3] if len(config) > 3 else None,
+        config = apply_theta(
+            self.system, self.pause_rule.best_config().theta, self.scaler
         )
         self._note_trace_interest("pause")
         self.audit.record_firing(
@@ -450,10 +514,7 @@ class NoStopController:
     def _monitor_round(self) -> RoundRecord:
         """One monitoring window while paused at the best configuration."""
         best = self.pause_rule.best_config()
-        from .adjust import theta_to_configuration
-
-        config = theta_to_configuration(np.asarray(best.theta), self.scaler)
-        interval, executors = config[0], config[1]
+        interval, executors = theta_to_configuration(best.theta, self.scaler)[:2]
         self.collector.set_degraded(self.system.degraded())
         measurement = self.system.collect(self.collector)
         self._observe_rate()
@@ -464,42 +525,29 @@ class NoStopController:
         # A tainted monitoring window (fault transient the collector
         # could not reject) is skipped — it would unfairly demote the
         # parked optimum for infrastructure noise it did not cause.
-        from .objective import penalized_objective
-        from .pause import steady_state_delay
-
         if measurement.tainted and self.harden:
-            return RoundRecord(
-                round_index=self._rounds_run,
-                k=self.spsa.k,
-                phase="paused",
-                sim_time=self.system.time,
-                rho=self.rho.value,
-                theta_scaled=np.asarray(best.theta, dtype=float),
-                batch_interval=interval,
-                num_executors=executors,
-                monitor=measurement,
-                guarded=True,
+            return self._record(
+                "paused", best.theta, monitor=measurement, guarded=True
             )
+        proc = measurement.mean_processing_time
         self.pause_rule.record(
             EvaluatedConfig(
                 theta=best.theta,
                 objective=penalized_objective(
-                    interval, measurement.mean_processing_time, self.rho.cap
+                    interval, proc, self.tuner.schedule.cap
                 ),
-                end_to_end_delay=steady_state_delay(
-                    interval, measurement.mean_processing_time
-                ),
+                end_to_end_delay=steady_state_delay(interval, proc),
                 iteration=self.spsa.k,
                 batch_interval=interval,
                 num_executors=executors,
-                mean_processing_time=measurement.mean_processing_time,
-                stable=measurement.mean_processing_time <= interval,
+                mean_processing_time=proc,
+                stable=proc <= interval,
             )
         )
         # §5.4 additive increase: relax the window while at the optimum.
         self.collector.relax_window()
         # Resume optimization if the system turned unstable at the optimum.
-        if measurement.mean_processing_time > interval * self.stability_slack:
+        if proc > interval * self.STABILITY_SLACK:
             self.paused = False
             self.collector.reset_window()
             self._note_trace_interest("resume")
@@ -507,21 +555,11 @@ class NoStopController:
                 "resume", self._rounds_run, self.system.time,
                 detail=(
                     f"instability at the parked optimum: processing "
-                    f"{measurement.mean_processing_time:.3f}s > "
-                    f"interval {interval:g}s x slack {self.stability_slack:g}"
+                    f"{proc:.3f}s > "
+                    f"interval {interval:g}s x slack {self.STABILITY_SLACK:g}"
                 ),
             )
-        return RoundRecord(
-            round_index=self._rounds_run,
-            k=self.spsa.k,
-            phase="paused",
-            sim_time=self.system.time,
-            rho=self.rho.value,
-            theta_scaled=np.asarray(best.theta, dtype=float),
-            batch_interval=interval,
-            num_executors=executors,
-            monitor=measurement,
-        )
+        return self._record("paused", best.theta, monitor=measurement)
 
     # -- full runs -----------------------------------------------------------
 
@@ -534,7 +572,7 @@ class NoStopController:
         confirm_best(
             self.pause_rule,
             self.adjust,
-            self.rho.cap,
+            self.tuner.schedule.cap,
             self.spsa.k,
             max_confirmations=max_confirmations,
             skip_corrupted=self.harden,
@@ -552,18 +590,11 @@ class NoStopController:
         self.report.poisoned_steps_avoided = self.poisoned_steps_avoided
         self.report.poisoned_steps_taken = self.poisoned_steps_taken
         self.report.corrupted_retries = self.corrupted_retries
+        theta = self.spsa.theta
         if self.pause_rule.evaluations:
-            best = self.pause_rule.best_config()
-            self.report.best = best
-            from .adjust import theta_to_configuration
-
-            interval, executors = theta_to_configuration(
-                np.asarray(best.theta), self.scaler
-            )[:2]
-            self.report.final_interval = interval
-            self.report.final_executors = executors
-        else:
-            interval, executors = self._current_configuration()
-            self.report.final_interval = interval
-            self.report.final_executors = executors
+            self.report.best = self.pause_rule.best_config()
+            theta = self.report.best.theta
+        interval, executors = theta_to_configuration(theta, self.scaler)[:2]
+        self.report.final_interval = interval
+        self.report.final_executors = executors
         return self.report

@@ -165,27 +165,22 @@ def make_controller(
     seed: int = 0,
     gains: Optional[GainSchedule] = None,
     pause_n: int = 10,
-    pause_s: float = 1.0,
-    collector_window: int = 3,
-    rate_threshold: float = 0.25,
+    collector: Optional[MetricsCollector] = None,
 ) -> NoStopController:
     """NoStop controller with the paper's §6.2.1 settings.
 
     Inherits the setup's telemetry bundle, so the controller's audit
     trail lands next to the substrate's traces and metrics.
     """
-    from repro.core.gains import paper_gains
     from repro.core.nostop import NoStopController
     from repro.core.pause import PauseRule
-    from repro.core.rate_monitor import RateMonitor
 
     return NoStopController(
         system=setup.system,
         scaler=setup.scaler,
-        gains=gains or paper_gains(),
-        pause_rule=PauseRule(n_best=pause_n, std_threshold=pause_s),
-        rate_monitor=RateMonitor(threshold=rate_threshold),
-        collector=MetricsCollector(window=collector_window),
+        gains=gains,
+        pause_rule=PauseRule(n_best=pause_n),
+        collector=collector,
         seed=seed,
         telemetry=setup.telemetry,
     )

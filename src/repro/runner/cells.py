@@ -155,7 +155,7 @@ def _nostop_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         workload, seed=seed, count_only=count_only, fidelity=fidelity
     )
     gains = _resolve_gains(gains_spec, setup.scaler, rounds)
-    controller = make_controller(setup, seed=seed, gains=gains)
+    collector = None
     if collector_window is not None:
         window = int(collector_window)
         max_window = (
@@ -163,10 +163,10 @@ def _nostop_cell(params: Dict[str, Any]) -> Dict[str, Any]:
             if collector_max_window is not None
             else max(12, window)
         )
-        controller.collector = MetricsCollector(
-            window=window, max_window=max_window
-        )
-        controller.adjust.collector = controller.collector
+        collector = MetricsCollector(window=window, max_window=max_window)
+    controller = make_controller(
+        setup, seed=seed, gains=gains, collector=collector
+    )
     start_time = setup.system.time
     report = controller.run(rounds)
     converged = report.first_pause_round is not None

@@ -33,7 +33,10 @@ class NoStopTuner(Tuner):
     SPSA consumes observations in θ⁺/θ⁻ pairs, so the adapter runs a
     two-phase protocol: the first ``ask`` of an iteration proposes θ⁺,
     the second θ⁻, and the gradient step fires when the minus-side
-    observation lands.
+    observation lands.  :attr:`pending` holds the asked pair (with its
+    Δ and c_k) until then.  This class is the only owner of the SPSA
+    iterate, its RNG and the ρ schedule;
+    :class:`~repro.core.nostop.NoStopController` drives it.
     """
 
     def __init__(
@@ -51,12 +54,12 @@ class NoStopTuner(Tuner):
             gains or paper_gains(), self.box, initial, seed=seed
         )
         self.schedule = RhoSchedule()
-        self._pending: Optional[dict] = None
+        self.pending: Optional[dict] = None
 
     def ask(self) -> np.ndarray:
-        if self._pending is None:
+        if self.pending is None:
             theta_plus, theta_minus, delta, c_k = self.spsa.propose()
-            self._pending = {
+            self.pending = {
                 "thetaPlus": [float(v) for v in theta_plus],
                 "thetaMinus": [float(v) for v in theta_minus],
                 "delta": [float(v) for v in delta],
@@ -64,7 +67,7 @@ class NoStopTuner(Tuner):
                 "yPlus": None,
             }
             return np.asarray(theta_plus, dtype=float)
-        return np.asarray(self._pending["thetaMinus"], dtype=float)
+        return np.asarray(self.pending["thetaMinus"], dtype=float)
 
     def observe(
         self,
@@ -73,7 +76,7 @@ class NoStopTuner(Tuner):
         evaluated: Optional[EvaluatedConfig] = None,
     ) -> None:
         y = clamp_objective(objective)
-        pending = self._pending
+        pending = self.pending
         if pending is None:
             raise RuntimeError("observe() without a pending ask()")
         if pending["yPlus"] is None:
@@ -88,7 +91,20 @@ class NoStopTuner(Tuner):
             y,
         )
         self.schedule.step()
-        self._pending = None
+        self.pending = None
+
+    def discard(self) -> None:
+        """Drop the pending pair without a gradient step (a guarded
+        round).  ρ still advances, as after an observed pair."""
+        self.pending = None
+        self.schedule.step()
+
+    def restart(self) -> None:
+        """The §5.5 restart: k, θ and ρ return to their initial values.
+        The RNG stream runs on, so the next Δ is not the seed's first."""
+        self.spsa.reset()
+        self.schedule.reset()
+        self.pending = None
 
     def rho(self, cap: float) -> float:
         return min(self.schedule.value, float(cap))
@@ -97,14 +113,14 @@ class NoStopTuner(Tuner):
         return {
             "spsa": self.spsa.checkpoint(),
             "rho": self.schedule.checkpoint(),
-            "pending": dict(self._pending) if self._pending else None,
+            "pending": dict(self.pending) if self.pending else None,
         }
 
     def restore(self, state: dict) -> None:
         self.spsa.restore(state["spsa"])
         self.schedule.restore(state["rho"])
         pending = state.get("pending")
-        self._pending = dict(pending) if pending else None
+        self.pending = dict(pending) if pending else None
 
 
 @register_tuner("bo")

@@ -123,15 +123,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             controller.run(0)
 
-    def test_invalid_stability_slack_rejected(self):
-        from repro.core.nostop import NoStopController
-
-        setup = build_experiment("wordcount", seed=1)
-        with pytest.raises(ValueError):
-            NoStopController(
-                system=setup.system, scaler=setup.scaler, stability_slack=0.5
-            )
-
     def test_determinism_across_identical_runs(self):
         r1 = make_controller(build_experiment("wordcount", seed=11), seed=11).run(15)
         r2 = make_controller(build_experiment("wordcount", seed=11), seed=11).run(15)
