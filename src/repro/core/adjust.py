@@ -136,18 +136,18 @@ def theta_to_configuration(
         raise ValueError(
             f"theta has {t.size} axes, space has {scaler.scaled.dim}"
         )
-    physical = scaler.to_physical(t)
+    physical = scaler.to_physical(t).tolist()
     if not 2 <= len(physical) <= 4:
         raise ValueError(
             f"configuration space must have 2 to 4 axes, got {len(physical)}"
         )
-    lo, hi = scaler.physical.lower, scaler.physical.upper
-    interval = round(float(physical[0]), 3)
-    interval = min(max(interval, float(lo[0])), float(hi[0]))
+    lo = scaler.physical.lower.tolist()
+    hi = scaler.physical.upper.tolist()
+    interval = round(physical[0], 3)
+    interval = min(max(interval, lo[0]), hi[0])
     out = [interval]
     for axis in range(1, len(physical)):
-        value = int(round(float(physical[axis])))
-        value = min(max(value, int(round(lo[axis]))), int(round(hi[axis])))
+        value = min(max(round(physical[axis]), round(lo[axis])), round(hi[axis]))
         out.append(value)
     return tuple(out)
 

@@ -33,12 +33,36 @@ controller):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.streaming.metrics import BatchInfo
+
+
+def array_mean(values: np.ndarray) -> float:
+    """``float(np.mean(values))`` of a non-empty 1-D array, bit for bit.
+
+    ``np.mean`` is one pairwise ``np.add.reduce`` (integers summed as
+    float64) divided by the count; calling the reduction directly skips
+    ``np.mean``'s per-call dispatch, most of its cost on a short window.
+    """
+    return float(np.add.reduce(values, dtype=np.float64)) / values.shape[0]
+
+
+def array_std(values: np.ndarray, mean: float) -> float:
+    """``float(np.std(values))`` of a 1-D float array whose
+    :func:`array_mean` is ``mean``, bit for bit.
+
+    ``np.std`` subtracts that same mean, squares, reduces, divides by the
+    count and takes the (correctly rounded) square root.
+    """
+    deviation = values - mean
+    return math.sqrt(
+        float(np.add.reduce(deviation * deviation)) / values.shape[0]
+    )
 
 
 @dataclass(frozen=True)
@@ -259,18 +283,19 @@ class MetricsCollector:
         if not batches:
             raise ValueError("cannot summarize zero batches")
         proc = np.array([b.processing_time for b in batches])
+        mean_proc = array_mean(proc)
         return Measurement(
-            mean_processing_time=float(np.mean(proc)),
-            mean_end_to_end_delay=float(
-                np.mean([b.end_to_end_delay for b in batches])
+            mean_processing_time=mean_proc,
+            mean_end_to_end_delay=array_mean(
+                np.array([b.end_to_end_delay for b in batches])
             ),
-            mean_scheduling_delay=float(
-                np.mean([b.scheduling_delay for b in batches])
+            mean_scheduling_delay=array_mean(
+                np.array([b.scheduling_delay for b in batches])
             ),
-            mean_records=float(np.mean([b.records for b in batches])),
+            mean_records=array_mean(np.array([b.records for b in batches])),
             batches_used=len(batches),
             skipped=self.total_skipped,
-            std_processing_time=float(np.std(proc)),
+            std_processing_time=array_std(proc, mean_proc),
             outliers_rejected=self._window_rejected,
             tainted=self.last_tainted,
         )

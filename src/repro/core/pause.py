@@ -29,6 +29,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .metrics_collector import array_mean, array_std
+
 if TYPE_CHECKING:
     from .adjust import AdjustFunction
 
@@ -96,20 +98,18 @@ class PauseRule:
         self.n_best = n_best
         self.std_threshold = std_threshold
         self._history: List[EvaluatedConfig] = []
+        #: Each configuration's measurements, in history order.
+        self._measurements: Dict[Tuple[float, ...], List[EvaluatedConfig]] = {}
+        #: One aggregated record per configuration, in first-measured
+        #: order; rebuilt when a measurement of that θ arrives.
+        self._merged: Dict[Tuple[float, ...], EvaluatedConfig] = {}
 
     def record(self, evaluated: EvaluatedConfig) -> None:
         self._history.append(evaluated)
+        self._merge(evaluated)
 
-    @property
-    def evaluations(self) -> int:
-        return len(self._history)
-
-    def measurement_count(self, theta: Tuple[float, ...]) -> int:
-        """How many times a specific configuration has been measured."""
-        return sum(1 for e in self._history if e.theta == tuple(theta))
-
-    def _grouped(self) -> List[EvaluatedConfig]:
-        """One aggregated record per distinct configuration.
+    def _merge(self, evaluated: EvaluatedConfig) -> None:
+        """Fold one new measurement into its configuration's record.
 
         A single lucky measurement window must not crown a configuration
         forever (winner's curse over dozens of noisy evaluations):
@@ -118,35 +118,42 @@ class PauseRule:
         are averaged, and stability is re-judged on the averaged
         processing time.
         """
-        groups: Dict[Tuple[float, ...], List[EvaluatedConfig]] = {}
-        for e in self._history:
-            groups.setdefault(e.theta, []).append(e)
-        merged: List[EvaluatedConfig] = []
-        for theta, evals in groups.items():
-            if len(evals) == 1:
-                merged.append(evals[0])
-                continue
-            proc = float(np.mean([e.mean_processing_time for e in evals]))
-            interval = evals[-1].batch_interval
-            if interval > 0:
-                stable = proc <= interval * (1.0 - STABILITY_MARGIN)
-            else:  # hand-built records without config details
-                stable = sum(e.stable for e in evals) * 2 > len(evals)
-            merged.append(
-                EvaluatedConfig(
-                    theta=theta,
-                    objective=float(np.mean([e.objective for e in evals])),
-                    end_to_end_delay=float(
-                        np.mean([e.end_to_end_delay for e in evals])
-                    ),
-                    iteration=max(e.iteration for e in evals),
-                    batch_interval=interval,
-                    num_executors=evals[-1].num_executors,
-                    mean_processing_time=proc,
-                    stable=stable,
-                )
-            )
-        return merged
+        evals = self._measurements.setdefault(evaluated.theta, [])
+        evals.append(evaluated)
+        if len(evals) == 1:
+            self._merged[evaluated.theta] = evaluated
+            return
+        theta = evals[0].theta
+        proc = array_mean(np.array([e.mean_processing_time for e in evals]))
+        interval = evals[-1].batch_interval
+        if interval > 0:
+            stable = proc <= interval * (1.0 - STABILITY_MARGIN)
+        else:  # hand-built records without config details
+            stable = sum(e.stable for e in evals) * 2 > len(evals)
+        self._merged[theta] = EvaluatedConfig(
+            theta=theta,
+            objective=array_mean(np.array([e.objective for e in evals])),
+            end_to_end_delay=array_mean(
+                np.array([e.end_to_end_delay for e in evals])
+            ),
+            iteration=max(e.iteration for e in evals),
+            batch_interval=interval,
+            num_executors=evals[-1].num_executors,
+            mean_processing_time=proc,
+            stable=stable,
+        )
+
+    @property
+    def evaluations(self) -> int:
+        return len(self._history)
+
+    def measurement_count(self, theta: Tuple[float, ...]) -> int:
+        """How many times a specific configuration has been measured."""
+        return len(self._measurements.get(tuple(theta), ()))
+
+    def _grouped(self) -> List[EvaluatedConfig]:
+        """One aggregated record per distinct configuration."""
+        return list(self._merged.values())
 
     def best(self, n: Optional[int] = None) -> List[EvaluatedConfig]:
         """The ``n`` best configurations (stable first, default ``n_best``).
@@ -176,11 +183,13 @@ class PauseRule:
             return False
         ranked = sorted(grouped, key=lambda e: e.sort_key)[: self.n_best]
         delays = np.array([e.end_to_end_delay for e in ranked])
-        return bool(np.std(delays) < self.std_threshold)
+        return array_std(delays, array_mean(delays)) < self.std_threshold
 
     def reset(self) -> None:
         """Clear history (used by ``resetCoefficient``, §5.5)."""
         self._history.clear()
+        self._measurements.clear()
+        self._merged.clear()
 
     def checkpoint(self) -> list:
         """JSON-safe snapshot of the full evaluation history."""
@@ -200,19 +209,20 @@ class PauseRule:
 
     def restore(self, state: list) -> None:
         """Resume from a :meth:`checkpoint` snapshot."""
-        self._history = [
-            EvaluatedConfig(
-                theta=tuple(float(v) for v in d["theta"]),
-                objective=float(d["objective"]),
-                end_to_end_delay=float(d["endToEndDelay"]),
-                iteration=int(d["iteration"]),
-                batch_interval=float(d["batchInterval"]),
-                num_executors=int(d["numExecutors"]),
-                mean_processing_time=float(d["meanProcessingTime"]),
-                stable=bool(d["stable"]),
+        self.reset()
+        for d in state:
+            self.record(
+                EvaluatedConfig(
+                    theta=tuple(float(v) for v in d["theta"]),
+                    objective=float(d["objective"]),
+                    end_to_end_delay=float(d["endToEndDelay"]),
+                    iteration=int(d["iteration"]),
+                    batch_interval=float(d["batchInterval"]),
+                    num_executors=int(d["numExecutors"]),
+                    mean_processing_time=float(d["meanProcessingTime"]),
+                    stable=bool(d["stable"]),
+                )
             )
-            for d in state
-        ]
 
 
 def confirm_best(

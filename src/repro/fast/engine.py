@@ -464,15 +464,19 @@ class FastBatchEngine(BusyTimeline):
         dtype = np.min_scalar_type(partitions)
         onehot = np.zeros((partitions, cores), dtype=dtype)
         onehot[np.arange(partitions), assign] = 1
-        cum = np.zeros((partitions + 1, cores), dtype=dtype)
-        np.cumsum(onehot, axis=0, dtype=dtype, out=cum[1:])
-        counts = cum[-1].astype(np.float64)
+        # Summed down the one-hot's columns (one pass over all cores per
+        # task) straight into the transposed view of the row-per-core
+        # table: no transposed copy, and, past a few dozen tasks, faster
+        # than an in-place prefix sum along each core's row.
+        cum = np.zeros((cores, partitions + 1), dtype=dtype)
+        np.cumsum(onehot, axis=0, dtype=dtype, out=cum.T[1:])
+        counts = cum[:, -1].astype(np.float64)
         var = np.expm1(self.sigma**2) / np.maximum(counts, 1.0)
         sig = np.sqrt(np.log1p(var))
         sig[counts == 0.0] = 0.0
         entry = (
-            factors, factors * counts, np.ascontiguousarray(cum.T), sig,
-            0.5 * sig * sig, counts * dispatch,
+            factors, factors * counts, cum, sig, 0.5 * sig * sig,
+            counts * dispatch,
         )
         for array in entry:
             array.flags.writeable = False  # shared by every engine
