@@ -28,7 +28,7 @@ def run_perturbation_variants(seed=29, rounds=30):
     for name, perturbation in variants.items():
         setup = build_experiment(WORKLOAD, seed=seed)
         controller = make_controller(setup, seed=seed)
-        controller.tuner.spsa.perturbation = perturbation
+        controller.tuner.perturbation = perturbation
         controller.run(rounds)
         results[name] = controller.pause_rule.best_config()
     return results

@@ -1,26 +1,26 @@
 """Ablation — SPSA measurement strategies on the live system.
 
 The paper's §4.2.1 argues two measurements per iteration is SPSA's key
-economy.  This bench compares, at equal *measurement* budget:
+economy.  This bench compares, at equal *measurement* budget, the three
+``NoStopTuner(probes=...)`` estimators:
 
-* standard two-measurement SPSA (the paper),
-* one-measurement SPSA (half the configuration changes per iteration,
-  noisier gradients),
-* gradient-averaged SPSA (m=2; lower-variance steps, half the
-  iterations).
+* standard two-measurement SPSA (``probes=2``, the paper),
+* one-measurement SPSA (``probes=1``: half the configuration changes per
+  iteration, noisier gradients),
+* gradient-averaged SPSA (``probes=4``, m=2: lower-variance steps, half
+  the iterations).
 
 All three minimize the same live objective through the same Adjust
-pathway.
+pathway, at a fixed ρ = 2 and with no pause rule stopping them early, so
+every row spends the whole budget.
 """
 
 from repro.analysis.tables import format_table
 from repro.core.adjust import AdjustFunction, evaluate_config
-from repro.core.gains import paper_gains
 from repro.core.metrics_collector import MetricsCollector
 from repro.core.pause import PauseRule
-from repro.core.spsa import SPSAOptimizer
-from repro.core.spsa_variants import AveragedSPSA, OneMeasurementSPSA
 from repro.experiments.common import build_experiment
+from repro.tuners import NoStopTuner
 
 from .conftest import emit, run_once
 
@@ -28,42 +28,29 @@ WORKLOAD = "page_analyze"
 MEASUREMENT_BUDGET = 48
 
 
-def run_variant(optimizer_cls, seed=37, **opt_kwargs):
+def run_variant(probes, seed=37):
     setup = build_experiment(WORKLOAD, seed=seed)
     rule = PauseRule()
     adjust = AdjustFunction(setup.system, setup.scaler, MetricsCollector())
-    opt = optimizer_cls(
-        gains=paper_gains(),
-        box=setup.scaler.scaled,
-        theta_initial=setup.scaler.scaled.center(),
-        seed=seed,
-        **opt_kwargs,
-    )
-
-    counter = {"i": 0}
-
-    def measure(theta):
-        counter["i"] += 1
+    tuner = NoStopTuner(setup.scaler, seed=seed, probes=probes)
+    for _ in range(MEASUREMENT_BUDGET):
+        theta = tuner.ask()
         result = adjust(theta, 2.0)
-        rule.record(evaluate_config(result, theta, opt.k + 1))
-        return result.objective
-
-    while opt.total_measurements < MEASUREMENT_BUDGET:
-        opt.step(measure)
-    best = rule.best_config()
+        rule.record(evaluate_config(result, theta, tuner.k + 1))
+        tuner.observe(theta, result.objective)
     return {
-        "best": best,
-        "iterations": opt.k,
-        "measurements": opt.total_measurements,
+        "best": rule.best_config(),
+        "iterations": tuner.k,
+        "measurements": MEASUREMENT_BUDGET,
         "config_changes": setup.system.config_changes,
     }
 
 
 def run_all():
     return {
-        "two-measurement (paper)": run_variant(SPSAOptimizer),
-        "one-measurement": run_variant(OneMeasurementSPSA),
-        "averaged (m=2)": run_variant(AveragedSPSA, num_estimates=2),
+        "two-measurement (paper)": run_variant(probes=2),
+        "one-measurement": run_variant(probes=1),
+        "averaged (m=2)": run_variant(probes=4),
     }
 
 

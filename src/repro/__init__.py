@@ -27,6 +27,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "kafka", "streaming", "workloads",
     ),
     "core.nostop": ("NoStopController", "NoStopReport"),
-    "core.spsa": ("SPSAOptimizer",),
     "experiments.common": ("build_experiment", "quick_nostop_run"),
 })

@@ -15,20 +15,16 @@ stall at t=300 s whose backlog bursts back 30 s later.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
-from repro.core.metrics_collector import MetricsCollector
 from repro.core.nostop import NoStopController, NoStopReport, RoundRecord
 from repro.core.objective import penalized_objective
-from repro.core.rate_monitor import RateMonitor
+from repro.experiments.common import ExperimentSetup, make_controller
 
 from .engine import ChaosEngine
 from .events import AtTime, FaultEvent, FaultSchedule
 from .injectors import BrokerOutage, ExecutorCrash
 from .report import ChaosReport, build_event_outcomes
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.common import ExperimentSetup
 
 
 def standard_chaos_schedule(
@@ -100,7 +96,7 @@ def _best_objective(samples: List[tuple]) -> Optional[float]:
 
 
 def run_chaos_scenario(
-    setup: "ExperimentSetup",
+    setup: ExperimentSetup,
     schedule: FaultSchedule,
     rounds: int = 40,
     seed: int = 0,
@@ -109,35 +105,15 @@ def run_chaos_scenario(
 ) -> ChaosRunResult:
     """Run NoStop on ``setup`` while ``schedule`` injects faults.
 
-    ``harden=True`` enables the full noise-tolerance stack (MAD outlier
-    rejection + one-retry windows, guarded SPSA steps, rate-monitor
-    cooldown, degraded-mode window widening); ``harden=False`` runs the
-    plain paper controller against the same faults, which is the ablation
-    arm that shows poisoned SPSA steps actually being taken.
-
-    The controller is built here rather than by
-    :func:`~repro.experiments.common.make_controller`: its rate-monitor
-    cooldown and MAD outlier-rejecting collector are not the paper's
-    §6.2.1 settings.
+    ``harden`` picks the controller profile
+    (:func:`~repro.experiments.common.make_controller`): ``True`` is the
+    full noise-tolerance stack; ``False`` runs the plain paper controller
+    against the same faults, which is the ablation arm that shows
+    poisoned SPSA steps actually being taken.
     """
     engine = ChaosEngine(setup.context, schedule, seed=seed)
     setup.system.health_source = engine
-    controller = NoStopController(
-        system=setup.system,
-        scaler=setup.scaler,
-        rate_monitor=RateMonitor(cooldown=6 if harden else 0),
-        # The unhardened arm keeps outlier *detection* on (so poisoned
-        # steps can be counted) but never rejects/retries — its
-        # measurements are exactly the paper's.
-        collector=MetricsCollector(mad_threshold=3.5, reject_outliers=harden),
-        seed=seed,
-        harden=harden,
-        # Inherit the setup's telemetry bundle: without it the chaos
-        # run's SPSA audit trail (and everything the run report reads
-        # from it — watchdog scan, rule firings, the §5.5 cross-check)
-        # would silently stay empty.
-        telemetry=setup.telemetry,
-    )
+    controller = make_controller(setup, seed=seed, harden=harden)
     nostop = controller.run(rounds)
     engine.finish()
 

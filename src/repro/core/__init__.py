@@ -1,10 +1,11 @@
 """NoStop core: the paper's contribution.
 
-SPSA optimization (gain sequences, Bernoulli perturbations, bound
+SPSA's building blocks (gain sequences, Bernoulli perturbations, bound
 projection), the penalized SSPO objective, the Adjust measurement
 function, the §5 operational rules (metric collection, pause, rate
 reset), and the :class:`NoStopController` tying them to a controlled
-streaming system.
+streaming system.  The SPSA iterate itself is
+:class:`~repro.tuners.adapters.NoStopTuner`.
 """
 
 from repro._exports import lazy_exports
@@ -30,8 +31,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "SegmentedUniformPerturbation",
     ),
     "rate_monitor": ("RateMonitor",),
-    "spsa": ("SPSAIteration", "SPSAOptimizer"),
-    "spsa_variants": ("AveragedSPSA", "OneMeasurementSPSA"),
     "system": ("SimulatedSparkSystem",),
     "tuning": ("suggest_gains",),
 })

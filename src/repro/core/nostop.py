@@ -188,11 +188,6 @@ class NoStopController:
         self._start_time = system.time
         self.report = NoStopReport()
 
-    @property
-    def spsa(self):
-        """The tuner's SPSA optimizer (iterate, k, RNG, history)."""
-        return self.tuner.spsa
-
     # -- helpers ------------------------------------------------------------
 
     def _record(self, phase: str, theta: np.ndarray, **fields) -> RoundRecord:
@@ -201,7 +196,7 @@ class NoStopController:
         interval, executors = theta_to_configuration(theta, self.scaler)[:2]
         return RoundRecord(
             round_index=self._rounds_run,
-            k=self.spsa.k,
+            k=self.tuner.k,
             phase=phase,
             sim_time=self.system.time,
             rho=self.tuner.schedule.value,
@@ -219,7 +214,7 @@ class NoStopController:
         batches that absorbed — a reset/pause/resume decision are always
         available for critical-path analysis, regardless of sampling.
         """
-        interval = theta_to_configuration(self.spsa.theta, self.scaler)[0]
+        interval = theta_to_configuration(self.tuner.theta, self.scaler)[0]
         t = self.system.time
         self.telemetry.tracer.note_interest(t - interval, t + interval, kind)
 
@@ -229,7 +224,7 @@ class NoStopController:
     def _record_evaluation(self, result: AdjustResult, theta: np.ndarray) -> None:
         self.pause_rule.record(
             evaluate_config(
-                result, theta, self.spsa.k, rho_cap=self.tuner.schedule.cap
+                result, theta, self.tuner.k, rho_cap=self.tuner.schedule.cap
             )
         )
 
@@ -262,12 +257,12 @@ class NoStopController:
         if guarded:
             # No optimizer step was taken, so record the gain that *would*
             # have scaled it and leave the gradient unset.
-            a_k = self.spsa.gains.a_k(self.spsa.k + 1)
+            a_k = self.tuner.gains.a_k(self.tuner.k + 1)
             gradient = None
             theta_next = tuple(float(v) for v in theta_before)
             step_clipped = tuple(False for _ in theta_before)
         else:
-            it = self.spsa.history[-1]
+            it = self.tuner.history[-1]
             a_k = it.a_k
             gradient = tuple(float(v) for v in it.gradient)
             theta_next = tuple(float(v) for v in it.theta_next)
@@ -277,7 +272,7 @@ class NoStopController:
         self.audit.record_decision(
             SPSADecision(
                 round_index=self._rounds_run,
-                k=self.spsa.k,
+                k=self.tuner.k,
                 sim_time=self.system.time,
                 rho=rho,
                 a_k=float(a_k),
@@ -319,7 +314,7 @@ class NoStopController:
                 f"{self.rate_monitor.threshold:g})"
             ),
         )
-        return self._record("reset", self.spsa.theta)
+        return self._record("reset", self.tuner.theta)
 
     # -- checkpoint / restore ------------------------------------------------
 
@@ -403,14 +398,14 @@ class NoStopController:
             if self.paused and self.pause_rule.evaluations:
                 theta = self.pause_rule.best_config().theta
             else:
-                theta = self.spsa.theta
+                theta = self.tuner.theta
             apply_theta(self.system, theta, self.scaler)
 
         audit_cursor = state.get("audit", {})
         self.audit.record_firing(
             "restore", self._rounds_run, self.system.time,
             detail=(
-                f"controller restored from checkpoint: k={self.spsa.k}, "
+                f"controller restored from checkpoint: k={self.tuner.k}, "
                 f"paused={self.paused}, "
                 f"evaluations={self.pause_rule.evaluations}, "
                 f"audit cursor decisions={audit_cursor.get('decisions', 0)} "
@@ -450,7 +445,7 @@ class NoStopController:
 
     def _optimize_round(self) -> RoundRecord:
         tuner = self.tuner
-        theta_before = self.spsa.theta.copy()
+        theta_before = tuner.theta.copy()
         theta_plus, theta_minus = tuner.ask(), tuner.ask()
         pending = tuner.pending
         # The ρ in force during the probes; observing the pair steps it.
@@ -488,7 +483,7 @@ class NoStopController:
             self._enter_pause()
 
         return self._record(
-            "optimize", self.spsa.theta,
+            "optimize", self.tuner.theta,
             plus_result=plus, minus_result=minus, guarded=guarded,
         )
 
@@ -537,7 +532,7 @@ class NoStopController:
                     interval, proc, self.tuner.schedule.cap
                 ),
                 end_to_end_delay=steady_state_delay(interval, proc),
-                iteration=self.spsa.k,
+                iteration=self.tuner.k,
                 batch_interval=interval,
                 num_executors=executors,
                 mean_processing_time=proc,
@@ -573,7 +568,7 @@ class NoStopController:
             self.pause_rule,
             self.adjust,
             self.tuner.schedule.cap,
-            self.spsa.k,
+            self.tuner.k,
             max_confirmations=max_confirmations,
             skip_corrupted=self.harden,
         )
@@ -590,7 +585,7 @@ class NoStopController:
         self.report.poisoned_steps_avoided = self.poisoned_steps_avoided
         self.report.poisoned_steps_taken = self.poisoned_steps_taken
         self.report.corrupted_retries = self.corrupted_retries
-        theta = self.spsa.theta
+        theta = self.tuner.theta
         if self.pause_rule.evaluations:
             self.report.best = self.pause_rule.best_config()
             theta = self.report.best.theta

@@ -166,22 +166,39 @@ def make_controller(
     gains: Optional[GainSchedule] = None,
     pause_n: int = 10,
     collector: Optional[MetricsCollector] = None,
+    harden: Optional[bool] = None,
 ) -> NoStopController:
     """NoStop controller with the paper's §6.2.1 settings.
+
+    ``harden`` picks a profile for runs under faults.  ``True`` is the
+    full noise-tolerance stack: a collector that rejects MAD outliers
+    (threshold 3.5) and re-measures, a rate-monitor cooldown of 6
+    observations, probe retry and guarded SPSA steps.  ``False`` is its
+    ablation arm: outlier *detection* stays on, so poisoned steps can be
+    counted, but nothing is rejected, retried or guarded.  ``None``
+    keeps the paper's settings.  A given ``collector`` replaces the
+    profile's.
 
     Inherits the setup's telemetry bundle, so the controller's audit
     trail lands next to the substrate's traces and metrics.
     """
     from repro.core.nostop import NoStopController
     from repro.core.pause import PauseRule
+    from repro.core.rate_monitor import RateMonitor
 
+    if harden is not None:
+        collector = collector or MetricsCollector(
+            mad_threshold=3.5, reject_outliers=harden
+        )
     return NoStopController(
         system=setup.system,
         scaler=setup.scaler,
         gains=gains,
         pause_rule=PauseRule(n_best=pause_n),
+        rate_monitor=RateMonitor(cooldown=6) if harden else None,
         collector=collector,
         seed=seed,
+        harden=harden is not False,
         telemetry=setup.telemetry,
     )
 

@@ -101,7 +101,7 @@ def run_fig6_one(
     from repro.core.adjust import theta_to_configuration
 
     interval0, executors0 = theta_to_configuration(
-        controller.spsa.theta, setup.scaler
+        controller.tuner.theta, setup.scaler
     )[:2]
     report = controller.run(rounds)
     trace = EvolutionTrace(workload=workload, report=report)

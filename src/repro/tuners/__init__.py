@@ -18,7 +18,7 @@ from repro._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "adapters": (
         "AnnealingTuner", "BOTuner", "GridTuner", "NoStopTuner", "RandomTuner",
-        "grid_points",
+        "SPSAIteration", "grid_points",
     ),
     "base": (
         "DIVERGENCE_PENALTY", "Tuner", "TunerRunReport", "clamp_objective",

@@ -9,6 +9,7 @@ their picks are shared through :func:`~repro.tuners.base.run_tuner`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -19,24 +20,57 @@ from repro.core.bounds import MinMaxScaler
 from repro.core.gains import GainSchedule, paper_gains
 from repro.core.objective import RhoSchedule
 from repro.core.pause import EvaluatedConfig
-from repro.core.spsa import SPSAOptimizer
+from repro.core.perturbation import BernoulliPerturbation, PerturbationGenerator
 from repro.obs import catalog
 from repro.obs.registry import NOOP_REGISTRY, MetricsRegistry
 
 from .base import Tuner, clamp_objective, register_tuner
 
 
+@dataclass(frozen=True)
+class SPSAIteration:
+    """Full record of one SPSA iteration (for Fig. 6-style evolution
+    plots and the audit trail).  An averaged iteration records its last
+    pair's probes; a one-measurement iteration records θ as its unused
+    θ⁻ and ``y_minus = nan``."""
+
+    k: int
+    a_k: float
+    c_k: float
+    delta: np.ndarray
+    theta: np.ndarray
+    theta_plus: np.ndarray
+    theta_minus: np.ndarray
+    y_plus: float
+    y_minus: float
+    gradient: np.ndarray
+    theta_next: np.ndarray
+
+
 @register_tuner("nostop")
 class NoStopTuner(Tuner):
-    """The paper's optimizer: SPSA with the Algorithm 1 ρ schedule.
+    """The paper's optimizer: SPSA (§4.2.3, §5.3) with the Algorithm 1
+    ρ schedule.
 
-    SPSA consumes observations in θ⁺/θ⁻ pairs, so the adapter runs a
-    two-phase protocol: the first ``ask`` of an iteration proposes θ⁺,
-    the second θ⁻, and the gradient step fires when the minus-side
-    observation lands.  :attr:`pending` holds the asked pair (with its
-    Δ and c_k) until then.  This class is the only owner of the SPSA
-    iterate, its RNG and the ρ schedule;
-    :class:`~repro.core.nostop.NoStopController` drives it.
+    Per iteration k: draw Δ_k, measure ``y(θ_k ± c_k Δ_k)``, estimate
+    ``ĝ_k = (y⁺ − y⁻) / (2 c_k Δ_k)`` (elementwise), and step
+    ``θ_{k+1} = checkBound(θ_k − a_k ĝ_k)`` — two measurements whatever
+    the dimension, SPSA's key economy (§4.2.1).  ``probes`` sets the
+    measurements per iteration:
+
+    * ``2`` (the paper): one two-sided estimate;
+    * ``1``: one-measurement SPSA (Spall 1997), ``ĝ_k = y⁺ / (c_k Δ_k)``
+      — half the configuration changes, a noisier gradient;
+    * ``2m``: the mean of m two-sided estimates, each with its own Δ —
+      a lower-variance step for m times the changes.
+
+    Each pair's first ``ask`` draws Δ and proposes θ⁺, the second θ⁻
+    (``probes=1`` asks θ⁺ only).  :attr:`pending` holds the asked pair
+    (Δ, c_k, y⁺) until its observations land, plus an averaged
+    iteration's finished ``gradients``; the step fires on the
+    iteration's last observation.  This class is the only owner of the SPSA iterate, its
+    RNG and the ρ schedule; :class:`~repro.core.nostop.NoStopController`
+    drives it.
     """
 
     def __init__(
@@ -45,29 +79,47 @@ class NoStopTuner(Tuner):
         seed: int = 0,
         gains: Optional[GainSchedule] = None,
         theta_initial: Optional[Sequence[float]] = None,
+        probes: int = 2,
     ) -> None:
         super().__init__(scaler, seed)
-        initial = (
+        if probes < 1 or (probes > 1 and probes % 2):
+            raise ValueError(
+                f"probes must be 1 or a positive even number, got {probes}"
+            )
+        self.probes = int(probes)
+        self.gains = gains or paper_gains()
+        self.gains.validate()
+        self.perturbation: PerturbationGenerator = BernoulliPerturbation()
+        self.rng = np.random.default_rng(seed)
+        self.theta_initial = self.box.project(
             self.box.center() if theta_initial is None else theta_initial
         )
-        self.spsa = SPSAOptimizer(
-            gains or paper_gains(), self.box, initial, seed=seed
-        )
+        self.theta = self.theta_initial.copy()
+        self.k = 0
+        self.history: List[SPSAIteration] = []
         self.schedule = RhoSchedule()
         self.pending: Optional[dict] = None
 
     def ask(self) -> np.ndarray:
-        if self.pending is None:
-            theta_plus, theta_minus, delta, c_k = self.spsa.propose()
-            self.pending = {
-                "thetaPlus": [float(v) for v in theta_plus],
-                "thetaMinus": [float(v) for v in theta_minus],
-                "delta": [float(v) for v in delta],
-                "ck": float(c_k),
-                "yPlus": None,
-            }
-            return np.asarray(theta_plus, dtype=float)
-        return np.asarray(self.pending["thetaMinus"], dtype=float)
+        pending = self.pending
+        # Between an averaged iteration's pairs, pending holds only the
+        # finished pairs' gradients: the next ask starts a pair.
+        if pending is not None and "delta" in pending:
+            return np.asarray(pending["thetaMinus"], dtype=float)
+        c_k = self.gains.c_k(self.k + 1)
+        delta = self.perturbation.sample(self.box.dim, self.rng)
+        self.perturbation.validate_sample(delta)
+        theta_plus = self.box.project(self.theta + c_k * delta)
+        theta_minus = self.box.project(self.theta - c_k * delta)
+        self.pending = {
+            **(pending or {}),
+            "thetaPlus": [float(v) for v in theta_plus],
+            "thetaMinus": [float(v) for v in theta_minus],
+            "delta": [float(v) for v in delta],
+            "ck": float(c_k),
+            "yPlus": None,
+        }
+        return theta_plus
 
     def observe(
         self,
@@ -77,32 +129,64 @@ class NoStopTuner(Tuner):
     ) -> None:
         y = clamp_objective(objective)
         pending = self.pending
-        if pending is None:
+        if pending is None or "delta" not in pending:
             raise RuntimeError("observe() without a pending ask()")
-        if pending["yPlus"] is None:
+        if self.probes > 1 and pending["yPlus"] is None:
             pending["yPlus"] = y
             return
-        self.spsa.apply_measurements(
-            np.asarray(pending["thetaPlus"], dtype=float),
-            np.asarray(pending["thetaMinus"], dtype=float),
-            np.asarray(pending["delta"], dtype=float),
-            pending["ck"],
-            pending["yPlus"],
-            y,
+        delta = np.asarray(pending["delta"], dtype=float)
+        c_k = pending["ck"]
+        if self.probes == 1:
+            gradient = y / (c_k * delta)
+            # The record keeps θ as the unmeasured θ⁻.
+            theta_minus = self.theta.copy()
+            y_plus, y_minus = y, float("nan")
+        else:
+            theta_minus = np.asarray(pending["thetaMinus"], dtype=float)
+            y_plus, y_minus = pending["yPlus"], y
+            gradient = (y_plus - y_minus) / (2.0 * c_k * delta)
+            if self.probes > 2:
+                gradients = pending.get("gradients", []) + [
+                    [float(v) for v in gradient]
+                ]
+                if len(gradients) < self.probes // 2:
+                    self.pending = {"gradients": gradients}
+                    return
+                gradient = np.mean(gradients, axis=0)
+        self.k += 1
+        a_k = self.gains.a_k(self.k)
+        theta_next = self.box.project(self.theta - a_k * gradient)
+        self.history.append(
+            SPSAIteration(
+                k=self.k,
+                a_k=a_k,
+                c_k=c_k,
+                delta=delta,
+                theta=self.theta,
+                theta_plus=np.asarray(pending["thetaPlus"], dtype=float),
+                theta_minus=theta_minus,
+                y_plus=y_plus,
+                y_minus=y_minus,
+                gradient=gradient,
+                theta_next=theta_next,
+            )
         )
+        self.theta = theta_next
         self.schedule.step()
         self.pending = None
 
     def discard(self) -> None:
-        """Drop the pending pair without a gradient step (a guarded
-        round).  ρ still advances, as after an observed pair."""
+        """Drop the pending iteration without a gradient step (a guarded
+        round).  ρ still advances, as after an observed iteration."""
         self.pending = None
         self.schedule.step()
 
     def restart(self) -> None:
         """The §5.5 restart: k, θ and ρ return to their initial values.
         The RNG stream runs on, so the next Δ is not the seed's first."""
-        self.spsa.reset()
+        self.theta = self.theta_initial.copy()
+        self.k = 0
+        self.history.clear()
         self.schedule.reset()
         self.pending = None
 
@@ -110,14 +194,28 @@ class NoStopTuner(Tuner):
         return min(self.schedule.value, float(cap))
 
     def checkpoint(self) -> dict:
+        """θ, k, the initial point (restart target), the exact
+        bit-generator state, ρ and the pending pair.  The history is
+        explanatory output, never an input to a step, so it is not
+        kept."""
         return {
-            "spsa": self.spsa.checkpoint(),
+            "spsa": {
+                "k": int(self.k),
+                "theta": [float(v) for v in self.theta],
+                "thetaInitial": [float(v) for v in self.theta_initial],
+                "rngState": self.rng.bit_generator.state,
+            },
             "rho": self.schedule.checkpoint(),
             "pending": dict(self.pending) if self.pending else None,
         }
 
     def restore(self, state: dict) -> None:
-        self.spsa.restore(state["spsa"])
+        spsa = state["spsa"]
+        self.k = int(spsa["k"])
+        self.theta = np.asarray(spsa["theta"], dtype=float)
+        self.theta_initial = np.asarray(spsa["thetaInitial"], dtype=float)
+        self.rng.bit_generator.state = spsa["rngState"]
+        self.history.clear()
         self.schedule.restore(state["rho"])
         pending = state.get("pending")
         self.pending = dict(pending) if pending else None

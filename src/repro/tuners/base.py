@@ -8,8 +8,8 @@ safe online tuner — speaks the same four-verb protocol:
 * :meth:`Tuner.observe` — feed back the measured penalized objective
   (plus the ranked :class:`~repro.core.pause.EvaluatedConfig`);
 * :meth:`Tuner.checkpoint` / :meth:`Tuner.restore` — JSON-safe,
-  bit-exact resumable state (RNG bit-generator state included), the same
-  contract :class:`~repro.core.spsa.SPSAOptimizer` already honours.
+  bit-exact resumable state (RNG bit-generator state included), which
+  :class:`~repro.core.nostop.NoStopController` also journals.
 
 :func:`run_tuner` drives any registered tuner against a live
 :class:`~repro.core.adjust.ControlledSystem` through the identical

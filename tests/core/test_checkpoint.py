@@ -100,14 +100,14 @@ def test_restore_checkpoint_counters_and_bookkeeping():
     setup2, _ = _fresh()
     successor = make_controller(setup2, seed=SEED)
     successor.restore(state)
-    assert successor.spsa.k == state["tuner"]["spsa"]["k"]
+    assert successor.tuner.k == state["tuner"]["spsa"]["k"]
     assert successor.paused == state["paused"]
     assert successor.collector.total_skipped == state["collector"]["totalSkipped"]
     assert successor.rate_monitor.resets_triggered == (
         state["rateMonitor"]["resetsTriggered"]
     )
     assert np.allclose(
-        successor.spsa.theta, np.asarray(state["tuner"]["spsa"]["theta"])
+        successor.tuner.theta, np.asarray(state["tuner"]["spsa"]["theta"])
     )
 
 
@@ -123,8 +123,8 @@ def test_rng_state_survives_checkpoint():
     setup_b, _ = _fresh()
     b = make_controller(setup_b, seed=SEED)
     b.restore(json.loads(json.dumps(state)))
-    draws_a = a.spsa.rng.random(8).tolist()
-    draws_b = b.spsa.rng.random(8).tolist()
+    draws_a = a.tuner.rng.random(8).tolist()
+    draws_b = b.tuner.rng.random(8).tolist()
     assert draws_a == draws_b
 
 

@@ -82,7 +82,7 @@ class TestThreeParameterOptimization:
             seed=5,
         )
         report = controller.run(15, confirm=False)
-        assert controller.spsa.dim == 3
+        assert controller.tuner.box.dim == 3
         best = controller.pause_rule.best_config()
         assert len(best.theta) == 3
         # Still two measurements per iteration despite the extra axis.

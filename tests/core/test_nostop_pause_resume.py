@@ -21,9 +21,9 @@ class TestPauseMonitorResume:
 
     def test_monitor_rounds_do_not_advance_spsa(self, paused_controller):
         _, controller = paused_controller
-        k_before = controller.spsa.k
+        k_before = controller.tuner.k
         controller.run_round()  # a paused monitoring round
-        assert controller.spsa.k == k_before
+        assert controller.tuner.k == k_before
 
     def test_monitor_rounds_relax_window(self, paused_controller):
         _, controller = paused_controller

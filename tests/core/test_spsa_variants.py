@@ -1,11 +1,13 @@
-"""Unit tests for the SPSA variants."""
+"""The ``probes`` estimators of ``NoStopTuner`` besides the paper's two:
+one-measurement SPSA (``probes=1``) and gradient-averaged SPSA
+(``probes=2m``)."""
 
 import numpy as np
-import pytest
 
 from repro.core.bounds import Box
 from repro.core.gains import GainSchedule
-from repro.core.spsa_variants import AveragedSPSA, OneMeasurementSPSA
+
+from .test_spsa import make_tuner, minimize
 
 
 def quadratic(target):
@@ -23,40 +25,45 @@ BOX = Box([0.0, 0.0], [10.0, 10.0])
 GAINS = GainSchedule(a=2.0, c=0.5, A=1.0)
 
 
+def _tuner(probes, theta0=(5.0, 5.0), seed=0, gains=GAINS):
+    return make_tuner(theta0=theta0, seed=seed, probes=probes, gains=gains)
+
+
 class TestOneMeasurementSPSA:
     def test_single_measurement_per_iteration(self):
-        opt = OneMeasurementSPSA(GAINS, BOX, [5.0, 5.0], seed=0)
-        calls = []
-        opt.step(lambda t: calls.append(1) or 1.0)
-        assert len(calls) == 1
-        assert opt.total_measurements == 1
+        tuner = _tuner(1)
+        tuner.observe(tuner.ask(), 1.0)
+        assert tuner.k == 1
+        assert tuner.pending is None
+        record = tuner.history[-1]
+        assert np.isnan(record.y_minus)
+        np.testing.assert_array_equal(record.theta_minus, record.theta)
 
     def test_converges_on_quadratic(self):
         # Higher-variance than two-sided SPSA: generous tolerance.
-        opt = OneMeasurementSPSA(
-            GainSchedule(a=1.0, c=0.5, A=1.0), BOX, [8.0, 2.0], seed=1
+        tuner = _tuner(
+            1, (8.0, 2.0), seed=1, gains=GainSchedule(a=1.0, c=0.5, A=1.0)
         )
-        theta = opt.minimize(quadratic([4.0, 6.0]), iterations=600)
+        theta, calls = minimize(tuner, quadratic([4.0, 6.0]), 600)
         assert np.allclose(theta, [4.0, 6.0], atol=1.5)
+        assert calls == 600
 
     def test_stays_in_box(self):
-        opt = OneMeasurementSPSA(GAINS, BOX, [5.0, 5.0], seed=2)
+        tuner = _tuner(1, seed=2)
         rng = np.random.default_rng(2)
         for _ in range(30):
-            opt.step(lambda t: float(rng.normal()))
-            assert BOX.contains(opt.theta)
-
-    def test_nonfinite_rejected(self):
-        opt = OneMeasurementSPSA(GAINS, BOX, [5.0, 5.0], seed=0)
-        with pytest.raises(ValueError):
-            opt.step(lambda t: float("inf"))
+            minimize(tuner, lambda t: float(rng.normal()), 1)
+            assert BOX.contains(tuner.theta)
 
 
 class TestAveragedSPSA:
     def test_measurement_accounting(self):
-        opt = AveragedSPSA(GAINS, BOX, [5.0, 5.0], num_estimates=3, seed=0)
-        opt.step(lambda t: 1.0)
-        assert opt.total_measurements == 6
+        tuner = _tuner(6)
+        for _ in range(5):
+            tuner.observe(tuner.ask(), 1.0)
+            assert tuner.k == 0
+        tuner.observe(tuner.ask(), 1.0)
+        assert tuner.k == 1
 
     def test_reduces_gradient_variance(self):
         # Estimate the gradient at a fixed point many times with m=1 and
@@ -64,11 +71,11 @@ class TestAveragedSPSA:
         def grad_samples(m, n=60):
             samples = []
             for seed in range(n):
-                opt = AveragedSPSA(
-                    GAINS, BOX, [5.0, 5.0], num_estimates=m, seed=seed
+                tuner = _tuner(2 * m, seed=seed)
+                minimize(
+                    tuner, noisy_quadratic([2.0, 2.0], sigma=4.0, seed=seed), 1
                 )
-                record = opt.step(noisy_quadratic([2.0, 2.0], sigma=4.0, seed=seed))
-                samples.append(record.gradient)
+                samples.append(tuner.history[-1].gradient)
             return np.array(samples)
 
         var1 = np.var(grad_samples(1), axis=0).mean()
@@ -76,22 +83,23 @@ class TestAveragedSPSA:
         assert var4 < var1
 
     def test_converges_under_noise(self):
-        opt = AveragedSPSA(
-            GainSchedule(a=2.0, c=0.8, A=1.0), BOX, [9.0, 1.0],
-            num_estimates=3, seed=3,
+        tuner = _tuner(
+            6, (9.0, 1.0), seed=3, gains=GainSchedule(a=2.0, c=0.8, A=1.0)
         )
-        theta = opt.minimize(
-            noisy_quadratic([4.0, 6.0], sigma=1.0, seed=3), iterations=150
+        theta, _ = minimize(
+            tuner, noisy_quadratic([4.0, 6.0], sigma=1.0, seed=3), 150
         )
         assert np.allclose(theta, [4.0, 6.0], atol=1.2)
 
     def test_reset_clears_measurements(self):
-        opt = AveragedSPSA(GAINS, BOX, [5.0, 5.0], num_estimates=2, seed=0)
-        opt.step(lambda t: 1.0)
-        opt.reset()
-        assert opt.total_measurements == 0
-        assert opt.k == 0
-
-    def test_invalid_num_estimates(self):
-        with pytest.raises(ValueError):
-            AveragedSPSA(GAINS, BOX, [5.0, 5.0], num_estimates=0)
+        tuner = _tuner(4)
+        minimize(tuner, lambda t: 1.0, 1)
+        tuner.observe(tuner.ask(), 1.0)
+        tuner.observe(tuner.ask(), 2.0)
+        assert set(tuner.pending) == {"gradients"}
+        tuner.restart()
+        assert tuner.pending is None
+        assert tuner.k == 0
+        # The next iteration averages only its own two pairs.
+        minimize(tuner, lambda t: 1.0, 1)
+        np.testing.assert_array_equal(tuner.history[-1].gradient, [0.0, 0.0])

@@ -129,8 +129,8 @@ class TestAuditAgainstOptimizer:
         assert telemetry.audit.replay(box=setup.scaler.scaled) == []
         # Cross-check against the optimizer's own history records.
         unguarded = [d for d in telemetry.audit.decisions if not d.guarded]
-        assert len(unguarded) == len(controller.spsa.history)
-        for d, it in zip(unguarded, controller.spsa.history):
+        assert len(unguarded) == len(controller.tuner.history)
+        for d, it in zip(unguarded, controller.tuner.history):
             assert d.k == it.k
             assert d.y_plus == pytest.approx(it.y_plus)
             assert d.theta_next == pytest.approx(tuple(it.theta_next))

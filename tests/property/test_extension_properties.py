@@ -5,14 +5,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import Box
 from repro.core.gains import GainSchedule
-from repro.core.spsa_variants import AveragedSPSA, OneMeasurementSPSA
 from repro.engine.faults import FaultModel
 from repro.engine.overhead import ZERO_OVERHEAD
 from repro.engine.task_scheduler import NoiseModel, TaskScheduler
 from repro.workloads.windowed import WindowedWordCount
 
+from ..core.test_spsa import make_tuner, minimize
 from ..engine.test_task_scheduler import executors, make_job
 
 
@@ -103,23 +102,23 @@ class TestVariantInvariants:
     @given(seed=st.integers(0, 200), iters=st.integers(1, 10))
     @settings(max_examples=25, deadline=None)
     def test_one_measurement_theta_feasible(self, seed, iters):
-        box = Box([0.0, 0.0], [10.0, 10.0])
-        opt = OneMeasurementSPSA(
-            GainSchedule(a=3.0, c=0.5), box, [5.0, 5.0], seed=seed
+        tuner = make_tuner(
+            theta0=(5.0, 5.0), seed=seed, probes=1,
+            gains=GainSchedule(a=3.0, c=0.5),
         )
         rng = np.random.default_rng(seed)
         for _ in range(iters):
-            opt.step(lambda t: float(rng.normal()))
-            assert box.contains(opt.theta)
+            minimize(tuner, lambda t: float(rng.normal()), 1)
+            assert tuner.box.contains(tuner.theta)
 
     @given(seed=st.integers(0, 200), m=st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
     def test_averaged_measurement_count_exact(self, seed, m):
-        box = Box([0.0, 0.0], [10.0, 10.0])
-        opt = AveragedSPSA(
-            GainSchedule(a=3.0, c=0.5), box, [5.0, 5.0],
-            num_estimates=m, seed=seed,
+        tuner = make_tuner(
+            theta0=(5.0, 5.0), seed=seed, probes=2 * m,
+            gains=GainSchedule(a=3.0, c=0.5),
         )
-        opt.step(lambda t: 1.0)
-        opt.step(lambda t: 2.0)
-        assert opt.total_measurements == 4 * m
+        _, first = minimize(tuner, lambda t: 1.0, 1)
+        _, second = minimize(tuner, lambda t: 2.0, 1)
+        assert first + second == 4 * m
+        assert tuner.k == 2

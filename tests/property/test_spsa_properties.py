@@ -11,7 +11,8 @@ from repro.core.perturbation import (
     BernoulliPerturbation,
     SegmentedUniformPerturbation,
 )
-from repro.core.spsa import SPSAOptimizer
+
+from ..core.test_spsa import make_tuner, minimize
 
 
 @st.composite
@@ -132,30 +133,23 @@ class TestSPSAInvariants:
     @given(seed=st.integers(0, 1000), iterations=st.integers(1, 20))
     @settings(max_examples=30, deadline=None)
     def test_theta_always_feasible(self, seed, iterations):
-        box = Box([0.0, 0.0], [10.0, 10.0])
-        opt = SPSAOptimizer(
-            gains=GainSchedule(a=5.0, c=1.0),
-            box=box,
-            theta_initial=[5.0, 5.0],
-            seed=seed,
+        tuner = make_tuner(
+            theta0=(5.0, 5.0), seed=seed, gains=GainSchedule(a=5.0, c=1.0)
         )
         rng = np.random.default_rng(seed)
-        for _ in range(iterations):
-            record = opt.step(lambda t: float(rng.normal()))
-            assert box.contains(record.theta_plus)
-            assert box.contains(record.theta_minus)
-            assert box.contains(record.theta_next)
-        assert opt.total_measurements == 2 * iterations
+        _, calls = minimize(tuner, lambda t: float(rng.normal()), iterations)
+        for record in tuner.history:
+            assert tuner.box.contains(record.theta_plus)
+            assert tuner.box.contains(record.theta_minus)
+            assert tuner.box.contains(record.theta_next)
+        assert calls == 2 * iterations == 2 * len(tuner.history)
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
     def test_equal_measurements_give_zero_step(self, seed):
-        box = Box([0.0, 0.0], [10.0, 10.0])
-        opt = SPSAOptimizer(
-            gains=GainSchedule(a=5.0, c=1.0),
-            box=box,
-            theta_initial=[5.0, 5.0],
-            seed=seed,
+        tuner = make_tuner(
+            theta0=(5.0, 5.0), seed=seed, gains=GainSchedule(a=5.0, c=1.0)
         )
-        record = opt.step(lambda t: 7.0)  # y+ == y- => gradient 0
+        minimize(tuner, lambda t: 7.0, 1)  # y+ == y- => gradient 0
+        record = tuner.history[-1]
         assert np.allclose(record.theta_next, record.theta)

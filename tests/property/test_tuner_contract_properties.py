@@ -3,8 +3,9 @@
 ``tests/tuners/test_conformance.py`` checks the ``Tuner`` contract on
 fixed sequences.  Here Hypothesis drives random interleavings of
 ``ask``, ``observe``, ``checkpoint`` and ``restore`` — a checkpoint may
-fall between an ``ask`` and its ``observe`` — for all seven tuners.  A
-reference tuner runs the same ask/observe sequence with no interruption.
+fall between an ``ask`` and its ``observe`` — for all seven tuners,
+plus NoStop's one-measurement and averaged estimators (a checkpoint may
+then fall between the pairs of one iteration).  A reference tuner runs the same ask/observe sequence with no interruption.
 On ``restore``, a tuner built with another seed takes the latest
 snapshot and replays the steps taken since it; every ``ask`` it makes
 must equal the reference's, and so must its final checkpoint and its
@@ -21,7 +22,12 @@ from repro.tuners import make_tuner, tournament_space, tuner_names
 
 from ..tuners.test_conformance import _evaluated, _synthetic
 
-ALL_TUNERS = tuner_names()
+#: (registered name, constructor options): every tuner, plus the
+#: non-default SPSA estimators.
+ROSTER = [(name, {}) for name in tuner_names()] + [
+    ("nostop", {"probes": 1}),
+    ("nostop", {"probes": 4}),
+]
 SPACE = tournament_space()
 
 
@@ -42,16 +48,17 @@ def _state(tuner):
 class TestTunerContract:
     @settings(max_examples=150, deadline=None)
     @given(
-        name=st.sampled_from(ALL_TUNERS),
+        entry=st.sampled_from(ROSTER),
         seed=st.integers(0, 2**16),
         ops=st.lists(
             st.sampled_from(["step", "step", "step", "checkpoint", "restore"]),
             max_size=48,
         ),
     )
-    def test_restored_tuner_asks_what_the_original_asks(self, name, seed, ops):
-        reference = make_tuner(name, SPACE, seed=seed)
-        live = make_tuner(name, SPACE, seed=seed)
+    def test_restored_tuner_asks_what_the_original_asks(self, entry, seed, ops):
+        name, options = entry
+        reference = make_tuner(name, SPACE, seed=seed, **options)
+        live = make_tuner(name, SPACE, seed=seed, **options)
         steps = []  # the reference's half-steps, alternating ask/observe
         snapshot = None  # (JSON round-tripped checkpoint, len(steps))
         for op in ops:
@@ -73,7 +80,7 @@ class TestTunerContract:
                 snapshot = (state, len(steps))
             elif snapshot is not None:
                 state, taken = snapshot
-                live = make_tuner(name, SPACE, seed=seed + 1)
+                live = make_tuner(name, SPACE, seed=seed + 1, **options)
                 live.restore(state)
                 for step in steps[taken:]:
                     _apply(live, step)

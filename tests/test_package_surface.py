@@ -108,7 +108,7 @@ NOT_FOR_BUILD = [
     "repro.obs.critical",
     "repro.runner.supervisor", "repro.runner.journal",
     "repro.runner.runner", "repro.runner.cells",
-    "repro.core.nostop", "repro.core.spsa",
+    "repro.core.nostop",
     "repro.tuners", "repro.chaos", "repro.check", "repro.baselines",
     "repro.fast.engine",
 ]
