@@ -140,7 +140,8 @@ def _cli_run(argv: Tuple[str, ...], files: Tuple[str, ...] = ()) -> Dict:
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
             status = main(args)
-        result = {"status": status, "stdout": out.getvalue()}
+        stdout = out.getvalue().replace(tmp, "{tmp}")
+        result = {"status": status, "stdout": stdout}
         for name in files:
             result[name] = (Path(tmp) / name).read_text(encoding="utf-8")
         return result
@@ -171,6 +172,47 @@ def _cli_stdout(*argv: str) -> Callable[[], Any]:
         return ran["stdout"]
 
     return run
+
+
+def _cli_options() -> Any:
+    """Every subcommand, in order, with its help and each argument's
+    option strings, destination, default, choices, nargs and whether it
+    is required: the settable surface of the CLI."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    sub = next(
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return [
+        {
+            "command": name,
+            "help": helps[name],
+            "options": [
+                {
+                    "flags": a.option_strings, "dest": a.dest,
+                    "default": a.default, "nargs": a.nargs,
+                    "choices": None if a.choices is None else list(a.choices),
+                    "required": a.required,
+                }
+                for a in command._actions
+            ],
+        }
+        for name, command in sub.choices.items()
+    ]
+
+
+def _sweep_stats(text: str) -> Any:
+    """``repro sweep --json`` without the fields that name the host: the
+    wall time, the cache and journal paths and the source version tag."""
+    data = json.loads(text)
+    for key in ("wallSeconds", "cacheDir", "journal", "versionTag"):
+        del data[key]
+    return data
 
 
 #: ``repro trace`` as CI runs it: sampled, so tail retention is on.
@@ -327,6 +369,26 @@ CASES: Dict[str, Callable[[], Any]] = {
         "tournament", "--budget", "4", "--workers", "1", "--no-cache",
         "--cache-dir", "{tmp}/cache",
     ),
+    "cli/options": _cli_options,
+    "cli/workloads stdout": _cli_stdout("workloads"),
+    "cli/figure table2 stdout": _cli_stdout("figure", "table2"),
+    "cli/figure fig5 stdout": _cli_stdout("figure", "fig5"),
+    "cli/run --trace-out": lambda: _cli_run(
+        ("run", "--rounds", "6", "--seed", "3",
+         "--trace-out", "{tmp}/trace.json"), ("trace.json",),
+    ),
+    "cli/sweep fig5 --json": _cli_json(
+        "sweep", "fig5", "--workers", "1", "--cache-dir", "{tmp}/cache",
+        data=_sweep_stats,
+    ),
+    "cli/metrics --json stdout": _cli_stdout(
+        "metrics", "--rounds", "4", "--json"
+    ),
+    "cli/metrics --format prom stdout": _cli_stdout(
+        "metrics", "--rounds", "4", "--format", "prom"
+    ),
+    "cli/metrics catalog stdout": _cli_stdout("metrics", "catalog"),
+    "cli/dash stdout": _cli_stdout("dash"),
     **{f"compare/{row}": _compare_row(row) for row in COMPARE_ROWS},
     "chaos/guarded/wordcount/seed5": _chaos_guarded,
     "recovery/logistic_regression": _recovery_summary,
@@ -351,12 +413,22 @@ GOLDEN: Dict[str, str] = {
     "cli/check chaos --json": "a824df7e0114dc8387f8cfd418da3db5fe728bb4bea7821368a7f6dcabe9c830",
     "cli/check fig7 --json": "de37c811f0fe53d5e56ac478ea3a0d4d961a09f72bd0a5adebf7be4a21198142",
     "cli/check quickstart --json": "54553e5f4cc52538b4938eb9a7e69b102c329479007c36790974ca1adc36d755",
+    "cli/dash stdout": "8b3e927f391623b73bd4dbe22a7fc8dbe9fdfe7c7a5136a79b809fe48025ddcb",
+    "cli/figure fig5 stdout": "b6c7b81cd67e96d7e02a406f80c7ed1a9a3219ade9cdc1547db86b58c3f74a61",
+    "cli/figure table2 stdout": "634216416dbef926c59988238f92a8169acef2392f2e997cb225e7ba1b13faae",
+    "cli/metrics --format prom stdout": "97b6294dec020ab23475324a528d0a5174207158100e7ee24386dd9d4e53f589",
+    "cli/metrics --json stdout": "f7fb23e1cb410e2b171c48412d59c387e697aa64938a11657add20e02f30f183",
+    "cli/metrics catalog stdout": "0008e4361540bcecf2cdccf96024c9743bc97827eaf6c84b0b0c0e256cd1b0c1",
+    "cli/options": "e9f612940ee10a7e34f6546d3c1e875adbda855c911f7316f37b30b0e168cd4e",
     "cli/report --json": "425c5a56e66c8411d900b4baba12d68a9f06011a1349afd82008c9cb269e367a",
     "cli/report stdout": "64307ef30f8d0ed0dff953092744d78592460c415d8d8cf7dba7654ea021d66b",
+    "cli/run --trace-out": "479ca8d4f561238ae0317c9cdff7152ed9d362b078ba8db61ce172315ebaaae9",
+    "cli/sweep fig5 --json": "78a99d6a4bb54c6830eeec857422156a712eece38a91e03b0e81bebc0988a662",
     "cli/tournament --json": "a9f518cfe7fc8225fc5db46a7777b5b53dde20cd37220471bf16d3f4dd0a66cb",
     "cli/trace --critical stdout": "513dfb592a20a5431d3c8ea5937eae4307993998cc33e64ee15b07b015e327bc",
     "cli/trace chrome": "2ec443e28b9f1c698e9e689fafecabb92a3987f913a57b4a1143d4aa4bcd52ec",
     "cli/trace folded": "cc5bf3bbd0046088b4670191904214f861c37ac8444c96f8b4379ccef1b94cc2",
+    "cli/workloads stdout": "6d702a6c8e0a72833cd80f79206b888ece0b833c940113f6588612a270427cb1",
     "compare/Bayesian opt": "9e7e5ba410d0b6c3c5a0f8f079b3c5fd45a4793d2306e36682ee2455b528e972",
     "compare/SPSA (NoStop)": "5ccd7cd29b5145be659942b065d11d8e918372858323d64af868162591817230",
     "compare/Simulated annealing": "69ab7c1b5db567780540231b9753db76e70128bc3c2e0800ebce8a31763bd3cc",
