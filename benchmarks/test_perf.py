@@ -13,6 +13,7 @@ runs this module with ``REPRO_PERF_SMOKE=1`` to keep runtimes small,
 and a determinism break must fail the perf job regardless of timing.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ import time
 
 import pytest
 
+from perfbench.run import calibrated
 from repro.datagen.rates import ConstantRate, UniformRandomRate
 from repro.experiments.fig7_improvement import fig7_optimize_spec
 from repro.kafka.producer import RateControlledProducer
@@ -47,6 +49,24 @@ def _timed(fn):
     t0 = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - t0
+
+
+def _calibrated_timed(fn):
+    """``fn()``, its host seconds, and those seconds scaled to
+    perfbench's reference CPU speed by the calibration loop run just
+    before and after it.
+
+    As in perfbench, the call starts from a freshly collected heap:
+    garbage left by earlier work (the exact tier's run, say) is not
+    collected, and counted, inside it.
+    """
+
+    def run():
+        gc.collect()
+        return _timed(fn)
+
+    (result, seconds), scale = calibrated(run)
+    return result, seconds, seconds * scale
 
 
 def _dumps(results):
@@ -261,10 +281,14 @@ class TestHotPaths:
         warm.context.advance_batches(batches)
 
         exact = build_experiment(WORKLOAD, seed=101, fidelity="exact")
-        _, t_exact = _timed(lambda: exact.context.advance_batches(batches))
+        _, t_exact, c_exact = _calibrated_timed(
+            lambda: exact.context.advance_batches(batches)
+        )
 
         fast = build_experiment(WORKLOAD, seed=101, fidelity="vectorized")
-        _, t_fast = _timed(lambda: fast.context.advance_batches(batches))
+        _, t_fast, c_fast = _calibrated_timed(
+            lambda: fast.context.advance_batches(batches)
+        )
 
         # Near ρ=1 a handful of batches can still be queued when the
         # clock stops; both tiers must have completed nearly all.
@@ -276,18 +300,22 @@ class TestHotPaths:
         assert abs(pe - pf) / pe < 0.10
 
         speedup = t_exact / t_fast if t_fast > 0 else float("inf")
+        calibrated_speedup = c_exact / c_fast if c_fast > 0 else float("inf")
         bench_record(
             batches=batches,
             exactSeconds=round(t_exact, 4),
             vectorizedSeconds=round(t_fast, 4),
             speedup=round(speedup, 1),
+            calibratedExactSeconds=round(c_exact, 4),
+            calibratedVectorizedSeconds=round(c_fast, 4),
+            calibratedSpeedup=round(calibrated_speedup, 1),
             exactMeanProc=round(pe, 3),
             vectorizedMeanProc=round(pf, 3),
         )
         emit(
             f"fast tier ({batches} batches): exact {t_exact:.3f}s vs "
-            f"vectorized {t_fast:.4f}s ({speedup:.0f}x), mean proc "
-            f"{pe:.2f}s vs {pf:.2f}s"
+            f"vectorized {t_fast:.4f}s ({speedup:.0f}x; calibrated "
+            f"{calibrated_speedup:.0f}x), mean proc {pe:.2f}s vs {pf:.2f}s"
         )
         assert speedup >= 50.0
 
@@ -352,33 +380,45 @@ class TestHotPaths:
         cell("steady", "random")  # warm imports and one-time setup
         repeats = 1 if SMOKE else 5
         us_per_batch = {}
+        calibrated_us = {}
         batches = {}
         for scenario in ("step", "spike"):
-            seconds = 0.0
+            seconds = calibrated_seconds = 0.0
             batches[scenario] = 0
             for tuner in TOURNAMENT_TUNERS:
-                best = float("inf")
+                best = best_calibrated = float("inf")
                 for _ in range(repeats):
-                    result, elapsed = _timed(lambda: cell(scenario, tuner))
+                    result, elapsed, scaled = _calibrated_timed(
+                        lambda: cell(scenario, tuner)
+                    )
                     golden = GOLDEN[f"tournament/{scenario}/{tuner}"]
                     assert digest(result) == golden, f"{scenario}/{tuner}"
                     best = min(best, elapsed)
+                    best_calibrated = min(best_calibrated, scaled)
                 seconds += best
+                calibrated_seconds += best_calibrated
                 batches[scenario] += result["batchesExecuted"]
             us_per_batch[scenario] = seconds / batches[scenario] * 1e6
+            calibrated_us[scenario] = (
+                calibrated_seconds / batches[scenario] * 1e6
+            )
         bench_record(
             cells=2 * len(TOURNAMENT_TUNERS),
             stepBatches=batches["step"],
             spikeBatches=batches["spike"],
             stepUsPerBatch=round(us_per_batch["step"], 1),
             spikeUsPerBatch=round(us_per_batch["spike"], 1),
+            calibratedStepUsPerBatch=round(calibrated_us["step"], 1),
+            calibratedSpikeUsPerBatch=round(calibrated_us["spike"], 1),
             goldenDigests=True,
         )
         emit(
             f"tournament cell (vectorized, {len(TOURNAMENT_TUNERS)} tuners, "
-            f"budget 8): step {us_per_batch['step']:.0f} us/batch over "
+            f"budget 8): step {us_per_batch['step']:.0f} us/batch "
+            f"(calibrated {calibrated_us['step']:.0f}) over "
             f"{batches['step']} batches, spike {us_per_batch['spike']:.0f} "
-            f"us/batch over {batches['spike']} batches"
+            f"us/batch (calibrated {calibrated_us['spike']:.0f}) over "
+            f"{batches['spike']} batches"
         )
 
     def test_fast_tier_scale_smoke(self, bench_record):

@@ -1,81 +1,168 @@
-"""Command-line interface.
+"""Command-line interface: ``python -m repro <command>``.
 
-Run ``python -m repro <command>``:
+Every command is one entry of :data:`COMMANDS`, declared with
+:func:`_command` on the function that runs it: its name, its help and
+its arguments.  ``repro --help`` lists the commands and ``repro
+<command> --help`` their options.  Options that several commands share
+are declared once below, and each paper figure once in :data:`FIGURES`,
+which ``figure`` and ``sweep`` both dispatch through.
 
-* ``run``       — NoStop on one workload, with a per-round trajectory and
-                  an optional JSON trace dump;
-* ``trace``     — NoStop run with batch-lifecycle tracing on: prints a
-                  span timeline, optionally dumps spans / the SPSA audit
-                  trail as JSONL;
-* ``metrics``   — NoStop run with metrics on: prints a Prometheus
-                  text-exposition snapshot, a human-readable summary, or
-                  JSON events (``--json``/``--filter``/``--events-out``);
-                  ``metrics catalog`` renders the declarative metric
-                  catalog (``--write`` regenerates docs, ``--check``
-                  fails on drift);
-* ``dash``      — generate the Grafana dashboard JSON from the catalog;
-* ``report``    — one judged chaos run distilled into a run report (SLO
-                  verdicts, burn-rate alerts, anomalies, where the delay
-                  went, MTTR, SPSA history); exits 1 on a critical SLO
-                  breach;
-* ``figure``    — regenerate one paper figure/table (fig2 fig3 fig5 fig6
-                  fig7 fig8 table2);
-* ``sweep``     — run a figure sweep through the parallel sweep runner
-                  with the content-addressed result cache (``--workers``,
-                  ``--no-cache``, ``--clear-cache``, ``--cache-dir``);
-* ``tournament``— rank every registered tuner (SPSA, BO, annealing,
-                  random, grid, RL, safe-online) across scenario shapes
-                  on the parallel runner; ``--json`` writes the
-                  byte-deterministic leaderboard;
-* ``compare``   — SPSA vs BO vs annealing vs random search on one workload;
-* ``check``     — run a target (quickstart, fig7, chaos) with the runtime
-                  invariants attached and compare it against the analytic
-                  oracles (``--metamorphic`` adds the relation checks);
-                  ``--strict`` exits 1 on any violation;
-* ``lint``      — the determinism and dead-code linter over the package
-                  source (or given paths); exits 1 on any finding;
-* ``workloads`` — list available workloads and their paper rate bands.
+A command imports its subsystem when it runs, and argument choices are
+read when argparse first needs them, so importing this module or
+building the parser loads no simulation code.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import re
 import sys
 import time
-from typing import List, Optional
-
-from repro.analysis.tables import format_table
-from repro.analysis.traces import ExperimentTrace
-from repro.datagen.rates import PAPER_RATE_BANDS, RATE_BAND_ALIASES
-from repro.workloads import WORKLOADS
+from importlib import import_module
+from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 
+def _arg(*flags: str, **kwargs) -> tuple:
+    """One ``add_argument`` call of a command entry."""
+    return flags, kwargs
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argument type: an integer ``>= low``.  The callees reject
+    smaller counts, so they are usage errors (exit 2), not tracebacks."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return value
+
+    return integer
+
+
+_COUNT = _int_at_least(1)
+
+
+class _Choices:
+    """The values of ``module.attr``, read when argparse first checks or
+    shows a choice, so that building the parser imports no subsystem."""
+
+    def __init__(self, module: str, attr: str, order=tuple) -> None:
+        self.module, self.attr, self.order = module, attr, order
+
+    def __iter__(self):
+        return iter(self.order(getattr(import_module(self.module), self.attr)))
+
+
+def _workload(default: Optional[str] = "wordcount", **kwargs) -> tuple:
+    return _arg("--workload", default=default,
+                choices=_Choices("repro.workloads", "WORKLOADS", sorted),
+                **kwargs)
+
+
+def _seed(default: Optional[int], **kwargs) -> tuple:
+    return _arg("--seed", type=int, default=default, **kwargs)
+
+
+def _rounds(default: int, **kwargs) -> tuple:
+    return _arg("--rounds", type=_COUNT, default=default, **kwargs)
+
+
+def _repeats(default: int, help: str) -> tuple:
+    return _arg("--repeats", type=_COUNT, default=default, help=help)
+
+
+def _fidelity(default: str, help: str) -> tuple:
+    return _arg("--fidelity", default=default,
+                choices=_Choices("repro.fast", "FIDELITIES"), help=help)
+
+
+# The runner flags of ``sweep`` and ``tournament``, read by _runner.
+_WORKERS = _arg("--workers", type=_COUNT,
+                help="worker processes (default: all CPU cores; "
+                     "results identical at any count)")
+_NO_CACHE = _arg("--no-cache", action="store_true",
+                 help="ignore cached results (fresh results still stored)")
+_CACHE_DIR = _arg("--cache-dir",
+                  help="cache root (default: $REPRO_SWEEP_CACHE or "
+                       "~/.cache/repro/sweeps)")
+_JOURNAL = _arg("--journal",
+                help="write-ahead journal (JSONL) recording every "
+                     "completed cell for crash-safe resume")
+_RETRIES = _arg("--retries", type=_int_at_least(0), default=2,
+                help="retries per failing cell before it becomes a "
+                     "structured CellFailure result")
+
+
+class _Command(NamedTuple):
+    """One ``repro`` command: its help, its arguments and its runner."""
+
+    help: str
+    arguments: Sequence[tuple]
+    run: Callable[[argparse.Namespace], int]
+
+
+#: Every command, in ``repro --help`` order.
+COMMANDS: Dict[str, _Command] = {}
+
+
+def _command(name: str, help: str, *arguments: tuple):
+    """File the decorated function in :data:`COMMANDS` as ``name``."""
+
+    def register(run):
+        COMMANDS[name] = _Command(help, arguments, run)
+        return run
+
+    return register
+
+
+@_command("workloads", "list workloads and rate bands")
 def _cmd_workloads(_args) -> int:
-    rows = []
-    for name in WORKLOADS:
-        band_key = RATE_BAND_ALIASES.get(name, name)
-        band = PAPER_RATE_BANDS.get(band_key)
-        band_str = f"[{band[0]:,} .. {band[1]:,}] rec/s" if band else "-"
-        rows.append((name, band_str))
+    from repro.analysis.tables import format_table
+    from repro.datagen.rates import PAPER_RATE_BANDS, RATE_BAND_ALIASES
+    from repro.workloads import WORKLOADS
+
+    bands = [
+        (name, PAPER_RATE_BANDS.get(RATE_BAND_ALIASES.get(name, name)))
+        for name in WORKLOADS
+    ]
+    rows = [(name, f"[{b[0]:,} .. {b[1]:,}] rec/s" if b else "-")
+            for name, b in bands]
     print(format_table(["workload", "paper rate band"], rows,
                        title="Available workloads"))
     return 0
 
 
-def _cmd_run(args) -> int:
+def _nostop(args, telemetry=None):
+    """NoStop on ``--workload`` at ``--seed`` for ``--rounds`` rounds:
+    the deployment, the controller and the controller's report."""
     from repro.experiments.common import build_experiment, make_controller
 
-    setup = build_experiment(args.workload, seed=args.seed)
+    setup = build_experiment(args.workload, seed=args.seed,
+                             telemetry=telemetry)
     controller = make_controller(setup, seed=args.seed)
-    report = controller.run(args.rounds)
+    return setup, controller, controller.run(args.rounds)
 
-    rows = []
-    for r in report.rounds:
-        rows.append((
-            r.round_index, r.phase, f"{r.batch_interval:.2f}",
-            r.num_executors,
-            f"{r.mean_processing_time:.2f}" if r.mean_processing_time else "-",
-        ))
+
+@_command(
+    "run", "run NoStop on a workload",
+    _workload(), _rounds(30), _seed(0),
+    _arg("--trace-out", help="write the run trajectory as JSON"),
+)
+def _cmd_run(args) -> int:
+    from repro.analysis.tables import format_table
+    from repro.analysis.traces import ExperimentTrace
+
+    _, controller, report = _nostop(args)
+    rows = [
+        (r.round_index, r.phase, f"{r.batch_interval:.2f}", r.num_executors,
+         f"{r.mean_processing_time:.2f}" if r.mean_processing_time else "-")
+        for r in report.rounds
+    ]
     print(format_table(
         ["round", "phase", "interval (s)", "executors", "proc (s)"],
         rows,
@@ -106,11 +193,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _run_with_telemetry(args, task_detail: bool = False,
-                        emitter_factory=None):
-    """Shared setup for ``trace`` / ``metrics``: an instrumented run."""
-    from repro.experiments.common import build_experiment, make_controller
-    from repro.obs import Telemetry
+def _run_with_telemetry(args, task_detail: bool = False):
+    """Shared setup for ``trace`` / ``metrics``: an instrumented run,
+    shipping its events to ``--events-out`` when that is set."""
+    from repro.obs import EmissionBatcher, JsonlSink, Telemetry
 
     telemetry = Telemetry(
         enabled=True,
@@ -118,35 +204,43 @@ def _run_with_telemetry(args, task_detail: bool = False,
         sample_rate=getattr(args, "sample", 1),
         retain_interesting=not getattr(args, "no_retain", False),
     )
-    if emitter_factory is not None:
-        telemetry.attach_emitter(emitter_factory(telemetry.metrics))
-    setup = build_experiment(args.workload, seed=args.seed,
-                             telemetry=telemetry)
-    controller = make_controller(setup, seed=args.seed)
-    controller.run(args.rounds)
-    return telemetry, setup, controller
+    if getattr(args, "events_out", None):
+        telemetry.attach_emitter(EmissionBatcher(
+            JsonlSink(args.events_out), registry=telemetry.metrics
+        ))
+    return telemetry, _nostop(args, telemetry)[0]
 
 
+@_command(
+    "trace", "NoStop run with batch tracing on",
+    _workload(), _rounds(10), _seed(0),
+    _arg("--last", type=int, default=3,
+         help="how many trailing batch traces to print"),
+    _arg("--tasks", action="store_true",
+         help="emit per-task spans too (verbose)"),
+    _arg("--out", help="write all spans as JSONL"),
+    _arg("--audit-out", help="write the SPSA audit trail as JSONL"),
+    _arg("--chrome", help="write a Chrome Trace Event JSON file "
+                          "(open in Perfetto / chrome://tracing)"),
+    _arg("--folded",
+         help="write folded stacks for flamegraph.pl / speedscope"),
+    _arg("--critical", action="store_true",
+         help="print the critical-path delay decomposition and "
+              "cross-check it against the steady-state oracle"),
+    _arg("--sample", type=_COUNT, default=1,
+         help="head-sample 1/N of batch traces (deterministic; "
+              "tail retention still keeps interesting traces)"),
+    _arg("--no-retain", action="store_true",
+         help="disable tail-based retention of interesting traces"),
+)
 def _cmd_trace(args) -> int:
-    from repro.obs import (
-        analyze_spans,
-        breakdown_section,
-        decompose_spans,
-        render_timeline,
-        save_chrome_trace,
-        save_folded,
-        save_spans,
-        section_text,
-        steady_state_agreement,
-    )
+    from repro import obs
 
-    telemetry, setup, controller = _run_with_telemetry(
-        args, task_detail=args.tasks
-    )
+    telemetry, setup = _run_with_telemetry(args, task_detail=args.tasks)
     tracer = telemetry.tracer
     tracer.finalize_all()
     spans = tracer.spans
-    print(render_timeline(spans, last_n_traces=args.last))
+    print(obs.render_timeline(spans, last_n_traces=args.last))
     n_traces = len(tracer.trace_ids())
     print(f"\n{len(spans)} spans across {n_traces} batch traces "
           f"({tracer.dropped_spans} dropped); "
@@ -162,10 +256,10 @@ def _cmd_trace(args) -> int:
               + (f" ({retained})" if retained else "")
               + f", {tracer.evicted_traces} evicted")
     if args.critical:
-        section = breakdown_section(analyze_spans(spans).to_dict())
-        print("\n" + section_text(section))
+        section = obs.breakdown_section(obs.analyze_spans(spans).to_dict())
+        print("\n" + obs.section_text(section))
         batches = setup.context.listener.metrics.batches
-        agreement = steady_state_agreement(decompose_spans(spans), batches)
+        agreement = obs.steady_state_agreement(obs.decompose_spans(spans), batches)
         if agreement.samples:
             mark = "AGREE" if agreement.ok else "DISAGREE"
             print(f"steady-state oracle cross-check: trace-side "
@@ -176,12 +270,11 @@ def _cmd_trace(args) -> int:
                 return 1
         else:
             print("steady-state oracle cross-check: no matchable batches")
-    if args.out:
-        print(f"spans written to {save_spans(spans, args.out)}")
-    if args.chrome:
-        print(f"Chrome trace written to {save_chrome_trace(spans, args.chrome)}")
-    if args.folded:
-        print(f"folded stacks written to {save_folded(spans, args.folded)}")
+    for path, save, what in ((args.out, obs.save_spans, "spans"),
+                             (args.chrome, obs.save_chrome_trace, "Chrome trace"),
+                             (args.folded, obs.save_folded, "folded stacks")):
+        if path:
+            print(f"{what} written to {save(spans, path)}")
     if args.audit_out:
         print(f"audit trail written to {telemetry.audit.save(args.audit_out)}")
     mismatches = telemetry.audit.replay(box=setup.scaler.scaled)
@@ -193,64 +286,58 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-class _PrefixView:
-    """Registry view restricted to names starting with a prefix.
-
-    Exporters only need ``collect()``; the view keeps their output
-    ordering (and thus determinism) intact.
-    """
-
-    def __init__(self, registry, prefix: str) -> None:
-        self._registry = registry
-        self.prefix = prefix
-
-    def collect(self):
-        return [
-            m for m in self._registry.collect()
-            if m.name.startswith(self.prefix)
-        ]
-
-
+@_command(
+    "metrics", "metrics snapshot of a NoStop run, or the generated catalog",
+    _arg("action", nargs="?", default="snapshot",
+         choices=["snapshot", "catalog"],
+         help="snapshot: instrumented run + registry dump; "
+              "catalog: the declarative metric catalog docs"),
+    _workload(), _rounds(10), _seed(0),
+    _arg("--format", choices=["prom", "summary"], default="summary"),
+    _arg("--json", action="store_true",
+         help="snapshot as JSON events (sorted keys, one object "
+              "per sample) instead of text"),
+    _arg("--filter", metavar="PREFIX",
+         help="restrict the snapshot to metric names starting "
+              "with PREFIX; exits 2 when nothing matches"),
+    _arg("--out", help="also write the snapshot here"),
+    _arg("--events-out", metavar="JSONL",
+         help="ship per-batch events and the final registry "
+              "snapshot through the batched emission pipeline "
+              "into this JSONL file"),
+    _arg("--check", action="store_true",
+         help="catalog: verify the checked-in docs match the "
+              "declarations (exit 1 on drift)"),
+    _arg("--write", action="store_true",
+         help="catalog: regenerate docs/METRICS.md and docs/metrics.json"),
+    _arg("--docs-dir", default="docs",
+         help="catalog: directory holding the generated docs"),
+)
 def _cmd_metrics(args) -> int:
     if args.action == "catalog":
         return _cmd_metrics_catalog(args)
-    import json as _json
 
-    from repro.obs import (
-        EmissionBatcher,
-        JsonlSink,
-        metric_events,
-        prometheus_text,
-        render_metrics_summary,
-    )
+    from repro.obs import metric_events, prometheus_text, render_metrics_summary
 
-    batcher = None
-
-    def _make_emitter(registry):
-        nonlocal batcher
-        batcher = EmissionBatcher(JsonlSink(args.events_out),
-                                  registry=registry)
-        return batcher
-
-    telemetry, setup, _ = _run_with_telemetry(
-        args,
-        emitter_factory=_make_emitter if args.events_out else None,
-    )
-
+    telemetry, setup = _run_with_telemetry(args)
+    batcher = telemetry.emitter
     registry = telemetry.metrics
     if args.filter:
-        view = _PrefixView(registry, args.filter)
-        if not view.collect():
+        # Exporters only call collect(): a filtered snapshot keeps their
+        # output ordering (and thus determinism) intact.
+        matched = [
+            m for m in registry.collect() if m.name.startswith(args.filter)
+        ]
+        if not matched:
             print(f"no metric matches prefix {args.filter!r}",
                   file=sys.stderr)
-            if batcher is not None:
-                telemetry.close_emitter()
+            telemetry.close_emitter()
             return 2
-        registry = view
+        registry = SimpleNamespace(collect=lambda: matched)
 
     if args.json:
-        events = metric_events(registry, time=setup.context.time)
-        text = _json.dumps(events, indent=2, sort_keys=True)
+        text = json.dumps(metric_events(registry, time=setup.context.time),
+                          indent=2, sort_keys=True)
     elif args.format == "prom":
         text = prometheus_text(registry)
     else:
@@ -263,8 +350,7 @@ def _cmd_metrics(args) -> int:
             # scrape file behind.
             print("\nempty snapshot; nothing written", file=sys.stderr)
         else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
             print(f"\nsnapshot written to {args.out}", file=sys.stderr)
 
     if batcher is not None:
@@ -285,8 +371,6 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_metrics_catalog(args) -> int:
     """Generate (or verify) the checked-in metric catalog docs."""
-    import os
-
     from repro.obs import catalog_json, catalog_markdown, lint_catalog
 
     problems = lint_catalog()
@@ -301,15 +385,11 @@ def _cmd_metrics_catalog(args) -> int:
     json_path = os.path.join(args.docs_dir, "metrics.json")
 
     if args.check:
-        stale = []
-        for path, want in ((md_path, md), (json_path, js)):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    have = fh.read()
-            except OSError:
-                have = None
-            if have != want:
-                stale.append(path)
+        stale = [
+            path for path, want in ((md_path, md), (json_path, js))
+            if not os.path.isfile(path)
+            or Path(path).read_text(encoding="utf-8") != want
+        ]
         if stale:
             for path in stale:
                 print(f"stale generated file: {path} "
@@ -321,10 +401,8 @@ def _cmd_metrics_catalog(args) -> int:
 
     if args.write:
         os.makedirs(args.docs_dir, exist_ok=True)
-        with open(md_path, "w", encoding="utf-8") as fh:
-            fh.write(md)
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(js)
+        Path(md_path).write_text(md, encoding="utf-8")
+        Path(json_path).write_text(js, encoding="utf-8")
         print(f"wrote {md_path} and {json_path}")
         return 0
 
@@ -332,20 +410,16 @@ def _cmd_metrics_catalog(args) -> int:
     return 0
 
 
-def _cmd_dash(args) -> int:
-    """Generate the Grafana dashboard JSON from the catalog."""
-    from repro.obs import dashboard_json
-
-    text = dashboard_json(title=args.title)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
-
-
+@_command(
+    "report", "judged chaos run: SLOs, alerts, anomalies, delay, MTTR",
+    _workload(), _rounds(40), _seed(7),
+    _arg("--rate-shift-at", type=float, default=600.0,
+         help="simulated time of the scripted §5.5 rate shift"),
+    _arg("--rate-shift-multiplier", type=float, default=0.25),
+    _arg("--html",
+         help="write a self-contained single-file HTML report here"),
+    _arg("--json", help="write the report as JSON"),
+)
 def _cmd_report(args) -> int:
     """One judged chaos run distilled into a self-contained report.
 
@@ -369,12 +443,10 @@ def _cmd_report(args) -> int:
     rendered = time.perf_counter()  # det: allow-wallclock
     print(text)
     if html is not None:
-        with open(args.html, "w", encoding="utf-8") as fh:
-            fh.write(html + "\n")
+        Path(args.html).write_text(html + "\n", encoding="utf-8")
         print(f"\nHTML report written to {args.html}", file=sys.stderr)
     if payload is not None:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        Path(args.json).write_text(payload + "\n", encoding="utf-8")
         print(f"JSON report written to {args.json}", file=sys.stderr)
     # Wall-clock attribution goes to stderr: real seconds are useful at
     # the terminal but must never leak into the deterministic artifacts.
@@ -384,158 +456,119 @@ def _cmd_report(args) -> int:
     return 1 if report.critical_breach else 0
 
 
+def _driver(name: str):
+    """``repro.experiments.run_<name>``, the driver of figure ``name``."""
+    return getattr(import_module("repro.experiments"), f"run_{name}")
+
+
+class _Sweepable(NamedTuple):
+    """A figure whose driver prints a table and also runs on the sweep
+    runner.  ``repeats``: the driver takes repeats and a base seed (and,
+    under ``sweep``, NoStop rounds and a workload list) rather than one
+    seed; ``tiered``: ``sweep`` passes it the tier, count-only datagen
+    and a workload."""
+
+    repeats: bool = False
+    tiered: bool = False
+
+    def __call__(self, name: str, args, runner=None) -> None:
+        kwargs = (
+            {"repeats": args.repeats, "base_seed": args.seed}
+            if self.repeats else {"seed": args.seed}
+        )
+        if runner is not None:
+            kwargs["runner"] = runner
+            if self.tiered:
+                kwargs.update(count_only=args.count_only,
+                              fidelity=args.fidelity)
+            if self.repeats:
+                kwargs["rounds"] = args.rounds
+            if self.tiered and args.workload:
+                kwargs.update({"workloads": [args.workload]} if self.repeats
+                              else {"workload": args.workload})
+        print(_driver(name)(**kwargs).to_table())
+
+
+def _cluster_table(_name: str, _args, _runner=None) -> None:
+    from repro.analysis.tables import format_table
+    from repro.cluster import paper_cluster
+
+    rows = [
+        (n.node_id, f"{n.cpu.model} {n.cpu.clock_ghz}GHz",
+         n.disk.value.upper(), n.role.value.capitalize())
+        for n in paper_cluster()
+    ]
+    print(format_table(["Node ID", "CPU", "Disk", "Type"], rows,
+                       title="Table 2: list of cluster nodes"))
+
+
+def _evolution(name: str, args, _runner=None) -> None:
+    for trace in _driver(name)(seed=args.seed).values():
+        print(trace.to_text())
+        best = trace.report.best
+        print(f"  settled: {best.batch_interval:.2f}s x "
+              f"{best.num_executors} (stable={best.stable})\n")
+
+
+#: Every paper figure and table ``figure`` regenerates, in order, with
+#: the function that prints it; ``sweep`` runs the sweepable ones.
+FIGURES: Dict[str, Callable[..., None]] = {
+    "table2": _cluster_table,
+    "fig2": _Sweepable(tiered=True),
+    "fig3": _Sweepable(tiered=True),
+    "fig5": _Sweepable(),
+    "fig6": _evolution,
+    "fig7": _Sweepable(repeats=True, tiered=True),
+    "fig8": _Sweepable(repeats=True, tiered=True),
+}
+_SWEEPS = [n for n, f in FIGURES.items() if isinstance(f, _Sweepable)]
+_REPEATED = "/".join(n for n in _SWEEPS if FIGURES[n].repeats)
+_TIERED = "/".join(n for n in _SWEEPS if FIGURES[n].tiered)
+_UNTIERED = "/".join(n for n in _SWEEPS if not FIGURES[n].tiered)
+_FIGURE_REPEATS = _repeats(3, help=f"repeats for {_REPEATED} (paper uses 5)")
+
+
+@_command(
+    "figure", "regenerate one paper figure/table",
+    _arg("name", help=" | ".join(FIGURES)),
+    _seed(1),
+    _FIGURE_REPEATS,
+)
 def _cmd_figure(args) -> int:
     name = args.name.lower()
-    if name == "table2":
-        from repro.cluster import paper_cluster
-
-        cluster = paper_cluster()
-        rows = [
-            (n.node_id, f"{n.cpu.model} {n.cpu.clock_ghz}GHz",
-             n.disk.value.upper(), n.role.value.capitalize())
-            for n in cluster
-        ]
-        print(format_table(["Node ID", "CPU", "Disk", "Type"], rows,
-                           title="Table 2: list of cluster nodes"))
-        return 0
-    if name == "fig2":
-        from repro.experiments.fig2_batch_interval import run_fig2
-
-        print(run_fig2(seed=args.seed).to_table())
-        return 0
-    if name == "fig3":
-        from repro.experiments.fig3_executors import run_fig3
-
-        print(run_fig3(seed=args.seed).to_table())
-        return 0
-    if name == "fig5":
-        from repro.experiments.fig5_rates import run_fig5
-
-        print(run_fig5(seed=args.seed).to_table())
-        return 0
-    if name == "fig6":
-        from repro.experiments.fig6_evolution import run_fig6
-
-        for wname, trace in run_fig6(seed=args.seed).items():
-            print(trace.to_text())
-            best = trace.report.best
-            print(f"  settled: {best.batch_interval:.2f}s x "
-                  f"{best.num_executors} (stable={best.stable})\n")
-        return 0
-    if name == "fig7":
-        from repro.experiments.fig7_improvement import run_fig7
-
-        print(run_fig7(repeats=args.repeats, base_seed=args.seed).to_table())
-        return 0
-    if name == "fig8":
-        from repro.experiments.fig8_spsa_vs_bo import run_fig8
-
-        print(run_fig8(repeats=args.repeats, base_seed=args.seed).to_table())
-        return 0
-    print(f"unknown figure {args.name!r}; expected "
-          f"table2/fig2/fig3/fig5/fig6/fig7/fig8", file=sys.stderr)
-    return 2
-
-
-def _cmd_sweep(args) -> int:
-    """Run a figure sweep through the supervised, cached sweep runner."""
-    import json as _json
-    from pathlib import Path
-
-    from repro.runner import (
-        ResultCache,
-        RetryPolicy,
-        SweepJournal,
-        SweepRunner,
-        default_cache_dir,
-    )
-
-    cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    cache = ResultCache(cache_dir)
-    if args.clear_cache:
-        removed = cache.clear()
-        print(f"cache cleared: {removed} entries removed from {cache_dir}",
-              file=sys.stderr)
-        if args.name is None:
-            return 0
-    if args.name is None:
-        print("no sweep named; use fig2/fig3/fig5/fig7/fig8 or --clear-cache",
-              file=sys.stderr)
+    if name not in FIGURES:
+        print(f"unknown figure {args.name!r}; expected "
+              f"{'/'.join(FIGURES)}", file=sys.stderr)
         return 2
+    FIGURES[name](name, args)
+    return 0
 
-    journal_path = args.resume or args.journal
-    journal = SweepJournal(Path(journal_path)) if journal_path else None
-    retry = RetryPolicy(
-        max_retries=args.retries, timeout_seconds=args.timeout
+
+def _runner(args):
+    """The sweep runner that the runner flags ask for."""
+    from repro.runner import ResultCache, RetryPolicy, SweepJournal, SweepRunner
+
+    journal = getattr(args, "resume", None) or args.journal
+    return SweepRunner(
+        workers=args.workers or os.cpu_count() or 1,
+        cache=ResultCache(args.cache_dir or None),
+        use_cache=not args.no_cache,
+        journal=SweepJournal(Path(journal)) if journal else None,
+        retry=RetryPolicy(max_retries=args.retries,
+                          timeout_seconds=getattr(args, "timeout", None)),
     )
-    import os as _os
 
-    workers = args.workers if args.workers else (_os.cpu_count() or 1)
-    runner = SweepRunner(
-        workers=workers, cache=cache, use_cache=not args.no_cache,
-        journal=journal, retry=retry,
-    )
-    name = args.name.lower()
-    # A failed cell comes back as a structured CellFailure result; most
-    # figure drivers then choke assembling their table.  The sweep/json
-    # accounting below must survive that, so the driver is guarded and
-    # the error carried into the payload instead of aborting the CLI.
-    error: Optional[str] = None
-    try:
-        if name == "fig2":
-            from repro.experiments.fig2_batch_interval import run_fig2
 
-            kwargs = {"workload": args.workload} if args.workload else {}
-            print(run_fig2(seed=args.seed, runner=runner,
-                           count_only=args.count_only,
-                           fidelity=args.fidelity, **kwargs).to_table())
-        elif name == "fig3":
-            from repro.experiments.fig3_executors import run_fig3
-
-            kwargs = {"workload": args.workload} if args.workload else {}
-            print(run_fig3(seed=args.seed, runner=runner,
-                           count_only=args.count_only,
-                           fidelity=args.fidelity, **kwargs).to_table())
-        elif name == "fig5":
-            from repro.experiments.fig5_rates import run_fig5
-
-            print(run_fig5(seed=args.seed, runner=runner).to_table())
-        elif name == "fig7":
-            from repro.experiments.fig6_evolution import PAPER_WORKLOADS
-            from repro.experiments.fig7_improvement import run_fig7
-
-            workloads = [args.workload] if args.workload else PAPER_WORKLOADS
-            print(run_fig7(repeats=args.repeats, rounds=args.rounds,
-                           base_seed=args.seed, workloads=workloads,
-                           runner=runner, count_only=args.count_only,
-                           fidelity=args.fidelity).to_table())
-        elif name == "fig8":
-            from repro.experiments.fig6_evolution import PAPER_WORKLOADS
-            from repro.experiments.fig8_spsa_vs_bo import run_fig8
-
-            workloads = [args.workload] if args.workload else PAPER_WORKLOADS
-            print(run_fig8(repeats=args.repeats, rounds=args.rounds,
-                           base_seed=args.seed, workloads=workloads,
-                           runner=runner, count_only=args.count_only,
-                           fidelity=args.fidelity).to_table())
-        else:
-            print(
-                f"unknown sweep {args.name!r}; "
-                "expected fig2/fig3/fig5/fig7/fig8",
-                file=sys.stderr,
-            )
-            return 2
-    except Exception as exc:  # noqa: BLE001 - reported in payload/stderr
-        error = f"{type(exc).__name__}: {exc}"
-        print(f"sweep driver failed: {error}", file=sys.stderr)
-
+def _print_totals(label: str, runner):
+    """Print the runner's totals and failed cells to stderr; return the
+    totals."""
     t = runner.totals
     print(
-        f"\nsweep: {t.cells} cells | {t.cache_hits} cache hits, "
+        f"\n{label}: {t.cells} cells | {t.cache_hits} cache hits, "
         f"{t.executed} executed ({t.batches_executed} batches simulated), "
         f"{t.failed} failed | "
         f"{t.workers} worker(s), {t.wall_seconds:.2f}s wall | "
-        f"cache: {cache_dir}",
+        f"cache: {runner.cache.root}",
         file=sys.stderr,
     )
     for failure in runner.failures:
@@ -546,79 +579,146 @@ def _cmd_sweep(args) -> int:
             f"{failure.get('error')}",
             file=sys.stderr,
         )
+    return t
+
+
+def _write_json(path: str, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+@_command(
+    "sweep", "run a figure sweep via the parallel, cached sweep runner",
+    _arg("name", nargs="?", help=" | ".join(_SWEEPS)),
+    _workload(None, help=f"restrict {_TIERED} to one workload"),
+    _seed(1),
+    _FIGURE_REPEATS,
+    _rounds(40, help=f"NoStop rounds for {_REPEATED}"),
+    _WORKERS,
+    _fidelity("exact", "simulation tier: exact per-task DES (default), "
+                       "the numpy-vectorized batch engine, or the analytic "
+                       f"fluid model ({_UNTIERED} is rate-only and "
+                       "tier-independent)"),
+    _NO_CACHE,
+    _arg("--clear-cache", action="store_true",
+         help="delete every cached cell before running"),
+    _CACHE_DIR,
+    _arg("--count-only", action="store_true",
+         help="segment-per-rate-span datagen fast path "
+              "(deterministic, but not byte-identical to the "
+              "default per-tick path)"),
+    _arg("--json", help="write sweep/cache accounting as JSON (always a "
+                        "valid document, even when cells fail)"),
+    _JOURNAL,
+    _arg("--resume", metavar="JOURNAL",
+         help="resume an interrupted sweep from its journal "
+              "(implies --journal JOURNAL)"),
+    _RETRIES,
+    _arg("--timeout", type=float,
+         help="per-cell timeout in seconds (forces pooled "
+              "execution so hung cells can be terminated)"),
+    _arg("--strict", action="store_true",
+         help="exit 1 if any cell failed (default: degrade "
+              "gracefully and exit 0)"),
+)
+def _cmd_sweep(args) -> int:
+    runner = _runner(args)
+    cache = runner.cache
+    if args.clear_cache:
+        removed = cache.clear()
+        print(f"cache cleared: {removed} entries removed from {cache.root}",
+              file=sys.stderr)
+        if args.name is None:
+            return 0
+    if args.name is None:
+        print(f"no sweep named; use {'/'.join(_SWEEPS)} or --clear-cache",
+              file=sys.stderr)
+        return 2
+    name = args.name.lower()
+    if name not in _SWEEPS:
+        print(f"unknown sweep {args.name!r}; expected {'/'.join(_SWEEPS)}",
+              file=sys.stderr)
+        return 2
+    # A failed cell comes back as a structured CellFailure result; most
+    # figure drivers then choke assembling their table.  The sweep/json
+    # accounting below must survive that, so the driver is guarded and
+    # the error carried into the payload instead of aborting the CLI.
+    error: Optional[str] = None
+    try:
+        FIGURES[name](name, args, runner)
+    except Exception as exc:  # noqa: BLE001 - reported in payload/stderr
+        error = f"{type(exc).__name__}: {exc}"
+        print(f"sweep driver failed: {error}", file=sys.stderr)
+
+    t = _print_totals("sweep", runner)
     if args.json:
-        payload = {
+        # Every SweepStats field, camelCased, plus the sweep's identity.
+        _write_json(args.json, {
+            **{
+                re.sub("_(.)", lambda m: m[1].upper(), field): value
+                for field, value in vars(t).items()
+            },
             "sweep": name,
             "status": "error" if error else ("failed" if t.failed else "ok"),
             "error": error,
-            "cells": t.cells,
-            "cacheHits": t.cache_hits,
-            "cacheMisses": t.cache_misses,
-            "executed": t.executed,
-            "failed": t.failed,
-            "retries": t.retries,
-            "timeouts": t.timeouts,
-            "poolRebuilds": t.pool_rebuilds,
-            "journalReplayed": t.journal_replayed,
-            "cacheSelfHealed": t.cache_self_healed,
-            "batchesExecuted": t.batches_executed,
-            "workers": t.workers,
-            "wallSeconds": t.wall_seconds,
-            "cacheDir": str(cache_dir),
-            "journal": str(journal_path) if journal_path else None,
+            "cacheDir": str(cache.root),
+            "journal": args.resume or args.journal or None,
             "versionTag": cache.version_tag,
             "cellFailures": runner.failures,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
         print(f"sweep stats written to {args.json}", file=sys.stderr)
-    if (t.failed or error) and args.strict:
-        return 1
-    return 0
+    return 1 if (t.failed or error) and args.strict else 0
 
 
-def _cmd_tournament(args) -> int:
-    """Rank every registered tuner across scenario shapes."""
-    import json as _json
-    from pathlib import Path
-
-    from repro.runner import (
-        ResultCache,
-        RetryPolicy,
-        SweepJournal,
-        SweepRunner,
-        default_cache_dir,
+def _names(text: Optional[str], default: Sequence[str],
+           known: Sequence[str], kind: str) -> Optional[List[str]]:
+    """The comma list ``text`` (``default`` when unset), or None after
+    reporting the names in it that are not ``known``."""
+    names = (
+        [s.strip() for s in text.split(",") if s.strip()]
+        if text else list(default)
     )
-    from repro.runner.spec import SweepSpec
-    from repro.tuners import (
-        build_leaderboard,
-        render_leaderboard,
-        scenario_names,
-        tuner_names,
-    )
-
-    roster = (
-        [t.strip() for t in args.tuners.split(",") if t.strip()]
-        if args.tuners
-        else tuner_names()
-    )
-    unknown = sorted(set(roster) - set(tuner_names()))
+    unknown = sorted(set(names) - set(known))
     if unknown:
-        print(f"unknown tuner(s) {unknown}; registered: {tuner_names()}",
+        print(f"unknown {kind}(s) {unknown}; expected {list(known)}",
               file=sys.stderr)
-        return 2
-    scenarios = (
-        [s.strip() for s in args.scenarios.split(",") if s.strip()]
-        if args.scenarios
-        else ["steady", "step", "spike"]
-    )
-    bad = sorted(set(scenarios) - set(scenario_names()))
-    if bad:
-        print(f"unknown scenario(s) {bad}; expected {scenario_names()}",
-              file=sys.stderr)
-        return 2
+        return None
+    return names
 
+
+@_command(
+    "tournament",
+    "rank every registered tuner across scenario shapes on the "
+    "parallel sweep runner",
+    _arg("--tuners",
+         help="comma list of tuner names (default: all registered)"),
+    _arg("--scenarios", help="comma list of scenario shapes "
+                             "(default: steady,step,spike; also: sine)"),
+    _workload(),
+    _arg("--budget", type=_COUNT, default=30,
+         help="objective evaluations per tuner run"),
+    _seed(1),
+    _repeats(1, help="seeds per (tuner, scenario) cell, spaced by 100"),
+    _fidelity("vectorized", "simulation tier (default: the "
+                            "oracle-validated vectorized engine)"),
+    _arg("--slo", type=float, default=30.0,
+         help="end-to-end delay SLO in seconds"),
+    _WORKERS, _NO_CACHE, _CACHE_DIR, _JOURNAL, _RETRIES,
+    _arg("--json", help="write the leaderboard as sorted-key JSON "
+                        "(byte-identical at a fixed seed)"),
+    _arg("--strict", action="store_true", help="exit 1 if any cell failed"),
+)
+def _cmd_tournament(args) -> int:
+    from repro import tuners
+    from repro.runner.spec import SweepSpec
+
+    roster = _names(args.tuners, tuners.tuner_names(), tuners.tuner_names(),
+                    "tuner")
+    scenarios = _names(args.scenarios, ["steady", "step", "spike"],
+                       tuners.scenario_names(), "scenario")
+    if roster is None or scenarios is None:
+        return 2
     spec = SweepSpec(
         name="tournament",
         kind="tournament",
@@ -634,63 +734,35 @@ def _cmd_tournament(args) -> int:
             "seed": [args.seed + 100 * r for r in range(args.repeats)],
         },
     )
-    import os as _os
-
-    cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    journal = SweepJournal(Path(args.journal)) if args.journal else None
-    workers = args.workers if args.workers else (_os.cpu_count() or 1)
-    runner = SweepRunner(
-        workers=workers,
-        cache=ResultCache(cache_dir),
-        use_cache=not args.no_cache,
-        journal=journal,
-        retry=RetryPolicy(max_retries=args.retries),
-    )
+    runner = _runner(args)
     sweep = runner.run(spec)
-    payload = build_leaderboard(
+    payload = tuners.build_leaderboard(
         sweep.results,
         budget=args.budget,
         slo_delay=args.slo,
         fidelity=args.fidelity,
     )
-    print(render_leaderboard(payload))
-    t = runner.totals
-    print(
-        f"\ntournament: {t.cells} cells | {t.cache_hits} cache hits, "
-        f"{t.executed} executed ({t.batches_executed} batches simulated), "
-        f"{t.failed} failed | {t.workers} worker(s), "
-        f"{t.wall_seconds:.2f}s wall",
-        file=sys.stderr,
-    )
-    for failure in runner.failures:
-        print(
-            f"  cell {failure.get('cellIndex')}: {failure.get('error')}",
-            file=sys.stderr,
-        )
+    print(tuners.render_leaderboard(payload))
+    t = _print_totals("tournament", runner)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, payload)
         print(f"leaderboard written to {args.json}", file=sys.stderr)
     return 1 if (t.failed and args.strict) else 0
 
 
+@_command(
+    "compare", "compare optimizers on one workload",
+    _workload("linear_regression"), _rounds(30), _seed(0),
+)
 def _cmd_compare(args) -> int:
-    from repro.experiments.common import (
-        build_experiment,
-        make_controller,
-        run_search,
-    )
+    from repro.analysis.tables import format_table
+    from repro.experiments.common import build_experiment, run_search
 
-    rows = []
-
-    setup = build_experiment(args.workload, seed=args.seed)
-    controller = make_controller(setup, seed=args.seed)
-    report = controller.run(args.rounds)
+    _, controller, report = _nostop(args)
     best = controller.pause_rule.best_config()
-    rows.append(("SPSA (NoStop)", f"{best.end_to_end_delay:.2f}",
-                 report.adjust_calls_to_pause or controller.adjust.calls,
-                 "yes" if report.first_pause_round else "no"))
+    rows = [("SPSA (NoStop)", f"{best.end_to_end_delay:.2f}",
+             report.adjust_calls_to_pause or controller.adjust.calls,
+             "yes" if report.first_pause_round else "no")]
 
     # Every baseline runs through the shared tuner loop and reports the
     # pause rule's stable-first pick; BO also confirms its winner.
@@ -712,6 +784,27 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+@_command(
+    "check",
+    "run a target with runtime invariants attached and compare "
+    "against the analytic oracles",
+    _arg("target", nargs="?", default="quickstart",
+         choices=_Choices("repro.check.run", "CHECK_TARGETS")),
+    _workload(None, help="override the target's default workload"),
+    _seed(None, help="override the target's default seed"),
+    _arg("--batches", type=_COUNT, default=30,
+         help="batches for fixed-configuration targets"),
+    _rounds(40, help="optimizer rounds for fig7/chaos targets"),
+    _arg("--warmup", type=int, default=5,
+         help="batches excluded from oracle comparison"),
+    _arg("--metamorphic", action="store_true",
+         help="also run the time-dilation twin and the "
+              "executor-homogeneity identity"),
+    _fidelity("exact", "simulation tier to check (chaos requires exact)"),
+    _arg("--strict", action="store_true",
+         help="exit non-zero on any violation or oracle failure"),
+    _arg("--json", help="write the full check report as JSON"),
+)
 def _cmd_check(args) -> int:
     from repro.check import run_check
 
@@ -727,32 +820,46 @@ def _cmd_check(args) -> int:
     )
     print(report.render_text())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        Path(args.json).write_text(report.to_json(), encoding="utf-8")
         print(f"wrote {args.json}")
-    if args.strict and not report.ok:
-        return 1
+    return 1 if args.strict and not report.ok else 0
+
+
+@_command(
+    "dash", "generate the Grafana dashboard JSON from the metric catalog",
+    _arg("--out", help="write the dashboard here (default: stdout)"),
+    _arg("--title", default="NoStop repro telemetry"),
+)
+def _cmd_dash(args) -> int:
+    from repro.obs import dashboard_json
+
+    text = dashboard_json(title=args.title)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+        print(f"wrote {args.out}")
+    else:
+        print(text, end="")
     return 0
 
 
+@_command(
+    "lint",
+    "lint: unseeded RNGs, wall-clock reads, unordered iteration, "
+    "unused public symbols",
+    _arg("paths", nargs="*", default=None,
+         help="files or directories (default: the installed "
+              "repro package source)"),
+    _arg("--json", help="write findings as JSON"),
+)
 def _cmd_lint(args) -> int:
-    import json as _json
-
     from repro.check.lint import lint_paths
 
-    paths = args.paths
-    if not paths:
-        from pathlib import Path
-
-        import repro
-
-        paths = [str(Path(repro.__file__).parent)]
-    findings = lint_paths(paths)
+    findings = lint_paths(args.paths or [str(Path(__file__).parent)])
     for f in findings:
         print(f.format())
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(
+            json.dump(
                 [f.to_dict() for f in findings], fh, indent=2, sort_keys=True
             )
         print(f"wrote {args.json}")
@@ -764,254 +871,20 @@ def _cmd_lint(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser: one subcommand per :data:`COMMANDS` entry."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="NoStop reproduction (ICPP 2021) command-line interface",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("workloads", help="list workloads and rate bands")
-    p.set_defaults(func=_cmd_workloads)
-
-    p = sub.add_parser("run", help="run NoStop on a workload")
-    p.add_argument("--workload", default="wordcount", choices=sorted(WORKLOADS))
-    p.add_argument("--rounds", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace-out", default=None,
-                   help="write the run trajectory as JSON")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("trace", help="NoStop run with batch tracing on")
-    p.add_argument("--workload", default="wordcount", choices=sorted(WORKLOADS))
-    p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--last", type=int, default=3,
-                   help="how many trailing batch traces to print")
-    p.add_argument("--tasks", action="store_true",
-                   help="emit per-task spans too (verbose)")
-    p.add_argument("--out", default=None, help="write all spans as JSONL")
-    p.add_argument("--audit-out", default=None,
-                   help="write the SPSA audit trail as JSONL")
-    p.add_argument("--chrome", default=None,
-                   help="write a Chrome Trace Event JSON file "
-                        "(open in Perfetto / chrome://tracing)")
-    p.add_argument("--folded", default=None,
-                   help="write folded stacks for flamegraph.pl / speedscope")
-    p.add_argument("--critical", action="store_true",
-                   help="print the critical-path delay decomposition and "
-                        "cross-check it against the steady-state oracle")
-    p.add_argument("--sample", type=int, default=1,
-                   help="head-sample 1/N of batch traces (deterministic; "
-                        "tail retention still keeps interesting traces)")
-    p.add_argument("--no-retain", action="store_true",
-                   help="disable tail-based retention of interesting traces")
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser(
-        "metrics",
-        help="metrics snapshot of a NoStop run, or the generated catalog",
-    )
-    p.add_argument("action", nargs="?", default="snapshot",
-                   choices=["snapshot", "catalog"],
-                   help="snapshot: instrumented run + registry dump; "
-                        "catalog: the declarative metric catalog docs")
-    p.add_argument("--workload", default="wordcount", choices=sorted(WORKLOADS))
-    p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["prom", "summary"], default="summary")
-    p.add_argument("--json", action="store_true",
-                   help="snapshot as JSON events (sorted keys, one object "
-                        "per sample) instead of text")
-    p.add_argument("--filter", default=None, metavar="PREFIX",
-                   help="restrict the snapshot to metric names starting "
-                        "with PREFIX; exits 2 when nothing matches")
-    p.add_argument("--out", default=None, help="also write the snapshot here")
-    p.add_argument("--events-out", default=None, metavar="JSONL",
-                   help="ship per-batch events and the final registry "
-                        "snapshot through the batched emission pipeline "
-                        "into this JSONL file")
-    p.add_argument("--check", action="store_true",
-                   help="catalog: verify the checked-in docs match the "
-                        "declarations (exit 1 on drift)")
-    p.add_argument("--write", action="store_true",
-                   help="catalog: regenerate docs/METRICS.md and "
-                        "docs/metrics.json")
-    p.add_argument("--docs-dir", default="docs",
-                   help="catalog: directory holding the generated docs")
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser(
-        "report",
-        help="judged chaos run: SLOs, alerts, anomalies, delay, MTTR",
-    )
-    p.add_argument("--workload", default="wordcount", choices=sorted(WORKLOADS))
-    p.add_argument("--rounds", type=int, default=40)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--rate-shift-at", type=float, default=600.0,
-                   help="simulated time of the scripted §5.5 rate shift")
-    p.add_argument("--rate-shift-multiplier", type=float, default=0.25)
-    p.add_argument("--html", default=None,
-                   help="write a self-contained single-file HTML report here")
-    p.add_argument("--json", default=None, help="write the report as JSON")
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("figure", help="regenerate one paper figure/table")
-    p.add_argument("name", help="table2 | fig2 | fig3 | fig5 | fig6 | fig7 | fig8")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=3,
-                   help="repeats for fig7/fig8 (paper uses 5)")
-    p.set_defaults(func=_cmd_figure)
-
-    p = sub.add_parser(
-        "sweep",
-        help="run a figure sweep via the parallel, cached sweep runner",
-    )
-    p.add_argument("name", nargs="?", default=None,
-                   help="fig2 | fig3 | fig5 | fig7 | fig8")
-    p.add_argument("--workload", default=None, choices=sorted(WORKLOADS),
-                   help="restrict fig2/fig3/fig7/fig8 to one workload")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=3,
-                   help="repeats for fig7/fig8 (paper uses 5)")
-    p.add_argument("--rounds", type=int, default=40,
-                   help="NoStop rounds for fig7/fig8")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: all CPU cores; "
-                        "results identical at any count)")
-    p.add_argument("--fidelity", default="exact",
-                   choices=["exact", "vectorized", "fluid"],
-                   help="simulation tier: exact per-task DES (default), "
-                        "the numpy-vectorized batch engine, or the "
-                        "analytic fluid model (fig5 is rate-only and "
-                        "tier-independent)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore cached results (fresh results still stored)")
-    p.add_argument("--clear-cache", action="store_true",
-                   help="delete every cached cell before running")
-    p.add_argument("--cache-dir", default=None,
-                   help="cache root (default: $REPRO_SWEEP_CACHE or "
-                        "~/.cache/repro/sweeps)")
-    p.add_argument("--count-only", action="store_true",
-                   help="segment-per-rate-span datagen fast path "
-                        "(deterministic, but not byte-identical to the "
-                        "default per-tick path)")
-    p.add_argument("--json", default=None,
-                   help="write sweep/cache accounting as JSON (always a "
-                        "valid document, even when cells fail)")
-    p.add_argument("--journal", default=None,
-                   help="write-ahead journal (JSONL) recording every "
-                        "completed cell for crash-safe resume")
-    p.add_argument("--resume", default=None, metavar="JOURNAL",
-                   help="resume an interrupted sweep from its journal "
-                        "(implies --journal JOURNAL)")
-    p.add_argument("--retries", type=int, default=2,
-                   help="retries per failing cell before it becomes a "
-                        "structured CellFailure result")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-cell timeout in seconds (forces pooled "
-                        "execution so hung cells can be terminated)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 if any cell failed (default: degrade "
-                        "gracefully and exit 0)")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser(
-        "tournament",
-        help="rank every registered tuner across scenario shapes on the "
-             "parallel sweep runner",
-    )
-    p.add_argument("--tuners", default=None,
-                   help="comma list of tuner names (default: all registered)")
-    p.add_argument("--scenarios", default=None,
-                   help="comma list of scenario shapes "
-                        "(default: steady,step,spike; also: sine)")
-    p.add_argument("--workload", default="wordcount",
-                   choices=sorted(WORKLOADS))
-    p.add_argument("--budget", type=int, default=30,
-                   help="objective evaluations per tuner run")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=1,
-                   help="seeds per (tuner, scenario) cell, spaced by 100")
-    p.add_argument("--fidelity", default="vectorized",
-                   choices=["exact", "vectorized", "fluid"],
-                   help="simulation tier (default: the oracle-validated "
-                        "vectorized engine)")
-    p.add_argument("--slo", type=float, default=30.0,
-                   help="end-to-end delay SLO in seconds")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: all CPU cores)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore cached cell results")
-    p.add_argument("--cache-dir", default=None,
-                   help="cache root (default: $REPRO_SWEEP_CACHE or "
-                        "~/.cache/repro/sweeps)")
-    p.add_argument("--journal", default=None,
-                   help="write-ahead journal (JSONL) for crash-safe resume")
-    p.add_argument("--retries", type=int, default=2)
-    p.add_argument("--json", default=None,
-                   help="write the leaderboard as sorted-key JSON "
-                        "(byte-identical at a fixed seed)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 if any cell failed")
-    p.set_defaults(func=_cmd_tournament)
-
-    p = sub.add_parser("compare", help="compare optimizers on one workload")
-    p.add_argument("--workload", default="linear_regression",
-                   choices=sorted(WORKLOADS))
-    p.add_argument("--rounds", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser(
-        "check",
-        help="run a target with runtime invariants attached and compare "
-             "against the analytic oracles",
-    )
-    p.add_argument("target", nargs="?", default="quickstart",
-                   choices=["quickstart", "fig7", "chaos"])
-    p.add_argument("--workload", default=None, choices=sorted(WORKLOADS),
-                   help="override the target's default workload")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the target's default seed")
-    p.add_argument("--batches", type=int, default=30,
-                   help="batches for fixed-configuration targets")
-    p.add_argument("--rounds", type=int, default=40,
-                   help="optimizer rounds for fig7/chaos targets")
-    p.add_argument("--warmup", type=int, default=5,
-                   help="batches excluded from oracle comparison")
-    p.add_argument("--metamorphic", action="store_true",
-                   help="also run the time-dilation twin and the "
-                        "executor-homogeneity identity")
-    p.add_argument("--fidelity", default="exact",
-                   choices=["exact", "vectorized", "fluid"],
-                   help="simulation tier to check (chaos requires exact)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit non-zero on any violation or oracle failure")
-    p.add_argument("--json", default=None,
-                   help="write the full check report as JSON")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser(
-        "dash",
-        help="generate the Grafana dashboard JSON from the metric catalog",
-    )
-    p.add_argument("--out", default=None,
-                   help="write the dashboard here (default: stdout)")
-    p.add_argument("--title", default="NoStop repro telemetry")
-    p.set_defaults(func=_cmd_dash)
-
-    p = sub.add_parser(
-        "lint",
-        help="lint: unseeded RNGs, wall-clock reads, unordered "
-             "iteration, unused public symbols",
-    )
-    p.add_argument("paths", nargs="*", default=None,
-                   help="files or directories (default: the installed "
-                        "repro package source)")
-    p.add_argument("--json", default=None,
-                   help="write findings as JSON")
-    p.set_defaults(func=_cmd_lint)
-
+    for name, entry in COMMANDS.items():
+        command = sub.add_parser(name, help=entry.help)
+        for flags, kwargs in entry.arguments:
+            # add_argument formats the choices once as a check; set them
+            # afterwards so that lazy choices stay unread until used.
+            rest = {k: v for k, v in kwargs.items() if k != "choices"}
+            command.add_argument(*flags, **rest).choices = kwargs.get("choices")
+        command.set_defaults(func=entry.run)
     return parser
 
 

@@ -1,7 +1,6 @@
 """CLI surface: ``repro check`` and ``repro lint``."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -82,10 +81,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert "result: OK" in captured.out
 
-    def test_lint_subcommand_clean_on_package(self, capsys):
-        import repro
+    def test_lint_subcommand_clean_on_package(
+        self, package_lint, monkeypatch, capsys
+    ):
+        # With no path, `repro lint` lints the package directory; the
+        # package's findings come from the shared session lint.
+        root, findings = package_lint
+        asked = []
 
-        rc = main(["lint", str(Path(repro.__file__).parent)])
+        def lint_paths(paths):
+            asked.append(list(paths))
+            return findings
+
+        monkeypatch.setattr("repro.check.lint.lint_paths", lint_paths)
+        rc = main(["lint"])
+        assert asked == [[root]]
         assert rc == 0
         assert "repro lint clean" in capsys.readouterr().out
 

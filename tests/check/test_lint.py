@@ -181,11 +181,8 @@ class TestPragmas:
 
 
 class TestPaths:
-    def test_package_source_is_clean(self):
-        import repro
-
-        src_root = Path(repro.__file__).parent
-        findings = lint_paths([src_root])
+    def test_package_source_is_clean(self, package_lint):
+        _, findings = package_lint
         assert findings == [], [f.format() for f in findings]
 
     def test_missing_path_raises(self):

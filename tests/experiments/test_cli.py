@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -109,3 +110,32 @@ class TestSweepCommand:
     def test_sweep_unknown_name_errors(self, tmp_path, capsys):
         assert main(["sweep", "fig99", "--cache-dir", str(tmp_path)]) == 2
         assert "unknown sweep" in capsys.readouterr().err
+
+
+class TestCountFlags:
+    """A count the callee rejects is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--rounds", "0"],
+        ["trace", "--sample", "0"],
+        ["tournament", "--repeats", "0"],
+        ["tournament", "--budget", "0"],
+        ["check", "--batches", "0"],
+        ["figure", "fig7", "--repeats", "0"],
+        ["sweep", "fig5", "--workers", "-1"],
+        ["sweep", "fig5", "--workers", "0"],
+        ["sweep", "fig5", "--retries", "-1"],
+        ["run", "--rounds", "many"],
+    ])
+    def test_rejected_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: " in capsys.readouterr().err
+
+    def test_unset_workers_means_every_core(self, tmp_path):
+        stats_path = tmp_path / "stats.json"
+        assert main(["sweep", "fig5", "--cache-dir", str(tmp_path / "c"),
+                     "--json", str(stats_path)]) == 0
+        stats = json.loads(stats_path.read_text())
+        assert stats["workers"] == (os.cpu_count() or 1)

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import COMMANDS, main
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -121,3 +122,25 @@ def test_experiment_scaffolding_import_budget():
         assert not offenders, f"{offenders} loaded by experiments.common"
     assert not [m for m in loaded if m.startswith("repro.experiments.fig")]
     assert len(loaded) <= 56, loaded
+
+
+def test_import_cli_loads_no_subsystem():
+    # Commands import their subsystem when they run, and argument
+    # choices are read on first use, so the CLI module stands alone.
+    assert _loaded_after("import repro.cli") == [
+        "repro", "repro._exports", "repro.cli",
+    ]
+
+
+def test_build_parser_loads_no_subsystem():
+    assert _loaded_after(
+        "import repro.cli\nrepro.cli.build_parser()"
+    ) == ["repro", "repro._exports", "repro.cli"]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_prints_its_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: repro {command}")
