@@ -17,6 +17,7 @@ import gc
 import hashlib
 import json
 import os
+import statistics
 import time
 
 import pytest
@@ -41,6 +42,8 @@ EXACT_SERIES_DIGEST = (
     "0c0b5c5bbb3dc6b0c3d67acece99ef9cf97c9f6f73431ba32f5f23b7a14fdd35"
 )
 REPEATS = 2 if SMOKE else 3
+#: Vectorized runs whose median times the fast tier's side of the gate.
+FAST_REPEATS = 5
 ROUNDS = 6 if SMOKE else 12
 SWEEP_WORKERS = 4
 
@@ -272,8 +275,15 @@ class TestHotPaths:
         of batches.  The shared rate-trace segment memo is warmed by a
         throwaway fluid pass first so neither timed run pays the
         one-time trace materialization.
+
+        The vectorized run takes ~6 ms, where host jitter alone moves
+        one reading by 2x, so its time is the median of
+        ``FAST_REPEATS`` runs, each on a fresh deployment.  Each starts
+        without the process-wide task-assignment memo, so every run pays
+        the one assignment build a single cold run pays.
         """
         from repro.experiments.common import build_experiment
+        from repro.fast import engine as fast_engine
 
         batches = 600
 
@@ -285,10 +295,16 @@ class TestHotPaths:
             lambda: exact.context.advance_batches(batches)
         )
 
-        fast = build_experiment(WORKLOAD, seed=101, fidelity="vectorized")
-        _, t_fast, c_fast = _calibrated_timed(
-            lambda: fast.context.advance_batches(batches)
-        )
+        fast_runs = []
+        for _ in range(FAST_REPEATS):
+            fast_engine._ASSIGNMENTS.entries.clear()
+            fast = build_experiment(WORKLOAD, seed=101, fidelity="vectorized")
+            _, seconds, scaled = _calibrated_timed(
+                lambda ctx=fast.context: ctx.advance_batches(batches)
+            )
+            fast_runs.append((seconds, scaled))
+        t_fast = statistics.median(seconds for seconds, _ in fast_runs)
+        c_fast = statistics.median(scaled for _, scaled in fast_runs)
 
         # Near ρ=1 a handful of batches can still be queued when the
         # clock stops; both tiers must have completed nearly all.
@@ -304,6 +320,7 @@ class TestHotPaths:
         bench_record(
             batches=batches,
             exactSeconds=round(t_exact, 4),
+            vectorizedRepeats=FAST_REPEATS,
             vectorizedSeconds=round(t_fast, 4),
             speedup=round(speedup, 1),
             calibratedExactSeconds=round(c_exact, 4),
@@ -314,7 +331,8 @@ class TestHotPaths:
         )
         emit(
             f"fast tier ({batches} batches): exact {t_exact:.3f}s vs "
-            f"vectorized {t_fast:.4f}s ({speedup:.0f}x; calibrated "
+            f"vectorized {t_fast:.4f}s (median of {FAST_REPEATS}; "
+            f"{speedup:.0f}x; calibrated "
             f"{calibrated_speedup:.0f}x), mean proc {pe:.2f}s vs {pf:.2f}s"
         )
         assert speedup >= 50.0

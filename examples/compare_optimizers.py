@@ -50,17 +50,16 @@ def main() -> None:
                  spsa_time, spsa_steps,
                  "yes" if rep.first_pause_round else "no"))
 
-    # A 6x6 grid stays exhaustive: the pause rule cannot fire before
+    # The 5x5 grid stays exhaustive: the pause rule cannot fire before
     # every point has been measured.
-    for label, tuner, budget, rule, options in (
-        ("Bayesian opt", "bo", 70, None, {}),
-        ("Random search", "random", 70, None, {}),
-        ("Grid search (6x6)", "grid", 36, PauseRule(n_best=36),
-         {"points_per_axis": 6}),
+    for label, tuner, budget, rule in (
+        ("Bayesian opt", "bo", 70, None),
+        ("Random search", "random", 70, None),
+        ("Grid search (5x5)", "grid", 25, PauseRule(n_best=25)),
     ):
         setup = build_experiment(WORKLOAD, seed=SEED)
         run = run_search(setup, tuner, seed=SEED, max_evaluations=budget,
-                         pause_rule=rule, confirm=tuner == "bo", **options)
+                         pause_rule=rule, confirm=tuner == "bo")
         converged = "n/a" if tuner == "grid" else (
             "yes" if run.converged else "no")
         rows.append((label, honest_delay(run.best_theta, setup.scaler),

@@ -196,7 +196,6 @@ def dilated_experiment_kwargs(
     workload_name: str,
     k: float,
     seed: int = 0,
-    rate_hold: float = 10.0,
 ) -> dict:
     """``build_experiment`` keyword overrides for the k-dilated twin.
 
@@ -207,7 +206,7 @@ def dilated_experiment_kwargs(
     from repro.cluster.cluster import paper_cluster
     from repro.datagen.rates import paper_rate_trace
 
-    base_trace = paper_rate_trace(workload_name, seed=seed, hold=rate_hold)
+    base_trace = paper_rate_trace(workload_name, seed=seed)
     return {
         "cluster": scaled_cluster(paper_cluster(), k),
         "rate_trace": scaled_rate_trace(base_trace, k),

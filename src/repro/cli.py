@@ -47,6 +47,15 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 _COUNT = _int_at_least(1)
 
 
+def _positive(text: str) -> float:
+    """An argument type: a float ``> 0``, for the durations and factors
+    the callees reject at zero or below."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    return value
+
+
 class _Choices:
     """The values of ``module.attr``, read when argparse first checks or
     shows a choice, so that building the parser imports no subsystem."""
@@ -415,7 +424,7 @@ def _cmd_metrics_catalog(args) -> int:
     _workload(), _rounds(40), _seed(7),
     _arg("--rate-shift-at", type=float, default=600.0,
          help="simulated time of the scripted §5.5 rate shift"),
-    _arg("--rate-shift-multiplier", type=float, default=0.25),
+    _arg("--rate-shift-multiplier", type=_positive, default=0.25),
     _arg("--html",
          help="write a self-contained single-file HTML report here"),
     _arg("--json", help="write the report as JSON"),
@@ -615,7 +624,7 @@ def _write_json(path: str, payload) -> None:
          help="resume an interrupted sweep from its journal "
               "(implies --journal JOURNAL)"),
     _RETRIES,
-    _arg("--timeout", type=float,
+    _arg("--timeout", type=_positive,
          help="per-cell timeout in seconds (forces pooled "
               "execution so hung cells can be terminated)"),
     _arg("--strict", action="store_true",
@@ -702,7 +711,7 @@ def _names(text: Optional[str], default: Sequence[str],
     _repeats(1, help="seeds per (tuner, scenario) cell, spaced by 100"),
     _fidelity("vectorized", "simulation tier (default: the "
                             "oracle-validated vectorized engine)"),
-    _arg("--slo", type=float, default=30.0,
+    _arg("--slo", type=_positive, default=30.0,
          help="end-to-end delay SLO in seconds"),
     _WORKERS, _NO_CACHE, _CACHE_DIR, _JOURNAL, _RETRIES,
     _arg("--json", help="write the leaderboard as sorted-key JSON "

@@ -89,41 +89,25 @@ class MinMaxScaler:
         return self.physical.lower + frac * self.physical.ranges
 
 
-def paper_configuration_space(
-    max_executors: int = 20,
-    min_executors: int = 1,
-    min_interval: float = 1.0,
-    max_interval: float = 40.0,
-    scaled_range: tuple = (1.0, 20.0),
-) -> MinMaxScaler:
+def _space(lower: Sequence[float], upper: Sequence[float]) -> MinMaxScaler:
+    """Physical bounds ``[lower, upper]``, every axis scaled to the
+    paper's common range [1, 20] (§6.2.1)."""
+    dim = len(lower)
+    return MinMaxScaler(Box(lower, upper), Box([1.0] * dim, [20.0] * dim))
+
+
+def paper_configuration_space(max_executors: int = 20) -> MinMaxScaler:
     """The §6.2.1 configuration space.
 
-    Physical axes are ordered ``(batch interval seconds, executors)``;
-    both are scaled to ``scaled_range`` (default [1, 20]).
+    Physical axes are ordered ``(batch interval seconds, executors)``:
+    1-40 s and 1 to ``max_executors``.
     """
-    if min_executors < 1 or max_executors <= min_executors:
-        raise ValueError("need 1 <= min_executors < max_executors")
-    if min_interval <= 0 or max_interval <= min_interval:
-        raise ValueError("need 0 < min_interval < max_interval")
-    physical = Box(
-        [min_interval, float(min_executors)],
-        [max_interval, float(max_executors)],
-    )
-    lo, hi = scaled_range
-    scaled = Box([lo, lo], [hi, hi])
-    return MinMaxScaler(physical, scaled)
+    return _space([1.0, 1.0], [40.0, float(max_executors)])
 
 
-def multi_parameter_space(
-    max_executors: int = 20,
-    min_executors: int = 1,
-    min_interval: float = 1.0,
-    max_interval: float = 40.0,
-    min_partitions: int = 8,
-    max_partitions: int = 120,
-    scaled_range: tuple = (1.0, 20.0),
-) -> MinMaxScaler:
-    """Three-axis configuration space: interval, executors, partitions.
+def multi_parameter_space() -> MinMaxScaler:
+    """Three-axis configuration space: interval (1-40 s), executors
+    (1-20), partitions (8-120).
 
     Implements the paper's future-work extension (§7): "the SPSA
     algorithm is able to optimize multiple parameters simultaneously
@@ -131,56 +115,18 @@ def multi_parameter_space(
     natural third tunable (too few partitions starve executor cores, too
     many pay task-dispatch overhead).
     """
-    if min_executors < 1 or max_executors <= min_executors:
-        raise ValueError("need 1 <= min_executors < max_executors")
-    if min_interval <= 0 or max_interval <= min_interval:
-        raise ValueError("need 0 < min_interval < max_interval")
-    if min_partitions < 1 or max_partitions <= min_partitions:
-        raise ValueError("need 1 <= min_partitions < max_partitions")
-    physical = Box(
-        [min_interval, float(min_executors), float(min_partitions)],
-        [max_interval, float(max_executors), float(max_partitions)],
-    )
-    lo, hi = scaled_range
-    scaled = Box([lo, lo, lo], [hi, hi, hi])
-    return MinMaxScaler(physical, scaled)
+    return _space([1.0, 1.0, 8.0], [40.0, 20.0, 120.0])
 
 
-def full_parameter_space(
-    max_executors: int = 16,
-    min_executors: int = 2,
-    min_interval: float = 1.0,
-    max_interval: float = 40.0,
-    min_partitions: int = 8,
-    max_partitions: int = 96,
-    min_cores: int = 1,
-    max_cores: int = 2,
-    scaled_range: tuple = (1.0, 20.0),
-) -> MinMaxScaler:
-    """Four-axis configuration space: interval, executors, partitions,
-    executor cores.
+def full_parameter_space() -> MinMaxScaler:
+    """Four-axis configuration space: interval (1-40 s), executors
+    (2-16), partitions (8-96), executor cores (1-2).
 
     The tuner tournament's θ: beyond the paper's two parameters and the
     §7 partitions extension, per-executor core count is the fourth
     tunable (arXiv:2309.01901 tunes executor sizing online).  Executor
-    and core bounds must jointly fit the cluster —
-    ``max_executors * max_cores`` may not exceed worker core capacity,
-    which is why the defaults are tighter than the 2-axis space's.
+    and core bounds must jointly fit the cluster (16 two-core executors
+    in the Table 2 cluster's 36 worker cores), which is why the
+    executor bound is tighter than the 2-axis space's.
     """
-    if min_executors < 1 or max_executors <= min_executors:
-        raise ValueError("need 1 <= min_executors < max_executors")
-    if min_interval <= 0 or max_interval <= min_interval:
-        raise ValueError("need 0 < min_interval < max_interval")
-    if min_partitions < 1 or max_partitions <= min_partitions:
-        raise ValueError("need 1 <= min_partitions < max_partitions")
-    if min_cores < 1 or max_cores <= min_cores:
-        raise ValueError("need 1 <= min_cores < max_cores")
-    physical = Box(
-        [min_interval, float(min_executors), float(min_partitions),
-         float(min_cores)],
-        [max_interval, float(max_executors), float(max_partitions),
-         float(max_cores)],
-    )
-    lo, hi = scaled_range
-    scaled = Box([lo, lo, lo, lo], [hi, hi, hi, hi])
-    return MinMaxScaler(physical, scaled)
+    return _space([1.0, 2.0, 8.0, 1.0], [40.0, 16.0, 96.0, 2.0])

@@ -56,11 +56,9 @@ def build_experiment(
     batch_interval: float = 10.0,
     num_executors: int = 10,
     rate_trace: Optional[RateTrace] = None,
-    rate_hold: float = 10.0,
     overhead: OverheadModel = DEFAULT_OVERHEAD,
     noise_sigma: float = 0.10,
     max_executors: int = 20,
-    max_interval: float = 40.0,
     queue_max_length: int = 25,
     cluster: Optional[Cluster] = None,
     telemetry: Optional[Telemetry] = None,
@@ -107,9 +105,7 @@ def build_experiment(
     cluster = cluster or paper_cluster()
     kafka = paper_kafka_cluster(cluster.total_cores)
     workload = make_workload(workload_name)
-    trace = rate_trace or paper_rate_trace(
-        workload_name, seed=seed, hold=rate_hold
-    )
+    trace = rate_trace or paper_rate_trace(workload_name, seed=seed)
     generator = DataGenerator(
         kafka.topic("events"),
         trace,
@@ -145,9 +141,7 @@ def build_experiment(
             mode=fidelity,
         )
     system = SimulatedSparkSystem(context)
-    scaler = paper_configuration_space(
-        max_executors=max_executors, max_interval=max_interval
-    )
+    scaler = paper_configuration_space(max_executors)
     return ExperimentSetup(
         cluster=cluster,
         kafka=kafka,
@@ -210,15 +204,13 @@ def run_search(
     max_evaluations: int = 30,
     pause_rule: Optional[PauseRule] = None,
     confirm: bool = False,
-    **options,
 ) -> "TunerRunReport":
     """Run one registered tuner against a deployment via ``run_tuner``.
 
-    ``options`` go to the tuner's constructor (e.g. a grid's
-    ``points_per_axis``).  With ``confirm``, a singleton winner is then
-    re-measured by the same :func:`~repro.core.pause.confirm_best` pass
-    NoStop ends its run with, and the report's best-configuration fields
-    and search time cover the confirmation too.
+    With ``confirm``, a singleton winner is then re-measured by the same
+    :func:`~repro.core.pause.confirm_best` pass NoStop ends its run
+    with, and the report's best-configuration fields and search time
+    cover the confirmation too.
     """
     from repro.core.adjust import AdjustFunction
     from repro.core.pause import PauseRule, confirm_best
@@ -229,7 +221,7 @@ def run_search(
     collector = MetricsCollector()
     start_time = setup.system.time
     report = run_tuner(
-        make_tuner(tuner, setup.scaler, seed=seed, **options),
+        make_tuner(tuner, setup.scaler, seed=seed),
         setup.system,
         setup.scaler,
         max_evaluations=max_evaluations,
@@ -293,11 +285,6 @@ def judged_chaos_run(
     rate_shift_at: float = 600.0,
     rate_shift_multiplier: float = 0.25,
     telemetry: Optional[Telemetry] = None,
-    slos=None,
-    policies=None,
-    rate_detector=None,
-    title: Optional[str] = None,
-    **build_kwargs,
 ) -> JudgedRun:
     """The seeded chaos quickstart behind ``repro report``.
 
@@ -334,11 +321,8 @@ def judged_chaos_run(
         seed=seed,
         rate_trace=shifted,
         telemetry=telemetry,
-        **build_kwargs,
     )
-    judge = RunJudge(
-        slos=slos, policies=policies, rate_detector=rate_detector
-    )
+    judge = RunJudge()
     judge.attach_tracer(telemetry.tracer)
     setup.context.listener.watch(judge)
 
@@ -350,7 +334,7 @@ def judged_chaos_run(
     report = build_run_report(
         judge,
         telemetry,
-        title=title or f"NoStop chaos run: {workload_name}",
+        title=f"NoStop chaos run: {workload_name}",
         workload=workload_name,
         seed=seed,
         rounds=rounds,

@@ -80,8 +80,9 @@ class BurnRatePolicy:
         return 1.0 - self.target
 
 
-def default_policies(interval_hint: float = 10.0) -> List[BurnRatePolicy]:
-    """Stock alerting rules: stability burn and delay-ceiling burn."""
+def default_policies() -> List[BurnRatePolicy]:
+    """Stock alerting rules: stability burn, and delay-ceiling burn at
+    60 s (six of the paper's default 10 s batch intervals)."""
     return [
         BurnRatePolicy(
             name="stability-burn",
@@ -92,7 +93,7 @@ def default_policies(interval_hint: float = 10.0) -> List[BurnRatePolicy]:
         BurnRatePolicy(
             name="delay-burn",
             target=0.90,
-            classifier=delay_above(6.0 * interval_hint),
+            classifier=delay_above(60.0),
             severity="ticket",
         ),
     ]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
-from .alerts import Alert, BurnRateAlerter, BurnRatePolicy
+from .alerts import Alert, BurnRateAlerter
 from .audit import RuleFiring
 from .critical import DelayBreakdown, analyze_spans
 from .detect import (
@@ -40,7 +40,6 @@ from .detect import (
     WatchdogReport,
 )
 from .slo import (
-    SLO,
     SLOEvaluator,
     SLOVerdict,
     has_critical_breach,
@@ -138,22 +137,16 @@ class RunJudge:
     the two paths produce identical state.
     """
 
-    def __init__(
-        self,
-        slos: Optional[Sequence[SLO]] = None,
-        policies: Optional[List[BurnRatePolicy]] = None,
-        delay_detector: Optional[EwmaMadDetector] = None,
-        rate_detector: Optional[CusumDetector] = None,
-    ) -> None:
-        self.evaluator = SLOEvaluator(slos)
-        self.alerter = BurnRateAlerter(policies)
-        self.delay_detector = delay_detector or EwmaMadDetector()
+    def __init__(self) -> None:
+        self.evaluator = SLOEvaluator()
+        self.alerter = BurnRateAlerter()
+        self.delay_detector = EwmaMadDetector()
         # The per-batch arrival-rate signal is noisier than CUSUM's
         # textbook setting assumes (held rate levels + catch-up batches
         # after backlog), so the judge decides at h=8 rather than the
         # class default h=4: a genuine regime shift still fires within
         # a couple of batches, transient excursions mostly don't.
-        self.rate_detector = rate_detector or CusumDetector(h=8.0)
+        self.rate_detector = CusumDetector(h=8.0)
         self.batches = 0
         self.last_time = 0.0
         self._tracer = None
@@ -556,7 +549,6 @@ def build_run_report(
     events: Optional[Sequence] = None,
     sim_duration: float = 0.0,
     records_total: int = 0,
-    watchdog: Optional[SpsaWatchdog] = None,
 ) -> RunReport:
     """Stitch one run's signals into a :class:`RunReport`.
 
@@ -625,7 +617,7 @@ def build_run_report(
 
     spans = telemetry.tracer.spans
     breakdown = analyze_spans(spans) if spans else None
-    wd_report = (watchdog or SpsaWatchdog()).scan(telemetry.audit)
+    wd_report = SpsaWatchdog().scan(telemetry.audit)
 
     resets = sum(1 for f in telemetry.audit.firings if f.kind == "reset")
     cusum_fired = bool(judge.rate_detector.events)

@@ -111,13 +111,7 @@ class SLOVerdict:
         }
 
 
-def default_slos(
-    delay_p95: float = 120.0,
-    stability_ratio: float = 0.65,
-    scheduling_delay_max: float = 240.0,
-    recovery_time: float = 600.0,
-    dropped_batches: float = 500.0,
-) -> List[SLO]:
+def default_slos() -> List[SLO]:
     """The stock objective set for judging a NoStop run.
 
     Critical thresholds are sized for an *optimization* run under chaos:
@@ -125,27 +119,28 @@ def default_slos(
     deliberately breaks the substrate, so tails are wide by design; the
     critical line is "the run never left the rails" (bounded tails, every
     fault recovered, no mass data loss), while the tighter steady-state
-    expectations ride along at warning severity.
+    expectations ride along at warning severity, at half the critical
+    thresholds.
     """
     return [
         SLO(
             name="delay-p95",
             objective="delay_p95",
-            threshold=delay_p95,
+            threshold=120.0,
             severity="critical",
             description="end-to-end delay p95 stays bounded over the run",
         ),
         SLO(
             name="delay-p95-steady",
             objective="delay_p95",
-            threshold=delay_p95 / 2.0,
+            threshold=60.0,
             severity="warning",
             description="steady-state expectation for the delay tail",
         ),
         SLO(
             name="stability-ratio",
             objective="stability_ratio",
-            threshold=stability_ratio,
+            threshold=0.65,
             severity="critical",
             description=(
                 "fraction of batches violating processing <= interval"
@@ -154,28 +149,28 @@ def default_slos(
         SLO(
             name="stability-ratio-steady",
             objective="stability_ratio",
-            threshold=stability_ratio / 2.0,
+            threshold=0.325,
             severity="warning",
             description="steady-state expectation for stability violations",
         ),
         SLO(
             name="sched-delay-ceiling",
             objective="scheduling_delay_max",
-            threshold=scheduling_delay_max,
+            threshold=240.0,
             severity="critical",
             description="no batch waits longer than this to start",
         ),
         SLO(
             name="recovery-time",
             objective="recovery_time",
-            threshold=recovery_time,
+            threshold=600.0,
             severity="critical",
             description="every injected fault recovers within this window",
         ),
         SLO(
             name="no-mass-data-loss",
             objective="counter_max",
-            threshold=dropped_batches,
+            threshold=500.0,
             severity="critical",
             metric="repro_streaming_batches_dropped_total",
             description="bounded-queue sheds stay below a mass-loss level",

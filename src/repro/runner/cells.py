@@ -321,7 +321,6 @@ def _tournament_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     budget = int(_pop(params, "budget", 30))
     fidelity = str(_pop(params, "fidelity", "vectorized"))
     slo_delay = float(_pop(params, "slo_delay", 30.0))
-    options = dict(_pop(params, "tuner_options", {}))
     if params:
         raise TypeError(f"tournament: unknown params {sorted(params)}")
 
@@ -330,7 +329,7 @@ def _tournament_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         workload, seed=seed, rate_trace=trace, fidelity=fidelity
     )
     space = tournament_space()
-    tuner = make_tuner(tuner_name, space, seed=seed, **options)
+    tuner = make_tuner(tuner_name, space, seed=seed, slo_delay=slo_delay)
     report = run_tuner(
         tuner,
         setup.system,

@@ -225,9 +225,9 @@ class NoStopTuner(Tuner):
 class BOTuner(Tuner):
     """GP + expected-improvement minimizer over the scaled box (§6.4).
 
-    The first ``init_points`` proposals are a seeded Latin-hypercube
+    The first ``INIT_POINTS`` proposals are a seeded Latin-hypercube
     design; every later one is the expected-improvement maximizer over
-    ``candidates_per_step`` uniform candidates, scored by a GP refit on
+    ``CANDIDATES_PER_STEP`` uniform candidates, scored by a GP refit on
     all observations so far.
     """
 
@@ -235,27 +235,19 @@ class BOTuner(Tuner):
     NOISE_VAR = 0.05
     #: RBF length scale per axis, as a fraction of the axis range.
     LENGTH_SCALE_FRAC = 0.2
+    #: Latin-hypercube proposals before the GP takes over.
+    INIT_POINTS = 5
+    #: Uniform candidates scored by expected improvement per GP step.
+    CANDIDATES_PER_STEP = 256
 
-    def __init__(
-        self,
-        scaler: MinMaxScaler,
-        seed: int = 0,
-        init_points: int = 5,
-        candidates_per_step: int = 256,
-    ) -> None:
+    def __init__(self, scaler: MinMaxScaler, seed: int = 0) -> None:
         super().__init__(scaler, seed)
-        if init_points < 2:
-            raise ValueError("init_points must be >= 2")
-        if candidates_per_step < 8:
-            raise ValueError("candidates_per_step must be >= 8")
         self.rng = np.random.default_rng(seed)
-        self.init_points = init_points
-        self.candidates = candidates_per_step
         #: Non-finite observations clamped to the divergence penalty.
         self.penalized = 0
         self._x: List[np.ndarray] = []
         self._y: List[float] = []
-        self._initial_design = self._latin_hypercube(init_points)
+        self._initial_design = self._latin_hypercube(self.INIT_POINTS)
         self.instrument(NOOP_REGISTRY)
 
     def instrument(self, registry: MetricsRegistry) -> None:
@@ -282,7 +274,7 @@ class BOTuner(Tuner):
         return self.box.lower + design * self.box.ranges
 
     def ask(self) -> np.ndarray:
-        if len(self._x) < self.init_points:
+        if len(self._x) < self.INIT_POINTS:
             return self._initial_design[len(self._x)].copy()
         gp = GaussianProcess(
             length_scales=self.box.ranges * self.LENGTH_SCALE_FRAC,
@@ -290,7 +282,7 @@ class BOTuner(Tuner):
             noise_var=self.NOISE_VAR,
         ).fit(np.array(self._x), np.array(self._y))
         cand = self.box.lower + self.rng.uniform(
-            size=(self.candidates, self.box.dim)
+            size=(self.CANDIDATES_PER_STEP, self.box.dim)
         ) * self.box.ranges
         mean, std = gp.predict(cand)
         ei = expected_improvement(mean, std, best=min(self._y))
@@ -336,24 +328,16 @@ class BOTuner(Tuner):
 class AnnealingTuner(Tuner):
     """Simulated annealing: accept regressions with ``exp(-Δ/T)``."""
 
-    def __init__(
-        self,
-        scaler: MinMaxScaler,
-        seed: int = 0,
-        initial_temperature: float = 10.0,
-        cooling: float = 0.92,
-        neighbour_scale: float = 0.15,
-    ) -> None:
+    #: Starting temperature, in objective units.
+    INITIAL_TEMPERATURE = 10.0
+    #: Geometric cooling factor, applied per observation after the first.
+    COOLING = 0.92
+    #: Neighbour step standard deviation, as a fraction of each axis range.
+    NEIGHBOUR_SCALE = 0.15
+
+    def __init__(self, scaler: MinMaxScaler, seed: int = 0) -> None:
         super().__init__(scaler, seed)
-        if not (0.0 < cooling < 1.0):
-            raise ValueError("cooling must be in (0, 1)")
-        if initial_temperature <= 0:
-            raise ValueError("initial_temperature must be positive")
-        if neighbour_scale <= 0:
-            raise ValueError("neighbour_scale must be positive")
-        self.cooling = float(cooling)
-        self.neighbour_scale = float(neighbour_scale)
-        self.temperature = float(initial_temperature)
+        self.temperature = self.INITIAL_TEMPERATURE
         self.rng = np.random.default_rng(seed)
         self.current: Optional[np.ndarray] = None
         self.current_y: float = float("inf")
@@ -362,7 +346,7 @@ class AnnealingTuner(Tuner):
     def ask(self) -> np.ndarray:
         if self.current is None:
             return self.box.center()
-        step = self.rng.normal(scale=self.neighbour_scale * self.box.ranges)
+        step = self.rng.normal(scale=self.NEIGHBOUR_SCALE * self.box.ranges)
         return self.box.project(self.current + step)
 
     def observe(
@@ -384,7 +368,7 @@ class AnnealingTuner(Tuner):
             self.current = candidate
             self.current_y = y
             self.accepted += 1
-        self.temperature *= self.cooling
+        self.temperature *= self.COOLING
 
     def checkpoint(self) -> dict:
         return {
@@ -461,22 +445,14 @@ def grid_points(scaler: MinMaxScaler, points_per_axis: int) -> np.ndarray:
 class GridTuner(Tuner):
     """Exhaustive grid enumeration; ``exhausted`` once the grid is done.
 
-    The default resolution adapts to dimensionality (5 points/axis on
-    the paper's 2-axis space, 3 on the 4-axis tournament space) so a
+    The resolution adapts to dimensionality (5 points/axis on the
+    paper's 2-axis space, 3 on the 4-axis tournament space) so a
     budgeted run still sees every region of the box.
     """
 
-    def __init__(
-        self,
-        scaler: MinMaxScaler,
-        seed: int = 0,
-        points_per_axis: Optional[int] = None,
-    ) -> None:
+    def __init__(self, scaler: MinMaxScaler, seed: int = 0) -> None:
         super().__init__(scaler, seed)
-        if points_per_axis is None:
-            points_per_axis = 5 if self.box.dim <= 2 else 3
-        self.points_per_axis = int(points_per_axis)
-        self.points = grid_points(scaler, self.points_per_axis)
+        self.points = grid_points(scaler, 5 if self.box.dim <= 2 else 3)
         self.index = 0
 
     @property
@@ -499,12 +475,7 @@ class GridTuner(Tuner):
         pass  # non-adaptive: enumeration order is fixed up front
 
     def checkpoint(self) -> dict:
-        return {
-            "index": int(self.index),
-            "pointsPerAxis": int(self.points_per_axis),
-        }
+        return {"index": int(self.index)}
 
     def restore(self, state: dict) -> None:
-        self.points_per_axis = int(state["pointsPerAxis"])
-        self.points = grid_points(self.scaler, self.points_per_axis)
         self.index = int(state["index"])

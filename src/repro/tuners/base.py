@@ -41,6 +41,10 @@ from repro.obs.registry import MetricsRegistry
 #: so all rank a diverged probe identically.
 DIVERGENCE_PENALTY = 1.0e6
 
+#: End-to-end delay SLO (seconds) of a run that names none: the
+#: tournament's default.
+DEFAULT_SLO_DELAY = 30.0
+
 
 def clamp_objective(y: float, penalty: float = DIVERGENCE_PENALTY) -> float:
     """Map a non-finite objective to the finite divergence penalty."""
@@ -59,6 +63,9 @@ class Tuner(abc.ABC):
 
     #: Registry key; also the ``tuner`` label on ``repro_tuner_*``.
     name: str = "abstract"
+    #: The run's end-to-end delay SLO in seconds, set by
+    #: :func:`make_tuner`; only SLO-aware policies read it.
+    slo_delay: float = DEFAULT_SLO_DELAY
 
     def __init__(self, scaler: MinMaxScaler, seed: int = 0) -> None:
         self.scaler = scaler
@@ -143,16 +150,22 @@ def tuner_names() -> List[str]:
 
 
 def make_tuner(
-    name: str, scaler: MinMaxScaler, seed: int = 0, **options: Any
+    name: str,
+    scaler: MinMaxScaler,
+    seed: int = 0,
+    slo_delay: float = DEFAULT_SLO_DELAY,
 ) -> Tuner:
-    """Instantiate a registered tuner over a configuration space."""
+    """Instantiate a registered tuner over a configuration space, for a
+    run whose delay SLO is ``slo_delay`` seconds."""
     try:
         cls = _registry()[name]
     except KeyError:
         raise KeyError(
             f"unknown tuner {name!r}; expected one of {tuner_names()}"
         ) from None
-    return cls(scaler, seed=seed, **options)
+    tuner = cls(scaler, seed=seed)
+    tuner.slo_delay = float(slo_delay)
+    return tuner
 
 
 # -- run driver --------------------------------------------------------------
@@ -222,7 +235,7 @@ def run_tuner(
     scaler: MinMaxScaler,
     max_evaluations: int = 30,
     rho_cap: float = 2.0,
-    slo_delay: float = 30.0,
+    slo_delay: float = DEFAULT_SLO_DELAY,
     pause_rule: Optional[PauseRule] = None,
     collector: Optional[MetricsCollector] = None,
     registry: Optional[MetricsRegistry] = None,

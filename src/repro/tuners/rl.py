@@ -61,31 +61,20 @@ class RLTuner(Tuner):
 
     #: State before the first observation (no telemetry yet).
     INITIAL_STATE = "0,0"
+    #: One action's step along its axis, as a fraction of the axis range.
+    STEP_FRACTION = 0.15
+    #: Q-learning rate α.
+    LEARNING_RATE = 0.4
+    #: Discount γ on the next state's value.
+    DISCOUNT = 0.8
+    #: Exploration ε before the first observation, its decay per
+    #: observation, and its floor.
+    EPSILON = 0.9
+    EPSILON_DECAY = 0.9
+    EPSILON_MIN = 0.05
 
-    def __init__(
-        self,
-        scaler: MinMaxScaler,
-        seed: int = 0,
-        step_fraction: float = 0.15,
-        learning_rate: float = 0.4,
-        discount: float = 0.8,
-        epsilon: float = 0.9,
-        epsilon_decay: float = 0.9,
-        epsilon_min: float = 0.05,
-    ) -> None:
+    def __init__(self, scaler: MinMaxScaler, seed: int = 0) -> None:
         super().__init__(scaler, seed)
-        if not (0.0 < step_fraction <= 1.0):
-            raise ValueError("step_fraction must be in (0, 1]")
-        if not (0.0 < learning_rate <= 1.0):
-            raise ValueError("learning_rate must be in (0, 1]")
-        if not (0.0 <= discount < 1.0):
-            raise ValueError("discount must be in [0, 1)")
-        self.step_fraction = float(step_fraction)
-        self.learning_rate = float(learning_rate)
-        self.discount = float(discount)
-        self.epsilon = float(epsilon)
-        self.epsilon_decay = float(epsilon_decay)
-        self.epsilon_min = float(epsilon_min)
         self.rng = np.random.default_rng(seed)
         self.n_actions = 2 * self.box.dim + 1
         self.theta = self.box.center()
@@ -106,13 +95,13 @@ class RLTuner(Tuner):
             return delta
         axis, negative = divmod(action - 1, 2)
         sign = -1.0 if negative else 1.0
-        delta[axis] = sign * self.step_fraction * self.box.ranges[axis]
+        delta[axis] = sign * self.STEP_FRACTION * self.box.ranges[axis]
         return delta
 
     def _current_epsilon(self) -> float:
         return max(
-            self.epsilon_min,
-            self.epsilon * self.epsilon_decay ** self.steps,
+            self.EPSILON_MIN,
+            self.EPSILON * self.EPSILON_DECAY ** self.steps,
         )
 
     # -- Tuner protocol -------------------------------------------------
@@ -143,8 +132,8 @@ class RLTuner(Tuner):
         )
         row = self._q_row(self.state)
         action = self._pending_action
-        target = reward + self.discount * max(self._q_row(next_state))
-        row[action] += self.learning_rate * (target - row[action])
+        target = reward + self.DISCOUNT * max(self._q_row(next_state))
+        row[action] += self.LEARNING_RATE * (target - row[action])
         self.state = next_state
         self.theta = np.asarray(theta, dtype=float)
         self.steps += 1

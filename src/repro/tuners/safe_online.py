@@ -38,36 +38,24 @@ from .base import Tuner, clamp_objective, register_tuner
 
 @register_tuner("safe-online")
 class SafeOnlineTuner(Tuner):
-    """No-restart trust-region search with SLO-aware acceptance."""
+    """No-restart trust-region search with SLO-aware acceptance.
 
-    def __init__(
-        self,
-        scaler: MinMaxScaler,
-        seed: int = 0,
-        initial_radius: float = 0.12,
-        expand: float = 1.3,
-        shrink: float = 0.7,
-        max_radius: float = 0.4,
-        min_radius: float = 0.02,
-        slo_delay: float = 30.0,
-    ) -> None:
+    "Safe" means stable and within the run's delay SLO,
+    :attr:`~repro.tuners.base.Tuner.slo_delay`.
+    """
+
+    #: Trust-region radius per axis, as a fraction of the axis range: its
+    #: start, its growth on an acceptance and shrink on a rejection, and
+    #: its bounds.
+    INITIAL_RADIUS = 0.12
+    EXPAND = 1.3
+    SHRINK = 0.7
+    MAX_RADIUS = 0.4
+    MIN_RADIUS = 0.02
+
+    def __init__(self, scaler: MinMaxScaler, seed: int = 0) -> None:
         super().__init__(scaler, seed)
-        if not (0.0 < initial_radius <= 1.0):
-            raise ValueError("initial_radius must be in (0, 1]")
-        if expand <= 1.0 or not (0.0 < shrink < 1.0):
-            raise ValueError("expand must be > 1 and shrink in (0, 1)")
-        if not (0.0 < min_radius <= initial_radius <= max_radius <= 1.0):
-            raise ValueError(
-                "need 0 < min_radius <= initial_radius <= max_radius <= 1"
-            )
-        if slo_delay <= 0:
-            raise ValueError("slo_delay must be positive")
-        self.radius = float(initial_radius)
-        self.expand = float(expand)
-        self.shrink = float(shrink)
-        self.max_radius = float(max_radius)
-        self.min_radius = float(min_radius)
-        self.slo_delay = float(slo_delay)
+        self.radius = self.INITIAL_RADIUS
         self.rng = np.random.default_rng(seed)
         self.incumbent: Optional[np.ndarray] = None
         self.incumbent_y = float("inf")
@@ -117,10 +105,10 @@ class SafeOnlineTuner(Tuner):
             self.incumbent = candidate
             self.incumbent_y = y
             self.incumbent_safe = safe
-            self.radius = min(self.max_radius, self.radius * self.expand)
+            self.radius = min(self.MAX_RADIUS, self.radius * self.EXPAND)
             self.accepted += 1
         else:
-            self.radius = max(self.min_radius, self.radius * self.shrink)
+            self.radius = max(self.MIN_RADIUS, self.radius * self.SHRINK)
             self.rejected += 1
 
     def checkpoint(self) -> dict:

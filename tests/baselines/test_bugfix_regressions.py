@@ -19,13 +19,13 @@ from repro.core.bounds import paper_configuration_space
 from repro.core.pause import EvaluatedConfig, PauseRule
 from repro.obs import catalog
 from repro.obs.registry import MetricsRegistry
-from repro.tuners import DIVERGENCE_PENALTY, make_tuner
+from repro.tuners import DIVERGENCE_PENALTY, BOTuner
 
 
-def _bo(seed=0, init_points=5):
-    return make_tuner(
-        "bo", paper_configuration_space(), seed=seed, init_points=init_points
-    )
+def _bo(seed=0, init_points=BOTuner.INIT_POINTS):
+    """A BO tuner whose Latin-hypercube design has ``init_points``."""
+    sized = type("SizedBOTuner", (BOTuner,), {"INIT_POINTS": init_points})
+    return sized(paper_configuration_space(), seed=seed)
 
 
 # -- 1. Latin-hypercube initial design ----------------------------------------

@@ -59,20 +59,20 @@ class TestGridSearch:
 
     def test_exhaustive_cost_exceeds_spsa(self):
         # The §1 argument: grid search burns far more config changes.
-        # A pause rule over all nine points keeps the run exhaustive;
-        # the grid then stops on its own, well inside the budget.
+        # A pause rule over all 25 points of the 5x5 grid keeps the run
+        # exhaustive; the grid then stops on its own, inside the budget.
         setup = build_experiment("wordcount", seed=6)
         report = run_search(
             setup, "grid", max_evaluations=100,
-            pause_rule=PauseRule(n_best=9), points_per_axis=3,
+            pause_rule=PauseRule(n_best=25),
         )
-        assert report.config_changes >= 8
-        assert report.evaluations == 9
+        assert report.config_changes >= 24
+        assert report.evaluations == 25
 
     def test_max_evaluations_truncates(self):
         setup = build_experiment("wordcount", seed=7)
         report = run_search(
             setup, "grid", max_evaluations=5,
-            pause_rule=PauseRule(n_best=16), points_per_axis=4,
+            pause_rule=PauseRule(n_best=25),
         )
         assert report.evaluations == 5

@@ -119,15 +119,15 @@ def test_checkpoint_reconverges_faster_than_cold_restart(comparison):
     assert ckpt.rounds_to_repause < cold.rounds_to_repause
 
 
-def test_recovery_scenario_deterministic():
-    a = run_recovery_scenario(
-        WORKLOAD, mode="checkpoint", rounds=12, seed=SEED,
-        kill_time=KILL_TIME, outage=OUTAGE, pause_n=PAUSE_N,
-    )
+def test_recovery_scenario_deterministic(comparison):
+    # A rerun of the shared checkpoint run, through the kill and the
+    # restore, repeats it exactly.
+    a = comparison["checkpoint"]
     b = run_recovery_scenario(
-        WORKLOAD, mode="checkpoint", rounds=12, seed=SEED,
+        WORKLOAD, mode="checkpoint", rounds=ROUNDS, seed=SEED,
         kill_time=KILL_TIME, outage=OUTAGE, pause_n=PAUSE_N,
     )
+    assert a.killed_at and a.killed_at == b.killed_at
     assert a.to_dict() == b.to_dict()
     thetas_a = [np.asarray(r.theta_scaled).tolist() for r in a.records]
     thetas_b = [np.asarray(r.theta_scaled).tolist() for r in b.records]

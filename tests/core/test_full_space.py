@@ -19,13 +19,6 @@ def test_full_space_axes_and_bounds():
     assert list(space.scaled.upper) == [20.0] * 4
 
 
-def test_full_space_validates_ranges():
-    with pytest.raises(ValueError):
-        full_parameter_space(min_cores=3, max_cores=2)
-    with pytest.raises(ValueError):
-        full_parameter_space(min_partitions=0)
-
-
 def test_theta_to_configuration_four_axes():
     space = full_parameter_space()
     config = theta_to_configuration(space.scaled.center(), space)

@@ -58,53 +58,53 @@ class TestOptimizationOutcome:
         assert max(rhos) <= 2.0
 
 
+@pytest.fixture(scope="module")
+def wordcount_run():
+    """One shared 30-round NoStop run on wordcount, seed 3."""
+    setup = build_experiment("wordcount", seed=3)
+    controller = make_controller(setup, seed=3)
+    return controller, controller.run(30)
+
+
+@pytest.fixture(scope="module")
+def surge_run():
+    """One shared 50-round NoStop run on logistic regression under a
+    2.5x rate surge between t=500 s and t=1000 s."""
+    spike = SpikeRate(
+        UniformRandomRate(7000, 13000, seed=9),
+        spikes=((500.0, 1000.0, 2.5),),
+    )
+    setup = build_experiment("logistic_regression", seed=9, rate_trace=spike)
+    return make_controller(setup, seed=9).run(50)
+
+
 class TestPauseBehavior:
-    def test_pause_eventually_fires(self):
-        setup = build_experiment("wordcount", seed=3)
-        controller = make_controller(setup, seed=3)
-        report = controller.run(30)
+    def test_pause_eventually_fires(self, wordcount_run):
+        _, report = wordcount_run
         assert report.first_pause_round is not None
         assert report.search_time is not None
         assert report.adjust_calls_to_pause is not None
 
-    def test_paused_rounds_monitor_at_best_config(self):
-        setup = build_experiment("wordcount", seed=3)
-        controller = make_controller(setup, seed=3)
-        report = controller.run(30)
+    def test_paused_rounds_monitor_at_best_config(self, wordcount_run):
+        _, report = wordcount_run
         paused = report.paused_rounds()
         assert paused
         for r in paused:
             assert r.monitor is not None
 
-    def test_window_relaxes_while_paused(self):
-        setup = build_experiment("wordcount", seed=3)
-        controller = make_controller(setup, seed=3)
-        controller.run(30)
+    def test_window_relaxes_while_paused(self, wordcount_run):
+        controller, _ = wordcount_run
         if controller.paused:
             assert controller.collector.window > controller.collector.base_window
 
 
 class TestResetBehavior:
-    def test_rate_surge_triggers_reset(self):
-        spike = SpikeRate(
-            UniformRandomRate(7000, 13000, seed=9),
-            spikes=((500.0, 1000.0, 2.5),),
-        )
-        setup = build_experiment("logistic_regression", seed=9, rate_trace=spike)
-        controller = make_controller(setup, seed=9)
-        report = controller.run(50)
-        assert report.resets >= 1
-        assert any(r.phase == "reset" for r in report.rounds)
+    def test_rate_surge_triggers_reset(self, surge_run):
+        assert surge_run.resets >= 1
+        assert any(r.phase == "reset" for r in surge_run.rounds)
 
-    def test_reset_restores_spsa_state(self):
-        spike = SpikeRate(
-            UniformRandomRate(7000, 13000, seed=9),
-            spikes=((500.0, 1000.0, 2.5),),
-        )
-        setup = build_experiment("logistic_regression", seed=9, rate_trace=spike)
-        controller = make_controller(setup, seed=9)
-        report = controller.run(50)
-        resets = [r for r in report.rounds if r.phase == "reset"]
+    def test_reset_restores_spsa_state(self, surge_run):
+        resets = [r for r in surge_run.rounds if r.phase == "reset"]
         assert resets
         assert resets[0].k == 0
         assert resets[0].rho == 1.0

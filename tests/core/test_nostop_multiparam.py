@@ -32,10 +32,6 @@ class TestMultiParameterSpace:
         _, _, partitions = theta_to_configuration([10.0, 10.0, 50.0], scaler3)
         assert partitions == 120
 
-    def test_invalid_ranges_rejected(self):
-        with pytest.raises(ValueError):
-            multi_parameter_space(min_partitions=10, max_partitions=10)
-
     def test_five_axes_rejected(self):
         # Four axes (the tournament's executor-cores extension) are the
         # ceiling of the supported configuration space; five are not.

@@ -112,5 +112,3 @@ class TestMinMaxScaler:
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
             paper_configuration_space(max_executors=1)
-        with pytest.raises(ValueError):
-            paper_configuration_space(min_interval=0.0)

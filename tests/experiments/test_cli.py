@@ -112,6 +112,45 @@ class TestSweepCommand:
         assert "unknown sweep" in capsys.readouterr().err
 
 
+#: A one-cell tournament, so a flag the parser lets through runs fast.
+ONE_CELL = ["tournament", "--tuners", "random", "--scenarios", "steady",
+            "--budget", "1", "--retries", "0"]
+
+
+class TestPositiveFloatFlags:
+    """A duration, SLO or factor the callee rejects at zero or below is a
+    usage error, not a traceback or a poisoned cell."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (["sweep", "fig5"], "--timeout", "0"),
+        (["sweep", "fig5"], "--timeout", "-5"),
+        (ONE_CELL, "--slo", "0"),
+        (ONE_CELL, "--slo", "-20"),
+        (ONE_CELL, "--slo", "nan"),
+        (["report"], "--rate-shift-multiplier", "0"),
+        (["report"], "--rate-shift-multiplier", "-0.5"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_rejected_at_parse_time(self, command, flag, value, tmp_path,
+                                    capsys):
+        cache = [] if command == ["report"] else ["--cache-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *cache, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {value} is not positive" in (
+            capsys.readouterr().err
+        )
+
+    def test_positive_values_parse_as_floats(self):
+        parser = build_parser()
+        assert parser.parse_args(["tournament", "--slo", "20"]).slo == 20.0
+        assert parser.parse_args(
+            ["sweep", "fig5", "--timeout", "2.5"]
+        ).timeout == 2.5
+        assert parser.parse_args(
+            ["report", "--rate-shift-multiplier", "1.5"]
+        ).rate_shift_multiplier == 1.5
+
+
 class TestCountFlags:
     """A count the callee rejects is a usage error, not a traceback."""
 

@@ -18,17 +18,24 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tuners import make_tuner, tournament_space, tuner_names
+from repro.tuners import NoStopTuner, make_tuner, tournament_space, tuner_names
 
 from ..tuners.test_conformance import _evaluated, _synthetic
 
-#: (registered name, constructor options): every tuner, plus the
+#: (registered name, NoStop ``probes`` or None): every tuner, plus the
 #: non-default SPSA estimators.
-ROSTER = [(name, {}) for name in tuner_names()] + [
-    ("nostop", {"probes": 1}),
-    ("nostop", {"probes": 4}),
+ROSTER = [(name, None) for name in tuner_names()] + [
+    ("nostop", 1),
+    ("nostop", 4),
 ]
 SPACE = tournament_space()
+
+
+def _build(entry, seed):
+    name, probes = entry
+    if probes is None:
+        return make_tuner(name, SPACE, seed=seed)
+    return NoStopTuner(SPACE, seed=seed, probes=probes)
 
 
 def _apply(tuner, step):
@@ -56,9 +63,8 @@ class TestTunerContract:
         ),
     )
     def test_restored_tuner_asks_what_the_original_asks(self, entry, seed, ops):
-        name, options = entry
-        reference = make_tuner(name, SPACE, seed=seed, **options)
-        live = make_tuner(name, SPACE, seed=seed, **options)
+        reference = _build(entry, seed)
+        live = _build(entry, seed)
         steps = []  # the reference's half-steps, alternating ask/observe
         snapshot = None  # (JSON round-tripped checkpoint, len(steps))
         for op in ops:
@@ -80,7 +86,7 @@ class TestTunerContract:
                 snapshot = (state, len(steps))
             elif snapshot is not None:
                 state, taken = snapshot
-                live = make_tuner(name, SPACE, seed=seed + 1, **options)
+                live = _build(entry, seed + 1)
                 live.restore(state)
                 for step in steps[taken:]:
                     _apply(live, step)

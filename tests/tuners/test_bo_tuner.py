@@ -21,7 +21,7 @@ class TestBOTunerSynthetic:
             bo.observe(theta, float(np.sum(theta**2)))
 
     def test_converges_toward_minimum_of_quadratic(self):
-        bo = make_tuner("bo", _scaler(2, 10.0), seed=1, init_points=5)
+        bo = make_tuner("bo", _scaler(2, 10.0), seed=1)
         target = np.array([3.0, 7.0])
         rng = np.random.default_rng(1)
         for _ in range(30):
@@ -44,10 +44,3 @@ class TestBOTunerSynthetic:
         bo.observe(np.array([0.5]), float("inf"))
         assert bo.penalized == 1
         assert bo.checkpoint()["y"] == [DIVERGENCE_PENALTY]
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"init_points": 1}, {"candidates_per_step": 7}]
-    )
-    def test_invalid_params_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            make_tuner("bo", _scaler(2, 10.0), **kwargs)

@@ -142,8 +142,8 @@ def test_checkpoint_restore_is_bit_exact(name):
 
 def test_grid_tuner_exhausts():
     space = _space()
-    tuner = make_tuner("grid", space, seed=0, points_per_axis=2)
-    total = 2 ** space.scaled.dim
+    tuner = make_tuner("grid", space, seed=0)
+    total = 3 ** space.scaled.dim  # 3 points per axis in four dimensions
     asked = _drive(tuner, space, total + 10)
     assert len(asked) == total
     assert tuner.exhausted
@@ -186,6 +186,26 @@ def test_safe_online_rejects_unsafe_candidates():
     np.testing.assert_array_equal(tuner.incumbent, start)
     assert tuner.rejected == 1
     assert tuner.radius < radius_before
+
+
+def test_safe_online_judges_safety_at_the_run_slo():
+    """A stable probe whose delay is between the run's SLO and the 30 s
+    default is unsafe for a run with a 20 s SLO."""
+    space = _space()
+    box = space.scaled
+
+    def probe(tuner, theta, delay):
+        tuner.observe(theta, 10.0, EvaluatedConfig(
+            theta=tuple(theta), objective=10.0, end_to_end_delay=delay,
+            iteration=1, batch_interval=10.0, num_executors=8,
+            mean_processing_time=5.0, stable=True,
+        ))
+
+    for slo, safe in ((20.0, False), (30.0, True)):
+        tuner = make_tuner("safe-online", space, seed=0, slo_delay=slo)
+        assert tuner.slo_delay == slo
+        probe(tuner, box.project(tuner.ask()), 25.0)
+        assert tuner.incumbent_safe is safe
 
 
 def test_rl_tuner_learns_into_q_table():

@@ -10,6 +10,7 @@ from repro.tuners import (
     DEFAULT_SCENARIOS,
     SCORE_COLUMNS,
     TOURNAMENT_SCENARIOS,
+    SafeOnlineTuner,
     build_leaderboard,
     make_tuner,
     render_leaderboard,
@@ -135,9 +136,22 @@ def test_tournament_cell_rejects_unknown_params():
         _cell(bogus=1)
 
 
-def test_tournament_cell_passes_tuner_options():
-    row = _cell(tuner="grid", tuner_options={"points_per_axis": 2})
-    assert row["evaluations"] == BUDGET  # budget < 2**4 grid size
+@pytest.mark.parametrize("slo", [20.0, 30.0])
+def test_tournament_cell_judges_safe_online_at_its_slo(monkeypatch, slo):
+    """The safe-online tuner's safety threshold is the SLO the cell
+    scores every tuner at, not a threshold of its own."""
+    thresholds = []
+    judge = SafeOnlineTuner._is_safe
+
+    def spy(self, evaluated):
+        thresholds.append(self.slo_delay)
+        return judge(self, evaluated)
+
+    monkeypatch.setattr(SafeOnlineTuner, "_is_safe", spy)
+    row = _cell(tuner="safe-online", slo_delay=slo)
+    assert row["sloDelaySeconds"] == slo
+    assert len(thresholds) == BUDGET
+    assert set(thresholds) == {slo}
 
 
 # -- the leaderboard ----------------------------------------------------------
