@@ -242,6 +242,56 @@ def _compare_table() -> Dict[str, list]:
     return rows
 
 
+def _full_catalog() -> Any:
+    """Every cataloged metric on one live registry, rendered three ways.
+
+    Each metric gets deterministic values; each labeled family gets two
+    children, and the first family with a budget of two also gets one
+    label set rejected over budget.  The Prometheus text must validate.
+    """
+    from repro.obs import (
+        MetricsRegistry,
+        catalog,
+        metric_events,
+        prometheus_text,
+        render_metrics_summary,
+    )
+    from tests.obs.helpers import validate_prometheus_text
+
+    registry = MetricsRegistry()
+    rejected_one = False
+    for i, spec in enumerate(sorted(catalog.CATALOG, key=lambda s: s.name)):
+        metric = catalog.instrument(registry, spec.name)
+        if spec.labels:
+            children = [
+                metric.labels(**{ln: f"{ln}-{j}" for ln in spec.labels})
+                for j in (1, 2)
+            ]
+            if spec.max_children == 2 and not rejected_one:
+                metric.labels(**{ln: "over" for ln in spec.labels}).inc()
+                rejected_one = True
+        else:
+            children = [metric]
+        for j, child in enumerate(children, start=1):
+            if spec.kind == "counter":
+                child.inc(i + j)
+            elif spec.kind == "gauge":
+                child.set(1.5 * i - j)
+            else:
+                for value in (0.07 * j, 3.0 * i, 1e7):
+                    child.observe(value)
+    assert rejected_one
+    text = prometheus_text(registry)
+    problems = validate_prometheus_text(text)
+    assert problems == []
+    return {
+        "prometheus": text,
+        "events": metric_events(registry, time=12.5),
+        "summary": render_metrics_summary(registry),
+        "problems": problems,
+    }
+
+
 def _compare_row(name: str) -> Callable[[], Any]:
     return lambda: _compare_table()[name]
 
@@ -388,6 +438,8 @@ CASES: Dict[str, Callable[[], Any]] = {
         "metrics", "--rounds", "4", "--format", "prom"
     ),
     "cli/metrics catalog stdout": _cli_stdout("metrics", "catalog"),
+    "cli/metrics stdout": _cli_stdout("metrics", "--rounds", "4"),
+    "metrics/full-catalog": _full_catalog,
     "cli/dash stdout": _cli_stdout("dash"),
     **{f"compare/{row}": _compare_row(row) for row in COMPARE_ROWS},
     "chaos/guarded/wordcount/seed5": _chaos_guarded,
@@ -419,6 +471,7 @@ GOLDEN: Dict[str, str] = {
     "cli/metrics --format prom stdout": "97b6294dec020ab23475324a528d0a5174207158100e7ee24386dd9d4e53f589",
     "cli/metrics --json stdout": "f7fb23e1cb410e2b171c48412d59c387e697aa64938a11657add20e02f30f183",
     "cli/metrics catalog stdout": "0008e4361540bcecf2cdccf96024c9743bc97827eaf6c84b0b0c0e256cd1b0c1",
+    "cli/metrics stdout": "ef3153b610f2c64b02e91a546b5b8174a7d9697a731e910f873f0e91ae10f088",
     "cli/options": "e9f612940ee10a7e34f6546d3c1e875adbda855c911f7316f37b30b0e168cd4e",
     "cli/report --json": "425c5a56e66c8411d900b4baba12d68a9f06011a1349afd82008c9cb269e367a",
     "cli/report stdout": "64307ef30f8d0ed0dff953092744d78592460c415d8d8cf7dba7654ea021d66b",
@@ -432,6 +485,7 @@ GOLDEN: Dict[str, str] = {
     "compare/Bayesian opt": "9e7e5ba410d0b6c3c5a0f8f079b3c5fd45a4793d2306e36682ee2455b528e972",
     "compare/SPSA (NoStop)": "5ccd7cd29b5145be659942b065d11d8e918372858323d64af868162591817230",
     "compare/Simulated annealing": "69ab7c1b5db567780540231b9753db76e70128bc3c2e0800ebce8a31763bd3cc",
+    "metrics/full-catalog": "56dc71c6d6e8ead8cebe78656f97606ead5fc82e903a9ecee4ce9eb4f4ff1c86",
     "nostop-cell/wordcount/seed0": "b2659be381dc74af37a46d337fe722215cbc578a23d1dc6eef7be1214742a49c",
     "records-between/table": "09b031ee1ef7c6896f3d06a9ec0b497cb957c7013f7a05e3b64b9d7318fbaf54",
     "recovery/logistic_regression": "19c0daa93a573b79263d156113a147aeb7b790e26f8f9bad199be239778bbf3e",
