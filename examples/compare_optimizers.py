@@ -72,10 +72,13 @@ def main() -> None:
         title=f"Optimizer comparison on {WORKLOAD} "
               f"(paper rate band, final configs re-measured fresh)",
     ))
+    best = min(rows, key=lambda row: row[1])
+    fewest = min(rows, key=lambda row: row[3])
     print(
-        "\nExpected shape (paper §6.4 + §1): comparable final delays, but\n"
-        "SPSA converges with the fewest configuration steps; exhaustive\n"
-        "grid search burns an order of magnitude more live changes."
+        f"\nLowest final delay: {best[0]} ({best[1]:.2f} s).\n"
+        f"Fewest configuration steps: {fewest[0]} ({fewest[3]}).\n"
+        "SPSA's steps are counted up to its first pause; the grid measures\n"
+        "each of its 25 points once."
     )
 
 

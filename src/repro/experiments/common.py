@@ -259,10 +259,9 @@ def quick_nostop_run(  # det: allow-unused: the README quick start
     workload_name: str,
     rounds: int = 30,
     seed: int = 0,
-    **build_kwargs,
 ) -> NoStopReport:
     """One-call NoStop run: build the deployment, optimize, report."""
-    setup = build_experiment(workload_name, seed=seed, **build_kwargs)
+    setup = build_experiment(workload_name, seed=seed)
     controller = make_controller(setup, seed=seed)
     return controller.run(rounds)
 

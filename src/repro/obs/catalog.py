@@ -9,11 +9,12 @@ declaration the governance checker can see.
 
 Three consumers sit on top of the catalog:
 
-* **governance** — :func:`check_registry` diffs a live registry against
-  the catalog (uncataloged series, kind mismatches, label-schema
-  drift), and :func:`lint_catalog` enforces naming conventions
-  (``_total`` on counters, unit suffixes, label-name rules).  Both are
-  wired into ``repro check`` and the CI governance job.
+* **governance** — :func:`lint_catalog` is the one place name and label
+  rules are checked (the Prometheus character set, ``_total`` on
+  counters, unit suffixes, label-name rules), and
+  :func:`check_registry` flags any live series whose spec is not the
+  cataloged one (uncataloged or drifted).  Both are wired into ``repro
+  check`` and the CI governance job.
 * **documentation** — :func:`catalog_markdown` / :func:`catalog_json`
   render the byte-deterministic ``docs/METRICS.md`` and
   ``docs/metrics.json`` (``repro metrics catalog``).
@@ -30,19 +31,27 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .registry import (
-    DEFAULT_COUNT_BUCKETS,
+    CARDINALITY_REJECTED,
     DEFAULT_MAX_CHILDREN,
-    DEFAULT_SECONDS_BUCKETS,
-    MetricFamily,
+    MetricSpec,
     MetricsRegistry,
-    RESERVED_LABEL_NAMES,
 )
 
+#: The character set Prometheus accepts in a metric name.
+_NAME_RE = re.compile(r"^[a-z_:][a-z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+
+#: Label names the Prometheus data model reserves for itself.
+RESERVED_LABEL_NAMES = frozenset({"le", "quantile", "job", "instance"})
+
+#: Magnitude buckets for record counts per batch.
+DEFAULT_COUNT_BUCKETS: Tuple[float, ...] = (
+    100.0, 1_000.0, 10_000.0, 50_000.0, 100_000.0, 500_000.0,
+    1_000_000.0, 5_000_000.0,
+)
 
 #: Unit suffixes the convention lint recognises.  A spec with a unit
 #: must end its name with ``_<unit>`` (before the ``_total`` suffix for
@@ -53,39 +62,6 @@ KNOWN_UNITS = ("seconds", "records", "count", "bytes", "ratio", "")
 STABILITY_LEVELS = ("stable", "experimental")
 
 KINDS = ("counter", "gauge", "histogram")
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """One declared metric: the unit of governance."""
-
-    name: str
-    kind: str
-    subsystem: str
-    help: str
-    unit: str = ""
-    """Measurement unit (``seconds``, ``records``, …); empty for
-    dimensionless instantaneous values (executor counts, queue length)."""
-    labels: Tuple[str, ...] = ()
-    """Immutable label schema; empty = flat (unlabeled) metric."""
-    stability: str = "stable"
-    buckets: Optional[Tuple[float, ...]] = None
-    """Histogram bucket bounds; ``None`` uses the seconds default."""
-    max_children: int = DEFAULT_MAX_CHILDREN
-    """Cardinality budget for labeled families."""
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "subsystem": self.subsystem,
-            "help": self.help,
-            "unit": self.unit,
-            "labels": list(self.labels),
-            "stability": self.stability,
-            "buckets": list(self.buckets) if self.buckets else None,
-            "maxChildren": self.max_children if self.labels else None,
-        }
 
 
 def _spec(
@@ -174,9 +150,7 @@ CATALOG: Tuple[MetricSpec, ...] = (
     _spec("repro_nostop_rounds_total", "counter",
           "NoStop control rounds executed"),
     # -- obs -----------------------------------------------------------------
-    _spec("repro_obs_cardinality_rejected_total", "counter",
-          "labels() calls rejected because the family cardinality budget "
-          "was already spent"),
+    CARDINALITY_REJECTED,
     _spec("repro_obs_emit_dropped_total", "counter",
           "Telemetry events dropped by the emission batcher on overflow"),
     _spec("repro_obs_emit_enqueued_total", "counter",
@@ -320,31 +294,11 @@ def instrument(registry: MetricsRegistry, name: str):
 
     This is the call-site entry point: help text, bucket bounds, label
     schema, and cardinality budget all come from the declaration, so a
-    series cannot drift from its catalog entry.  Flat specs return a
-    plain instrument; labeled specs return the family (bind children
+    series cannot drift from its catalog entry.  Unlabeled specs return
+    their one instrument; labeled specs return the family (bind children
     with ``.labels(...)``).
     """
-    spec = spec_for(name)
-    if spec.labels:
-        if spec.kind == "counter":
-            return registry.counter_family(
-                spec.name, spec.help, spec.labels, spec.max_children
-            )
-        if spec.kind == "gauge":
-            return registry.gauge_family(
-                spec.name, spec.help, spec.labels, spec.max_children
-            )
-        return registry.histogram_family(
-            spec.name, spec.help, spec.labels, spec.max_children,
-            spec.buckets or DEFAULT_SECONDS_BUCKETS,
-        )
-    if spec.kind == "counter":
-        return registry.counter(spec.name, spec.help)
-    if spec.kind == "gauge":
-        return registry.gauge(spec.name, spec.help)
-    return registry.histogram(
-        spec.name, spec.help, spec.buckets or DEFAULT_SECONDS_BUCKETS
-    )
+    return registry.instrument(spec_for(name))
 
 
 # -- governance --------------------------------------------------------------
@@ -353,9 +307,10 @@ def instrument(registry: MetricsRegistry, name: str):
 def lint_catalog(catalog: Sequence[MetricSpec] = CATALOG) -> List[str]:
     """Convention lint over the declarations themselves.
 
-    Rules: names are ``repro_<subsystem>_…`` and match the declared
-    subsystem; counters end in ``_total`` and nothing else does;
-    histograms carry a known unit whose suffix appears in the name;
+    Rules: names use the Prometheus character set, are
+    ``repro_<subsystem>_…`` and match the declared subsystem; counters
+    end in ``_total`` and nothing else does; histograms carry a known
+    unit whose suffix appears in the name;
     specs with a unit end in ``_<unit>`` (counters: ``_<unit>_total`` or
     ``_total`` with the unit mid-name); label names are lowercase
     identifiers and never shadow reserved Prometheus labels; names are
@@ -366,6 +321,9 @@ def lint_catalog(catalog: Sequence[MetricSpec] = CATALOG) -> List[str]:
     for spec in catalog:
         n = spec.name
         seen[n] = seen.get(n, 0) + 1
+        if not _NAME_RE.match(n):
+            problems.append(f"{n}: invalid metric name (Prometheus "
+                            "allows [a-z_:][a-z0-9_:]*)")
         if not n.startswith(f"repro_{spec.subsystem}_"):
             problems.append(
                 f"{n}: name does not start with "
@@ -405,7 +363,7 @@ def lint_catalog(catalog: Sequence[MetricSpec] = CATALOG) -> List[str]:
                 problems.append(f"{n}: label name {ln!r} is reserved")
         if len(set(spec.labels)) != len(spec.labels):
             problems.append(f"{n}: duplicate label names {spec.labels}")
-        if spec.labels and spec.max_children < 1:
+        if spec.max_children < 1:
             problems.append(f"{n}: cardinality budget must be >= 1")
         if spec.buckets is not None and spec.kind != "histogram":
             problems.append(f"{n}: only histograms take buckets")
@@ -422,38 +380,21 @@ def check_registry(
 ) -> List[str]:
     """Diff a live registry against the catalog.
 
-    Flags series the catalog does not know (the governance failure this
-    subsystem exists to prevent), kind mismatches, and label-schema
-    drift.  Catalog entries with no live series are fine — most runs
-    exercise a subset of the stack.
+    One rule: every live family's spec must be the cataloged one.  It
+    flags series the catalog does not know (the governance failure this
+    subsystem exists to prevent) and any drift in kind, label schema,
+    budget or help.  Catalog entries with no live series are fine — most
+    runs exercise a subset of the stack.
     """
     specs = {s.name: s for s in catalog}
     problems: List[str] = []
-    for metric in registry.collect():
-        name = metric.name  # type: ignore[attr-defined]
-        spec = specs.get(name)
-        if spec is None:
-            problems.append(f"{name}: live series not in the catalog")
-            continue
-        kind = metric.kind  # type: ignore[attr-defined]
-        if kind != spec.kind:
-            problems.append(
-                f"{name}: live kind {kind!r} != cataloged {spec.kind!r}"
-            )
-        live_labels = (
-            metric.labelnames if isinstance(metric, MetricFamily) else ()
-        )
-        if tuple(live_labels) != spec.labels:
-            problems.append(
-                f"{name}: live label schema {tuple(live_labels)} != "
-                f"cataloged {spec.labels}"
-            )
-        if (isinstance(metric, MetricFamily)
-                and metric.max_children != spec.max_children):
-            problems.append(
-                f"{name}: live cardinality budget {metric.max_children} "
-                f"!= cataloged {spec.max_children}"
-            )
+    for family in registry.collect():
+        spec = specs.get(family.name)
+        if family.spec != spec:
+            problems.append(f"{family.name}: " + (
+                "live series not in the catalog" if spec is None
+                else f"live spec {family.spec} != cataloged {spec}"
+            ))
     return sorted(problems)
 
 

@@ -16,8 +16,8 @@ JSONL exporter:
 
 The default sink is :class:`JsonlSink` — one ``json.dumps(…,
 sort_keys=True)`` line per event, the same archive convention as span
-JSONL.  :func:`metric_events` snapshots a registry (flat metrics and
-family children alike) into emission events, which is how ``repro
+JSONL.  :func:`metric_events` snapshots a registry (one event per
+family child) into emission events, which is how ``repro
 metrics --events-out`` ships periodic registry snapshots through the
 pipeline.
 """
@@ -29,12 +29,7 @@ from typing import Callable, Dict, List, Optional, TextIO, Union
 
 from . import catalog
 from .critical import decompose
-from .registry import (
-    NOOP_REGISTRY,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-)
+from .registry import NOOP_REGISTRY, Histogram, MetricsRegistry
 from .span import Span
 
 #: An emission event is a flat JSON-serialisable dict.
@@ -199,12 +194,12 @@ def _sample(
     kind: str,
     metric: object,
     time: float,
-    labels: Optional[Dict[str, str]] = None,
+    labels: Dict[str, str],
 ) -> Event:
     event: Event = {
         "name": name,
         "kind": kind,
-        "labels": labels or {},
+        "labels": labels,
         "time": time,
     }
     if isinstance(metric, Histogram):
@@ -221,20 +216,16 @@ def _sample(
 def metric_events(registry: MetricsRegistry, time: float = 0.0) -> List[Event]:
     """Snapshot a registry as one event per sample, deterministic order.
 
-    Flat metrics yield one event; families yield one event per child
-    (sorted by label values).  This is the JSONL twin of the Prometheus
-    text exposition — same data, machine-shaped.
+    Each family yields one event per child, sorted by label values (an
+    unlabeled metric has one child).  This is the JSONL twin of the
+    Prometheus text exposition — same data, machine-shaped.
     """
     events: List[Event] = []
-    for metric in registry.collect():
-        name = metric.name  # type: ignore[attr-defined]
-        kind = metric.kind  # type: ignore[attr-defined]
-        if isinstance(metric, MetricFamily):
-            for values, child in metric.children():
-                labels = dict(zip(metric.labelnames, values))
-                events.append(_sample(name, kind, child, time, labels))
-        else:
-            events.append(_sample(name, kind, metric, time))
+    for family in registry.collect():
+        spec = family.spec
+        for values, child in family.children():
+            labels = dict(zip(spec.labels, values))
+            events.append(_sample(spec.name, spec.kind, child, time, labels))
     return events
 
 

@@ -16,14 +16,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramFamily,
-    MetricFamily,
-    MetricsRegistry,
-)
+from .registry import Histogram, MetricsRegistry
 from .span import Span
 
 # -- JSONL trace export ------------------------------------------------------
@@ -202,14 +195,15 @@ def label_fragment(
     values: Sequence[str],
     extra: Optional[str] = None,
 ) -> str:
-    """``{k="v",…}`` sample-line fragment with escaped label values."""
+    """``{k="v",…}`` sample-line fragment with escaped label values;
+    empty when there are no labels."""
     pairs = [
         f'{k}="{escape_label_value(v)}"'
         for k, v in zip(labelnames, values)
     ]
     if extra is not None:
         pairs.append(extra)
-    return "{" + ",".join(pairs) + "}"
+    return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
 def _histogram_lines(
@@ -229,7 +223,7 @@ def _histogram_lines(
         lines.append(f"{name}_bucket{frag} {count}")
     inf_frag = label_fragment(labelnames, values, extra='le="+Inf"')
     lines.append(f"{name}_bucket{inf_frag} {hist.count}")
-    suffix_frag = label_fragment(labelnames, values) if labelnames else ""
+    suffix_frag = label_fragment(labelnames, values)
     lines.append(f"{name}_sum{suffix_frag} {_fmt(hist.sum)}")
     lines.append(f"{name}_count{suffix_frag} {hist.count}")
 
@@ -245,27 +239,20 @@ def prometheus_text(registry: MetricsRegistry) -> str:
     producing a zero-byte scrape file.
     """
     lines: List[str] = []
-    for metric in registry.collect():
-        name = metric.name  # type: ignore[attr-defined]
-        help_text = escape_help_text(metric.help or name)  # type: ignore[attr-defined]
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {metric.kind}")  # type: ignore[attr-defined]
-        if isinstance(metric, MetricFamily):
-            for values, child in metric.children():
-                if isinstance(metric, HistogramFamily):
-                    _histogram_lines(
-                        name, child, lines,  # type: ignore[arg-type]
-                        labelnames=metric.labelnames, values=values,
-                    )
-                else:
-                    frag = label_fragment(metric.labelnames, values)
-                    lines.append(
-                        f"{name}{frag} {_fmt(child.value)}"  # type: ignore[attr-defined]
-                    )
-        elif isinstance(metric, Histogram):
-            _histogram_lines(name, metric, lines)
-        elif isinstance(metric, (Counter, Gauge)):
-            lines.append(f"{name} {_fmt(metric.value)}")
+    for family in registry.collect():
+        spec = family.spec
+        name = spec.name
+        lines.append(f"# HELP {name} {escape_help_text(spec.help or name)}")
+        lines.append(f"# TYPE {name} {spec.kind}")
+        for values, child in family.children():
+            if spec.kind == "histogram":
+                _histogram_lines(
+                    name, child, lines,  # type: ignore[arg-type]
+                    labelnames=spec.labels, values=values,
+                )
+            else:
+                frag = label_fragment(spec.labels, values)
+                lines.append(f"{name}{frag} {_fmt(child.value)}")  # type: ignore[attr-defined]
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -330,20 +317,18 @@ def _summary_line(name: str, metric: object) -> str:
 
 
 def render_metrics_summary(registry: MetricsRegistry) -> str:
-    """Terminal-friendly summary: one line per metric (or family child)."""
+    """Terminal-friendly summary: one line per family child."""
     lines: List[str] = []
-    for metric in registry.collect():
-        if isinstance(metric, MetricFamily):
-            if not len(metric):
-                lines.append(f"{metric.name}: (no children)")
-            for values, child in metric.children():
-                frag = label_fragment(metric.labelnames, values)
-                lines.append(_summary_line(f"{metric.name}{frag}", child))
-            if metric.rejected:
-                lines.append(
-                    f"{metric.name}: {metric.rejected} label set(s) "
-                    f"rejected over budget ({metric.max_children})"
-                )
-        else:
-            lines.append(_summary_line(metric.name, metric))  # type: ignore[attr-defined]
+    for family in registry.collect():
+        name = family.name
+        if not len(family):
+            lines.append(f"{name}: (no children)")
+        for values, child in family.children():
+            frag = label_fragment(family.spec.labels, values)
+            lines.append(_summary_line(f"{name}{frag}", child))
+        if family.rejected:
+            lines.append(
+                f"{name}: {family.rejected} label set(s) "
+                f"rejected over budget ({family.spec.max_children})"
+            )
     return "\n".join(lines)

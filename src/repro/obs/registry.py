@@ -1,51 +1,41 @@
-"""Metrics registry: counters, gauges, histograms with fixed buckets.
+"""Metrics registry: every instrument is built from its catalog spec.
 
 Naming follows ``repro_<subsystem>_<name>_<unit>`` (DESIGN.md §10), e.g.
-``repro_streaming_processing_seconds``.  The registry enforces the
-character set Prometheus accepts, deduplicates by name (asking twice for
-the same metric returns the same instance), and renders through
-:func:`repro.obs.exporters.prometheus_text`.
+``repro_streaming_processing_seconds``.  The registry has one factory,
+:meth:`MetricsRegistry.instrument`, and one input, the
+:class:`MetricSpec` that declares the metric in
+:mod:`repro.obs.catalog`.  Each name maps to one :class:`MetricFamily`:
+the spec's immutable label schema and interned per-label-set children
+built from ``spec.kind``.  An unlabeled metric is a family with no
+labels and one child, which ``instrument()`` hands back directly, so a
+call site binds the same plain instrument either way.
 
-Beyond flat instruments, the registry serves **labeled metric families**
-(:class:`CounterFamily`, :class:`GaugeFamily`, :class:`HistogramFamily`):
-one name, an immutable label schema declared at creation, and interned
-per-label-set children.  Every family carries a hard **cardinality
-budget** (``max_children``); a ``labels()`` call that would mint a child
-beyond the budget gets the shared no-op instrument back and increments
+Every family carries a hard **cardinality budget** (``max_children``); a
+``labels()`` call that would mint a child beyond the budget gets the
+shared no-op instrument back and increments
 ``repro_obs_cardinality_rejected_total`` — the registry never grows
 without bound, and the rejection is visible in telemetry instead of
-silent.  The schema of record for every family (and every flat metric)
-lives in :mod:`repro.obs.catalog`.
+silent.  Name and label rules are checked once, over the declarations,
+by :func:`repro.obs.catalog.lint_catalog`; the registry only refuses a
+name already registered with a different spec.  Rendering goes through
+:func:`repro.obs.exporters.prometheus_text`.
 
-Disabled telemetry uses :data:`NOOP_REGISTRY`, whose factory methods hand
-back shared do-nothing instruments — instrumented code holds real
-attribute references either way and pays only an empty method call when
-telemetry is off.
+Disabled telemetry uses :data:`NOOP_REGISTRY`, whose ``instrument()``
+hands back the shared do-nothing instrument — instrumented code holds
+real attribute references either way and pays only an empty method call
+when telemetry is off.
 """
 
 from __future__ import annotations
 
 import bisect
-import re
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-_NAME_RE = re.compile(r"^[a-z_:][a-z0-9_:]*$")
-_LABEL_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-
-#: Label names the Prometheus data model reserves for itself.
-RESERVED_LABEL_NAMES = frozenset({"le", "quantile", "job", "instance"})
 
 #: Default per-family cardinality budget.  Generous for the bounded
 #: dimensions we label by (topic, fault kind, invariant name) and small
 #: enough that an accidental per-record label cannot explode a registry.
 DEFAULT_MAX_CHILDREN = 64
-
-#: The counter every family increments when its budget rejects a child.
-CARDINALITY_REJECTED_NAME = "repro_obs_cardinality_rejected_total"
-_CARDINALITY_REJECTED_HELP = (
-    "labels() calls rejected because the family cardinality budget "
-    "was already spent"
-)
 
 #: Default latency buckets (seconds), spanning sub-second task phases to
 #: the paper's 40 s maximum batch interval and deep-backlog delays.
@@ -53,22 +43,58 @@ DEFAULT_SECONDS_BUCKETS: Tuple[float, ...] = (
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0,
 )
 
-#: Default magnitude buckets for record counts per batch.
-DEFAULT_COUNT_BUCKETS: Tuple[float, ...] = (
-    100.0, 1_000.0, 10_000.0, 50_000.0, 100_000.0, 500_000.0,
-    1_000_000.0, 5_000_000.0,
+
+@dataclass(frozen=True)
+class MetricSpec:
+    """One declared metric: the unit of governance and the registry's
+    one input."""
+
+    name: str
+    kind: str
+    subsystem: str
+    help: str
+    unit: str = ""
+    """Measurement unit (``seconds``, ``records``, …); empty for
+    dimensionless instantaneous values (executor counts, queue length)."""
+    labels: Tuple[str, ...] = ()
+    """Immutable label schema; empty = flat (unlabeled) metric."""
+    stability: str = "stable"
+    buckets: Optional[Tuple[float, ...]] = None
+    """Histogram bucket bounds; ``None`` uses the seconds default."""
+    max_children: int = DEFAULT_MAX_CHILDREN
+    """Cardinality budget for labeled families."""
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "name": self.name,
+            "kind": self.kind,
+            "subsystem": self.subsystem,
+            "help": self.help,
+            "unit": self.unit,
+            "labels": list(self.labels),
+            "stability": self.stability,
+            "buckets": list(self.buckets) if self.buckets else None,
+            "maxChildren": self.max_children if self.labels else None,
+        }
+
+
+#: The counter every family increments when its budget rejects a child.
+CARDINALITY_REJECTED = MetricSpec(
+    name="repro_obs_cardinality_rejected_total",
+    kind="counter",
+    subsystem="obs",
+    help="labels() calls rejected because the family cardinality budget "
+         "was already spent",
 )
 
 
 class Counter:
     """Monotonically increasing counter."""
 
-    kind = "counter"
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -80,12 +106,10 @@ class Counter:
 class Gauge:
     """Instantaneous value that can move in either direction."""
 
-    kind = "gauge"
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self.value = 0.0
 
     def set(self, value: float) -> None:
@@ -101,14 +125,10 @@ class Gauge:
 class Histogram:
     """Cumulative histogram over fixed, immutable bucket bounds."""
 
-    kind = "histogram"
-    __slots__ = ("name", "help", "bounds", "bucket_counts", "sum", "count")
+    __slots__ = ("name", "bounds", "bucket_counts", "sum", "count")
 
     def __init__(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS,
+        self, name: str, buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS
     ) -> None:
         bounds = tuple(float(b) for b in buckets)
         if not bounds:
@@ -118,7 +138,6 @@ class Histogram:
                 f"histogram {name} bucket bounds must be strictly increasing"
             )
         self.name = name
-        self.help = help
         self.bounds = bounds
         #: counts[i] observations fell in (bounds[i-1], bounds[i]]; the
         #: trailing slot is the +Inf overflow bucket.
@@ -165,15 +184,10 @@ class Histogram:
 
 
 class _NoopInstrument:
-    """One object impersonating all three instrument kinds, doing nothing."""
+    """One object standing in for every instrument and family: it
+    absorbs every update, and ``labels()`` hands back itself."""
 
-    kind = "noop"
-    name = "noop"
-    help = ""
     value = 0.0
-    sum = 0.0
-    count = 0
-    bounds: Tuple[float, ...] = ()
     __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
@@ -188,75 +202,47 @@ class _NoopInstrument:
     def observe(self, value: float) -> None:
         pass
 
-    def cumulative_counts(self) -> List[int]:
-        return []
-
-    def quantile(self, q: float) -> float:
-        return 0.0
+    def labels(self, **labels: object) -> "_NoopInstrument":
+        return self
 
 
 NOOP_INSTRUMENT = _NoopInstrument()
 
 
 class MetricFamily:
-    """A named metric with an immutable label schema and interned children.
+    """One registered metric: its spec and its interned children.
 
-    Children are created on first ``labels()`` call for a label set and
-    shared thereafter; call sites bind their child once (constructor
-    time) so the hot path touches only the child instrument.  The family
-    enforces its cardinality budget: once ``max_children`` distinct label
-    sets exist, further *new* label sets are rejected — the caller gets
-    :data:`NOOP_INSTRUMENT` (so instrumentation never raises mid-run) and
-    the rejection is counted on ``repro_obs_cardinality_rejected_total``
-    and on :attr:`rejected`.
+    Children are built from ``spec.kind`` on the first ``labels()`` call
+    for a label set and shared thereafter; call sites bind their child
+    once (constructor time) so the hot path touches only the child
+    instrument.  The family enforces its cardinality budget: once
+    ``max_children`` distinct label sets exist, further *new* label sets
+    are rejected — the caller gets :data:`NOOP_INSTRUMENT` (so
+    instrumentation never raises mid-run) and the rejection is counted
+    on ``repro_obs_cardinality_rejected_total`` and on :attr:`rejected`.
     """
 
-    kind = "family"  # overridden by subclasses
-    __slots__ = (
-        "name", "help", "labelnames", "max_children", "rejected",
-        "_children", "_rejected_counter",
-    )
+    __slots__ = ("spec", "rejected", "_children", "_rejected_counter")
 
     def __init__(
-        self,
-        name: str,
-        help: str,
-        labelnames: Sequence[str],
-        max_children: int,
-        rejected_counter: "Counter",
+        self, spec: MetricSpec, rejected_counter: Optional[Counter]
     ) -> None:
-        names = tuple(labelnames)
-        if not names:
-            raise ValueError(
-                f"family {name} needs at least one label name; "
-                "use a flat instrument for unlabeled metrics"
-            )
-        if len(set(names)) != len(names):
-            raise ValueError(f"family {name} has duplicate label names")
-        for ln in names:
-            if not _LABEL_NAME_RE.match(ln):
-                raise ValueError(
-                    f"family {name}: invalid label name {ln!r}"
-                )
-            if ln in RESERVED_LABEL_NAMES:
-                raise ValueError(
-                    f"family {name}: label name {ln!r} is reserved"
-                )
-        if max_children < 1:
-            raise ValueError(
-                f"family {name}: max_children must be >= 1, got {max_children}"
-            )
-        self.name = name
-        self.help = help
-        self.labelnames = names
-        self.max_children = int(max_children)
+        self.spec = spec
         #: labels() calls this family rejected over budget.
         self.rejected = 0
         self._children: Dict[Tuple[str, ...], object] = {}
         self._rejected_counter = rejected_counter
 
-    def _make_child(self):  # pragma: no cover - abstract
-        raise NotImplementedError
+    @property
+    def name(self) -> str:
+        return self.spec.name
+
+    @property
+    def value(self) -> float:
+        """Sum over children — the family total a flat reader expects."""
+        return sum(
+            c.value for _, c in self.children()  # type: ignore[attr-defined]
+        )
 
     def labels(self, **labels: object):
         """Create-or-get the child for one label set.
@@ -265,27 +251,34 @@ class MetricFamily:
         coerced to ``str``.  Over-budget label sets return the shared
         no-op instrument with rejection accounting.
         """
-        if len(labels) != len(self.labelnames):
+        names = self.spec.labels
+        if len(labels) != len(names):
             raise ValueError(
-                f"family {self.name} takes labels {self.labelnames}, "
+                f"family {self.name} takes labels {names}, "
                 f"got {tuple(sorted(labels))}"
             )
         try:
-            key = tuple(str(labels[ln]) for ln in self.labelnames)
+            key = tuple(str(labels[ln]) for ln in names)
         except KeyError as exc:
             raise ValueError(
-                f"family {self.name} takes labels {self.labelnames}, "
+                f"family {self.name} takes labels {names}, "
                 f"got {tuple(sorted(labels))}"
             ) from exc
         child = self._children.get(key)
         if child is None:
-            if len(self._children) >= self.max_children:
+            if len(self._children) >= self.spec.max_children:
                 self.rejected += 1
-                self._rejected_counter.inc()
+                self._rejected_counter.inc()  # type: ignore[union-attr]
                 return NOOP_INSTRUMENT
-            child = self._make_child()
+            child = self._new_child()
             self._children[key] = child
         return child
+
+    def _new_child(self):
+        spec = self.spec
+        if spec.kind == "histogram":
+            return Histogram(spec.name, spec.buckets or DEFAULT_SECONDS_BUCKETS)
+        return (Counter if spec.kind == "counter" else Gauge)(spec.name)
 
     def children(self) -> List[Tuple[Tuple[str, ...], object]]:
         """``(label_values, child)`` pairs sorted by label values."""
@@ -295,198 +288,40 @@ class MetricFamily:
         return len(self._children)
 
 
-class CounterFamily(MetricFamily):
-    kind = "counter"
-    __slots__ = ()
-
-    def _make_child(self) -> Counter:
-        return Counter(self.name, self.help)
-
-    @property
-    def value(self) -> float:
-        """Sum over children — the family total a flat reader expects."""
-        return sum(c.value for _, c in self.children())
-
-
-class GaugeFamily(MetricFamily):
-    kind = "gauge"
-    __slots__ = ()
-
-    def _make_child(self) -> Gauge:
-        return Gauge(self.name, self.help)
-
-    @property
-    def value(self) -> float:
-        return sum(c.value for _, c in self.children())
-
-
-class HistogramFamily(MetricFamily):
-    kind = "histogram"
-    __slots__ = ("buckets",)
-
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        labelnames: Sequence[str],
-        max_children: int,
-        rejected_counter: "Counter",
-        buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS,
-    ) -> None:
-        super().__init__(name, help, labelnames, max_children,
-                         rejected_counter)
-        self.buckets = tuple(float(b) for b in buckets)
-
-    def _make_child(self) -> Histogram:
-        return Histogram(self.name, self.help, self.buckets)
-
-
-class _NoopFamily:
-    """Family impersonator for the disabled path: labels() → no-op."""
-
-    kind = "noop"
-    name = "noop"
-    help = ""
-    labelnames: Tuple[str, ...] = ()
-    max_children = 0
-    rejected = 0
-    value = 0.0
-    __slots__ = ()
-
-    def labels(self, **labels: object):
-        return NOOP_INSTRUMENT
-
-    def children(self) -> List[Tuple[Tuple[str, ...], object]]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-
-NOOP_FAMILY = _NoopFamily()
-
-
 class MetricsRegistry:
-    """Create-or-get factory and collection point for instruments."""
+    """Create-or-get factory and collection point for metric families."""
 
     enabled = True
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
+        self._metrics: Dict[str, MetricFamily] = {}
 
-    def _get(self, name: str, kind: str, factory):
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
-        if not name.startswith("repro_"):
-            raise ValueError(
-                f"metric name {name!r} must follow repro_<subsystem>_<name>_<unit>"
+    def instrument(self, spec: MetricSpec):
+        """Create-or-get the metric ``spec`` declares.
+
+        A labeled spec gets its family (bind children with
+        ``labels()``); an unlabeled spec gets its one child, bound now.
+        Asking again with the same spec returns the same object; asking
+        with a different spec for a registered name raises.
+        """
+        family = self._metrics.get(spec.name)
+        if family is None:
+            rejected = (
+                self.instrument(CARDINALITY_REJECTED) if spec.labels else None
             )
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if existing.kind != kind:  # type: ignore[attr-defined]
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{existing.kind}, requested {kind}"  # type: ignore[attr-defined]
-                )
-            return existing
-        metric = factory()
-        self._metrics[name] = metric
-        return metric
-
-    def _get_flat(self, name: str, kind: str, factory):
-        metric = self._get(name, kind, factory)
-        if isinstance(metric, MetricFamily):
+            family = self._metrics[spec.name] = MetricFamily(spec, rejected)
+        elif family.spec != spec:
             raise ValueError(
-                f"metric {name!r} already registered as a labeled family "
-                f"with schema {metric.labelnames}"
+                f"metric {spec.name!r} already registered as "
+                f"{family.spec}, requested {spec}"
             )
-        return metric
+        return family if spec.labels else family.labels()
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_flat(name, "counter", lambda: Counter(name, help))
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_flat(name, "gauge", lambda: Gauge(name, help))
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS,
-    ) -> Histogram:
-        return self._get_flat(
-            name, "histogram", lambda: Histogram(name, help, buckets)
-        )
-
-    # -- labeled families ----------------------------------------------------
-
-    def _rejected_counter(self) -> Counter:
-        """The shared budget-rejection counter, created on first use."""
-        return self.counter(
-            CARDINALITY_REJECTED_NAME, _CARDINALITY_REJECTED_HELP
-        )
-
-    def _get_family(self, name: str, kind: str, labelnames, factory):
-        family = self._get(name, kind, factory)
-        if not isinstance(family, MetricFamily):
-            raise ValueError(
-                f"metric {name!r} already registered without labels"
-            )
-        if family.labelnames != tuple(labelnames):
-            raise ValueError(
-                f"family {name!r} already registered with label schema "
-                f"{family.labelnames}, requested {tuple(labelnames)}"
-            )
-        return family
-
-    def counter_family(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        max_children: int = DEFAULT_MAX_CHILDREN,
-    ) -> CounterFamily:
-        rejected = self._rejected_counter()
-        return self._get_family(
-            name, "counter", labelnames,
-            lambda: CounterFamily(name, help, labelnames, max_children,
-                                  rejected),
-        )
-
-    def gauge_family(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        max_children: int = DEFAULT_MAX_CHILDREN,
-    ) -> GaugeFamily:
-        rejected = self._rejected_counter()
-        return self._get_family(
-            name, "gauge", labelnames,
-            lambda: GaugeFamily(name, help, labelnames, max_children,
-                                rejected),
-        )
-
-    def histogram_family(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        max_children: int = DEFAULT_MAX_CHILDREN,
-        buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS,
-    ) -> HistogramFamily:
-        rejected = self._rejected_counter()
-        return self._get_family(
-            name, "histogram", labelnames,
-            lambda: HistogramFamily(name, help, labelnames, max_children,
-                                    rejected, buckets),
-        )
-
-    def get(self, name: str) -> Optional[object]:
+    def get(self, name: str) -> Optional[MetricFamily]:
         return self._metrics.get(name)
 
-    def collect(self) -> Iterable[object]:
-        """All registered instruments, sorted by name (deterministic)."""
+    def collect(self) -> Iterable[MetricFamily]:
+        """All registered families, sorted by name (deterministic)."""
         return [self._metrics[k] for k in sorted(self._metrics)]
 
     def __len__(self) -> int:
@@ -494,57 +329,12 @@ class MetricsRegistry:
 
 
 class _NoopRegistry(MetricsRegistry):
-    """Registry whose factories hand out the shared no-op instrument."""
+    """Registry that hands out the shared no-op instrument."""
 
     enabled = False
 
-    def __init__(self) -> None:
-        super().__init__()
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return NOOP_INSTRUMENT  # type: ignore[return-value]
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return NOOP_INSTRUMENT  # type: ignore[return-value]
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS,
-    ) -> Histogram:
-        return NOOP_INSTRUMENT  # type: ignore[return-value]
-
-    def counter_family(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        max_children: int = DEFAULT_MAX_CHILDREN,
-    ) -> CounterFamily:
-        return NOOP_FAMILY  # type: ignore[return-value]
-
-    def gauge_family(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        max_children: int = DEFAULT_MAX_CHILDREN,
-    ) -> GaugeFamily:
-        return NOOP_FAMILY  # type: ignore[return-value]
-
-    def histogram_family(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        max_children: int = DEFAULT_MAX_CHILDREN,
-        buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS,
-    ) -> HistogramFamily:
-        return NOOP_FAMILY  # type: ignore[return-value]
-
-    def collect(self) -> Iterable[object]:
-        return []
+    def instrument(self, spec: MetricSpec):
+        return NOOP_INSTRUMENT
 
 
 NOOP_REGISTRY = _NoopRegistry()

@@ -1,5 +1,7 @@
 """Metric catalog: conventions, governance, instrument(), generators."""
 
+import dataclasses
+
 import pytest
 
 from repro.obs import (
@@ -18,6 +20,14 @@ from repro.obs.catalog import MetricSpec, _spec, instrument, names, spec_for
 class TestCatalogConventions:
     def test_shipped_catalog_is_convention_clean(self):
         assert lint_catalog() == []
+
+    def test_name_outside_repro_prefix_flagged(self):
+        bad = _spec("spark_batches_total", "counter", "h")
+        assert any("repro_" in p for p in lint_catalog([bad]))
+
+    def test_invalid_metric_name_characters_flagged(self):
+        bad = _spec("repro_bad-name_total", "counter", "h")
+        assert any("invalid metric name" in p for p in lint_catalog([bad]))
 
     def test_counter_without_total_suffix_flagged(self):
         bad = _spec("repro_x_things", "counter", "h")
@@ -63,33 +73,39 @@ class TestGovernance:
 
     def test_uncataloged_series_flagged(self):
         reg = MetricsRegistry()
-        reg.counter("repro_rogue_series_total", "undeclared")
+        reg.instrument(_spec("repro_rogue_series_total", "counter", "h"))
         problems = check_registry(reg)
         assert any("not in the catalog" in p for p in problems)
 
-    def test_kind_drift_flagged(self):
+    @staticmethod
+    def drifted(name, **change):
+        """``check_registry`` of a registry holding ``name`` with one
+        field of its spec changed."""
         reg = MetricsRegistry()
-        reg.gauge("repro_streaming_batches_total", "wrong kind")
-        assert any("kind" in p for p in check_registry(reg))
+        reg.instrument(dataclasses.replace(spec_for(name), **change))
+        return check_registry(reg)
+
+    def test_kind_drift_flagged(self):
+        (problem,) = self.drifted("repro_streaming_batches_total",
+                                  kind="gauge")
+        assert problem.startswith("repro_streaming_batches_total: live spec")
 
     def test_label_schema_drift_flagged(self):
-        reg = MetricsRegistry()
         # Cataloged as a kind-labeled family; registered flat here.
-        reg.counter("repro_chaos_injections_total", "flat by mistake")
-        assert any("label schema" in p for p in check_registry(reg))
+        (problem,) = self.drifted("repro_chaos_injections_total", labels=())
+        assert problem.startswith("repro_chaos_injections_total: live spec")
 
     def test_budget_drift_flagged(self):
-        reg = MetricsRegistry()
-        spec = spec_for("repro_chaos_injections_total")
-        reg.counter_family(
-            spec.name, spec.help, spec.labels,
-            max_children=spec.max_children + 1,
-        )
-        assert any("budget" in p for p in check_registry(reg))
+        # The family also registers the cardinality-rejection counter,
+        # whose spec matches: only the drifted family is flagged.
+        (problem,) = self.drifted("repro_chaos_injections_total",
+                                  max_children=17)
+        assert "max_children=17" in problem
+        assert "max_children=16" in problem
 
     def test_governance_report_combines_both_passes(self):
         reg = MetricsRegistry()
-        reg.counter("repro_rogue_series_total", "undeclared")
+        reg.instrument(_spec("repro_rogue_series_total", "counter", "h"))
         report = governance_report(reg)
         assert any("repro_rogue_series_total" in p for p in report)
 
@@ -116,9 +132,8 @@ class TestInstrument:
     def test_labeled_spec_creates_family_with_budget(self):
         reg = MetricsRegistry()
         fam = instrument(reg, "repro_kafka_consumer_lag_records")
-        spec = spec_for("repro_kafka_consumer_lag_records")
-        assert fam.labelnames == spec.labels
-        assert fam.max_children == spec.max_children
+        assert fam.spec == spec_for("repro_kafka_consumer_lag_records")
+        assert fam.spec.max_children == 32
 
     def test_histogram_spec_buckets_honored(self):
         reg = MetricsRegistry()

@@ -10,7 +10,7 @@ from repro.obs import (
     MetricsRegistry,
     metric_events,
 )
-from repro.obs.catalog import instrument
+from repro.obs.catalog import _spec, instrument
 
 from .helpers import parse_jsonl_events
 
@@ -143,7 +143,10 @@ class TestMetricEvents:
 
     def test_histogram_events_carry_buckets(self):
         reg = MetricsRegistry()
-        h = reg.histogram("repro_x_y_seconds", "h", buckets=(1.0, 5.0))
+        h = reg.instrument(_spec(
+            "repro_x_y_seconds", "histogram", "h",
+            unit="seconds", buckets=(1.0, 5.0),
+        ))
         h.observe(0.5)
         h.observe(3.0)
         (event,) = metric_events(reg)

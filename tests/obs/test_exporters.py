@@ -15,6 +15,8 @@ from repro.obs import (
     spans_to_jsonl,
 )
 
+from repro.obs.catalog import _spec
+
 from .helpers import validate_prometheus_text
 
 
@@ -50,11 +52,16 @@ class TestJsonlRoundTrip:
 
 def populated_registry():
     reg = MetricsRegistry()
-    reg.counter("repro_streaming_batches_total", "Batches").inc(3)
-    reg.gauge("repro_streaming_queue_length", "Queue").set(2)
-    h = reg.histogram(
-        "repro_streaming_processing_seconds", "Proc", buckets=(1.0, 5.0)
-    )
+    reg.instrument(
+        _spec("repro_streaming_batches_total", "counter", "Batches")
+    ).inc(3)
+    reg.instrument(
+        _spec("repro_streaming_queue_length", "gauge", "Queue")
+    ).set(2)
+    h = reg.instrument(_spec(
+        "repro_streaming_processing_seconds", "histogram", "Proc",
+        unit="seconds", buckets=(1.0, 5.0),
+    ))
     for v in (0.5, 2.0, 9.0):
         h.observe(v)
     return reg
@@ -139,7 +146,9 @@ class TestEscaping:
 
     def test_help_line_newline_escaped_in_export(self):
         reg = MetricsRegistry()
-        reg.counter("repro_test_total", "line one\nline two").inc()
+        reg.instrument(
+            _spec("repro_test_total", "counter", "line one\nline two")
+        ).inc()
         text = prometheus_text(reg)
         assert "# HELP repro_test_total line one\\nline two" in text
         assert validate_prometheus_text(text) == []
@@ -176,9 +185,10 @@ class TestEmptyRegistry:
 class TestLabeledFamilyExport:
     def test_label_values_with_specials_escape_and_validate(self):
         reg = MetricsRegistry()
-        fam = reg.counter_family(
-            "repro_kafka_records_consumed_total", "Consumed", ("topic",)
-        )
+        fam = reg.instrument(_spec(
+            "repro_kafka_records_consumed_total", "counter", "Consumed",
+            labels=("topic",),
+        ))
         fam.labels(topic='we"ird\\topic\nname').inc()
         text = prometheus_text(reg)
         assert 'topic="we\\"ird\\\\topic\\nname"' in text
@@ -186,10 +196,10 @@ class TestLabeledFamilyExport:
 
     def test_histogram_family_inf_bucket_per_child(self):
         reg = MetricsRegistry()
-        fam = reg.histogram_family(
-            "repro_engine_stage_seconds", "Stage", ("stage",),
-            buckets=(1.0, 5.0),
-        )
+        fam = reg.instrument(_spec(
+            "repro_engine_stage_seconds", "histogram", "Stage",
+            unit="seconds", labels=("stage",), buckets=(1.0, 5.0),
+        ))
         fam.labels(stage="map").observe(0.5)
         fam.labels(stage="reduce").observe(9.0)
         text = prometheus_text(reg)
@@ -203,10 +213,10 @@ class TestLabeledFamilyExport:
 
     def test_histogram_family_child_missing_inf_is_flagged(self):
         reg = MetricsRegistry()
-        fam = reg.histogram_family(
-            "repro_engine_stage_seconds", "Stage", ("stage",),
-            buckets=(1.0,),
-        )
+        fam = reg.instrument(_spec(
+            "repro_engine_stage_seconds", "histogram", "Stage",
+            unit="seconds", labels=("stage",), buckets=(1.0,),
+        ))
         fam.labels(stage="map").observe(0.5)
         fam.labels(stage="reduce").observe(0.5)
         text = prometheus_text(reg)
@@ -219,9 +229,10 @@ class TestLabeledFamilyExport:
 
     def test_empty_family_renders_metadata_only_and_validates(self):
         reg = MetricsRegistry()
-        reg.counter_family(
-            "repro_chaos_injections_total", "Faults", ("kind",)
-        )
+        reg.instrument(_spec(
+            "repro_chaos_injections_total", "counter", "Faults",
+            labels=("kind",),
+        ))
         text = prometheus_text(reg)
         assert "# TYPE repro_chaos_injections_total counter" in text
         assert "repro_chaos_injections_total{" not in text
@@ -229,9 +240,10 @@ class TestLabeledFamilyExport:
 
     def test_family_children_render_sorted_by_label_values(self):
         reg = MetricsRegistry()
-        fam = reg.counter_family(
-            "repro_chaos_injections_total", "Faults", ("kind",)
-        )
+        fam = reg.instrument(_spec(
+            "repro_chaos_injections_total", "counter", "Faults",
+            labels=("kind",),
+        ))
         for kind in ("zeta", "alpha", "mid"):
             fam.labels(kind=kind).inc()
         text = prometheus_text(reg)
@@ -243,10 +255,10 @@ class TestLabeledFamilyExport:
 
     def test_summary_renders_children_and_rejections(self):
         reg = MetricsRegistry()
-        fam = reg.counter_family(
-            "repro_chaos_injections_total", "Faults", ("kind",),
-            max_children=1,
-        )
+        fam = reg.instrument(_spec(
+            "repro_chaos_injections_total", "counter", "Faults",
+            labels=("kind",), max_children=1,
+        ))
         fam.labels(kind="crash").inc(2)
         fam.labels(kind="over").inc()  # rejected
         summary = render_metrics_summary(reg)

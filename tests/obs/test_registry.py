@@ -1,4 +1,6 @@
-"""Metrics registry: naming rules, instrument semantics, no-op path."""
+"""Metrics registry: one factory, instrument semantics, no-op path."""
+
+import dataclasses
 
 import pytest
 
@@ -7,46 +9,60 @@ from repro.obs import (
     NOOP_REGISTRY,
     MetricsRegistry,
 )
-from repro.obs.registry import Histogram
+from repro.obs.catalog import _spec
+from repro.obs.registry import Histogram, MetricFamily
 
 
 class TestNaming:
-    def test_prefix_enforced(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError, match="repro_"):
-            reg.counter("spark_batches_total")
-
-    def test_character_set_enforced(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError, match="invalid metric name"):
-            reg.counter("repro_bad-name_total")
+    """One family per name, built from one spec."""
 
     def test_create_or_get_dedups(self):
         reg = MetricsRegistry()
-        a = reg.counter("repro_x_total")
-        b = reg.counter("repro_x_total")
+        spec = _spec("repro_x_y_total", "counter", "h")
+        a = reg.instrument(spec)
+        b = reg.instrument(spec)
         assert a is b
         assert len(reg) == 1
 
-    def test_kind_mismatch_rejected(self):
+    @pytest.mark.parametrize("registered,requested", [
+        ({}, {"kind": "gauge"}),
+        ({"labels": ("kind",)}, {"labels": ("other",)}),
+        ({"labels": ("kind",)}, {"labels": ("kind",), "kind": "gauge"}),
+        ({"labels": ("kind",)}, {}),
+        ({}, {"labels": ("kind",)}),
+        ({"labels": ("kind",)}, {"labels": ("kind",), "max_children": 5}),
+        ({}, {"help": "other help"}),
+    ], ids=["kind", "label-schema", "family-kind", "flat-shadows-family",
+            "family-shadows-flat", "budget", "help"])
+    def test_different_spec_for_a_name_raises(
+        self, registered, requested
+    ):
         reg = MetricsRegistry()
-        reg.counter("repro_x_total")
+        base = _spec("repro_x_y_total", "counter", "h")
+        reg.instrument(dataclasses.replace(base, **registered))
         with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("repro_x_total")
+            reg.instrument(dataclasses.replace(base, **requested))
 
     def test_collect_sorted(self):
         reg = MetricsRegistry()
-        reg.counter("repro_b_total")
-        reg.counter("repro_a_total")
+        reg.instrument(_spec("repro_b_y_total", "counter", "h"))
+        reg.instrument(_spec("repro_a_y_total", "counter", "h"))
         assert [m.name for m in reg.collect()] == [
-            "repro_a_total", "repro_b_total",
+            "repro_a_y_total", "repro_b_y_total",
         ]
+
+    def test_unlabeled_spec_is_a_family_with_one_bound_child(self):
+        reg = MetricsRegistry()
+        child = reg.instrument(_spec("repro_x_y_total", "counter", "h"))
+        (family,) = reg.collect()
+        assert isinstance(family, MetricFamily)
+        assert family.children() == [((), child)]
 
 
 class TestInstruments:
     def test_counter_monotone(self):
         reg = MetricsRegistry()
-        c = reg.counter("repro_x_total")
+        c = reg.instrument(_spec("repro_x_y_total", "counter", "h"))
         c.inc()
         c.inc(2.5)
         assert c.value == pytest.approx(3.5)
@@ -55,7 +71,7 @@ class TestInstruments:
 
     def test_gauge_moves_both_ways(self):
         reg = MetricsRegistry()
-        g = reg.gauge("repro_x")
+        g = reg.instrument(_spec("repro_x_y", "gauge", "h"))
         g.set(5)
         g.dec(2)
         g.inc(0.5)
@@ -98,14 +114,18 @@ class TestInstruments:
 
 class TestNoopRegistry:
     def test_factories_return_shared_noop(self):
-        assert NOOP_REGISTRY.counter("repro_x_total") is NOOP_INSTRUMENT
-        assert NOOP_REGISTRY.gauge("repro_x") is NOOP_INSTRUMENT
-        assert NOOP_REGISTRY.histogram("repro_x_seconds") is NOOP_INSTRUMENT
+        for kind, labels in (
+            ("counter", ()), ("gauge", ()), ("histogram", ()),
+            ("counter", ("k",)),
+        ):
+            spec = _spec("repro_x_y", kind, "h", labels=labels)
+            assert NOOP_REGISTRY.instrument(spec) is NOOP_INSTRUMENT
         assert not NOOP_REGISTRY.enabled
 
     def test_noop_instrument_absorbs_everything(self):
         NOOP_INSTRUMENT.inc()
         NOOP_INSTRUMENT.set(5)
         NOOP_INSTRUMENT.observe(1.0)
+        assert NOOP_INSTRUMENT.labels(k="anything") is NOOP_INSTRUMENT
         assert NOOP_INSTRUMENT.value == 0.0
         assert list(NOOP_REGISTRY.collect()) == []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import SLO, SLOEvaluator, default_slos, has_critical_breach
+from repro.obs.catalog import _spec
 from repro.obs.registry import MetricsRegistry
 
 from .helpers import make_batch
@@ -91,7 +92,9 @@ class TestEndOfRunSignals:
 
     def test_counter_max_reads_registry(self):
         registry = MetricsRegistry()
-        ctr = registry.counter("repro_test_drops_total", "drops")
+        ctr = registry.instrument(
+            _spec("repro_test_drops_total", "counter", "drops")
+        )
         ctr.inc(7)
         slo = SLO(name="c", objective="counter_max", threshold=5.0,
                   metric="repro_test_drops_total")

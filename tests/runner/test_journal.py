@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.catalog import instrument
 from repro.obs.tracer import Telemetry
 from repro.runner import (
     ResultCache,
@@ -86,7 +87,7 @@ def test_corrupt_journal_line_skipped_and_counted(tmp_path, spec):
     assert out.stats.journal_replayed == 2
     assert out.stats.executed == 1  # only the tampered cell re-ran
     reg = telemetry.metrics
-    assert reg.counter("repro_runner_journal_corrupt_total", "").value == 1
+    assert instrument(reg, "repro_runner_journal_corrupt_total").value == 1
 
 
 def test_tampered_result_payload_fails_key_check(tmp_path, spec):

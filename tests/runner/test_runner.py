@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.catalog import instrument
 from repro.obs.tracer import Telemetry
 from repro.runner import ResultCache, SweepRunner, SweepSpec
 
@@ -124,8 +125,8 @@ class TestMetrics:
         runner.run(small_spec)
         runner.run(small_spec)
         reg = telemetry.metrics
-        assert reg.counter("repro_runner_cells_total", "").value == 6
-        assert reg.counter("repro_runner_cache_hits_total", "").value == 3
-        assert reg.counter("repro_runner_cache_misses_total", "").value == 3
-        assert reg.counter("repro_runner_cells_executed_total", "").value == 3
-        assert reg.histogram("repro_runner_sweep_seconds", "").count == 2
+        assert instrument(reg, "repro_runner_cells_total").value == 6
+        assert instrument(reg, "repro_runner_cache_hits_total").value == 3
+        assert instrument(reg, "repro_runner_cache_misses_total").value == 3
+        assert instrument(reg, "repro_runner_cells_executed_total").value == 3
+        assert instrument(reg, "repro_runner_sweep_seconds").count == 2

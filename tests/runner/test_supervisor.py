@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.catalog import instrument
 from repro.obs.tracer import Telemetry
 from repro.runner import (
     CellFailure,
@@ -208,5 +209,5 @@ def test_supervisor_metrics_flow_into_registry():
     )
     runner.run(spec)
     reg = telemetry.metrics
-    assert reg.counter("repro_supervisor_retries_total", "").value == 2
-    assert reg.counter("repro_supervisor_cell_failures_total", "").value == 1
+    assert instrument(reg, "repro_supervisor_retries_total").value == 2
+    assert instrument(reg, "repro_supervisor_cell_failures_total").value == 1
