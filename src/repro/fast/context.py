@@ -24,7 +24,10 @@ grows geometrically while the configuration holds and resets when a
 reconfiguration invalidates the prefetched work.  Batches already queued
 when a reconfiguration lands are marked stale and re-costed under the
 live pool at drain time, matching the exact engine's
-run-on-current-executors semantics.
+run-on-current-executors semantics.  When nothing watches the
+boundaries in between, :meth:`FastStreamingContext.advance_batches`
+forms and drains a stretch of the block as plain lists instead of one
+batch object at a time, with the same results.
 
 Not modeled in this tier: per-record payloads and kernels, Kafka broker
 faults (receiver stalls), transient task failures, and batch traces.
@@ -34,7 +37,7 @@ Chaos scenarios therefore require the exact tier.
 from __future__ import annotations
 
 import copy
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.datagen.generator import DataGenerator
@@ -138,6 +141,37 @@ class TraceSource:
             batch_time - 0.5 * interval if records > 0 else batch_time,
         )
 
+    def close_run(
+        self, time: float, k: int
+    ) -> Tuple[List[float], List[int], List[float]]:
+        """Close up to ``k`` batches at the boundaries after ``time`` from
+        the current block, as :meth:`close_batch` would one at a time:
+        their boundaries (each one interval after the last, as the
+        pipeline steps them), records and mean arrival times.  Stops
+        where :meth:`close_batch` would refill, so the lists are empty
+        when the first boundary needs a new block.
+        """
+        interval = self._interval
+        pos = self._pos
+        b0 = self._b0
+        bounds: List[float] = []
+        boundary = time
+        for i in range(pos, min(len(self._records), pos + k)):
+            boundary = boundary + interval
+            if abs(b0 + i * interval - boundary) > 1e-6:
+                break
+            bounds.append(boundary)
+        records = self._records[pos:pos + len(bounds)]
+        if bounds:
+            self._pos = pos + len(bounds)
+            self._now = bounds[-1]
+            if self._slide is not None:
+                for n in records:
+                    self._slide(n)
+        half = 0.5 * interval
+        means = [b - half if n > 0 else b for b, n in zip(bounds, records)]
+        return bounds, records, means
+
     def invalidate(self, interval: float) -> None:
         """Drop the prefetched block; the next starts small at ``interval``."""
         self._interval = interval
@@ -149,16 +183,16 @@ class TraceSource:
     def _refill(self, first_boundary: float) -> None:
         size = self._size
         interval = self._interval
-        workload = self.workload
-        if workload.windowed:
-            workload = copy.deepcopy(workload)
-        effective = workload.effective_records
         t0 = first_boundary - interval
         # Batch i covers [t0 + i * interval, t0 + (i + 1) * interval):
         # one integration pass over the whole block.
         edges = [t0 + i * interval for i in range(size + 1)]
         records = self.trace.records_in(edges[:-1], edges[1:])
-        self.engine.prefetch([effective(r) for r in records])
+        if self.workload.windowed:
+            effective = copy.deepcopy(self.workload).effective_records
+            self.engine.prefetch([effective(r) for r in records])
+        else:
+            self.engine.prefetch(records)
         self._records = records
         self._pos = 0
         self._b0 = first_boundary
@@ -208,6 +242,42 @@ class FastStreamingContext(StreamingContext):
     def advance_one_batch(self) -> List[BatchInfo]:
         """The shared loop with batch traces off: no per-batch spans."""
         completed = self._advance(False)
+        if completed:
+            self._m_batches.inc(len(completed))
+        return completed
+
+    def advance_batches(self, n: int) -> List[BatchInfo]:
+        """Advance ``n`` batch boundaries; returns all completed batches.
+
+        While nothing can see a boundary go by — no boundary hook (chaos,
+        the invariant engine), no listener subscriber, telemetry off —
+        the boundaries go as runs, with the results of one step at a
+        time: each stretch of the prefetch block is closed by
+        :meth:`TraceSource.close_run` and enqueued and drained by
+        :meth:`FastBatchEngine.drain_run`.  A boundary that needs a new
+        block takes a single step, which refills it.
+        """
+        if (
+            n < 0
+            or self._boundary_hooks
+            or self.listener.subscribed
+            or self.telemetry.enabled
+        ):
+            return super().advance_batches(n)
+        completed: List[BatchInfo] = []
+        while n > 0:
+            bounds, records, means = self.receiver.close_run(self.time, n)
+            if not bounds:
+                completed += self._advance(False)
+                n -= 1
+                continue
+            self.time = bounds[-1]
+            completed += self.engine.drain_run(
+                self.queue, bounds, records, means,
+                self.engine.serve(len(bounds)), self._interval,
+                self._m_dropped.inc,
+            )
+            n -= len(bounds)
         if completed:
             self._m_batches.inc(len(completed))
         return completed

@@ -49,14 +49,15 @@ from __future__ import annotations
 import itertools
 import math
 from collections import OrderedDict
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.executor import Executor
 from repro.engine.overhead import OverheadModel
-from repro.streaming.batch_queue import QueuedBatch
+from repro.streaming.batch_queue import BatchQueue, QueuedBatch
 from repro.streaming.listener import StreamingListener
+from repro.streaming.metrics import BatchInfo
 from repro.streaming.simulator import BusyTimeline
 from repro.workloads.base import Workload
 
@@ -283,6 +284,11 @@ class FastBatchEngine(BusyTimeline):
         proc = self.batch_proc_times(cost_records).tolist()
         self._block = zip(proc, cost_records)
 
+    def serve(self, k: int) -> List[Tuple[float, int]]:
+        """The next ``k`` prefetched (processing time, effective records)
+        pairs, for a run of batches (:meth:`drain_run`)."""
+        return list(itertools.islice(self._block, k))
+
     def prepare(self, batch: QueuedBatch) -> None:
         """Serve the batch's prefetched processing time."""
         batch.cost, batch.cost_records = next(self._block)
@@ -298,6 +304,113 @@ class FastBatchEngine(BusyTimeline):
             proc += self.overhead.executor_startup
             self.startup_pending = False
         return start + proc, self.profile.num_executors
+
+    def drain_run(
+        self,
+        queue: BatchQueue,
+        bounds: Sequence[float],
+        records: Sequence[int],
+        means: Sequence[float],
+        costs: Sequence[Tuple[float, int]],
+        interval: float,
+        on_dropped: Callable[[], object],
+    ) -> List[BatchInfo]:
+        """Enqueue and drain the batches closed at ``bounds`` (their
+        ``records`` and ``means`` of arrival), costed by :meth:`serve`:
+        per boundary, what :meth:`prepare`, ``queue.enqueue`` and
+        :meth:`drain` up to the next boundary do in a single step.
+
+        The run's own batches wait behind the queue's, as positions
+        into these lists: the same evictions (oldest first), the same
+        ``max`` start and :meth:`run`'s sum on plain values.  The queue
+        books the run at the end (:meth:`BatchQueue.book_run`) and takes
+        the batches still waiting as :class:`QueuedBatch`.
+        ``on_dropped`` is called for each evicted batch.
+        """
+        completed: List[BatchInfo] = []
+        on_batch_completed = self.listener.on_batch_completed
+        executors = self.profile.num_executors
+        startup = self.overhead.executor_startup
+        cap = queue.max_length
+        first = self._batches
+        dropped_records: List[int] = []
+        peak = 0
+        evicted = None
+        # The queue's own batches are older than the run's, so they
+        # leave (evicted or drained) first; while any wait, the run's
+        # wait behind them.  The run's batches waiting at step j are
+        # positions head .. j: they also leave oldest first.
+        waiting_before = len(queue)
+        head = 0
+        free = self.free_at
+        fresh = self.startup_pending
+        first_after = self._reconfig_pending
+        for j, boundary in enumerate(bounds):
+            waiting = waiting_before + j + 1 - head
+            if cap is not None and waiting > cap:
+                if waiting_before:
+                    evicted = queue.evict_oldest()
+                    waiting_before -= 1
+                else:
+                    evicted = head
+                    dropped_records.append(records[head])
+                    head += 1
+                on_dropped()
+            else:
+                evicted = None
+                if waiting > peak:
+                    peak = waiting
+            until = boundary + interval
+            if waiting_before:
+                self.free_at = free
+                self.startup_pending = fresh
+                self._reconfig_pending = first_after
+                completed += self.drain(queue, until)
+                free = self.free_at
+                fresh = self.startup_pending
+                first_after = self._reconfig_pending
+                waiting_before = len(queue)
+                if waiting_before:
+                    continue
+            while head <= j:
+                batch_time = bounds[head]
+                start = free if free > batch_time else batch_time
+                if start >= until:
+                    break
+                proc = costs[head][0]
+                if fresh:
+                    proc += startup
+                    fresh = False
+                free = start + proc
+                info = BatchInfo(
+                    first + head, batch_time, interval, records[head],
+                    executors, means[head], start, free, first_after,
+                )
+                first_after = False
+                on_batch_completed(info)
+                completed.append(info)
+                head += 1
+        self.free_at = free
+        self.startup_pending = fresh
+        self._reconfig_pending = first_after
+        dequeued = head - len(dropped_records)
+        self.jobs_run += dequeued
+        self._batches = first + len(bounds)
+
+        def queued(i: int) -> QueuedBatch:
+            batch = QueuedBatch(
+                bounds[i], records[i], means[i], interval, costs[i][0]
+            )
+            batch.cost_records = costs[i][1]
+            batch.batch_index = first + i
+            return batch
+
+        queue.book_run(
+            len(bounds), dequeued, dropped_records, peak,
+            [queued(i) for i in range(head, len(bounds))],
+            queued(evicted) if type(evicted) is int else evicted,
+        )
+        return completed
 
     # -- batch costs ---------------------------------------------------------
 

@@ -10,7 +10,7 @@ records are consumed exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 from repro.obs import catalog
 from repro.obs.registry import NOOP_REGISTRY, MetricsRegistry
@@ -37,12 +37,22 @@ class OffsetRange:
 
 @dataclass(frozen=True)
 class ConsumedBatch:
-    """All offset ranges consumed at one batch boundary."""
+    """All offset ranges consumed at one batch boundary: partition
+    ``p``'s records ``[starts[p], ends[p])``."""
 
     batch_time: float
-    ranges: List[OffsetRange]
+    starts: Sequence[int]
+    ends: Sequence[int]
     total_records: int
-    """Records over all ``ranges``, counted as they are consumed."""
+    """Records over all ranges, counted as they are consumed."""
+
+    @property
+    def ranges(self) -> List[OffsetRange]:
+        """The per-partition ranges, as :class:`OffsetRange` objects."""
+        return [
+            OffsetRange(pid, start, end)
+            for pid, (start, end) in enumerate(zip(self.starts, self.ends))
+        ]
 
 
 class DirectStreamConsumer:
@@ -73,49 +83,49 @@ class DirectStreamConsumer:
 
     def lag(self) -> int:
         """Records appended but not yet consumed (input-queue backlog)."""
-        return sum(
-            p.end_offset - self._committed[p.partition_id]
-            for p in self.topic.partitions
-        )
+        return self.topic.total_records() - sum(self._committed)
 
     def poll(self, batch_time: float) -> ConsumedBatch:
-        """Consume everything that arrived strictly before ``batch_time``."""
-        ranges: List[OffsetRange] = []
-        committed = self._committed
-        total = 0
-        lag = 0
-        for p in self.topic.partitions:
-            pid = p.partition_id
-            end = p.offset_at(batch_time)
-            start = committed[pid]
-            if end < start:
-                raise RuntimeError(
-                    f"partition {pid}: offset went backwards "
-                    f"({end} < committed {start})"
-                )
-            ranges.append(OffsetRange(pid, start, end))
-            committed[pid] = end
-            total += end - start
-            lag += p.end_offset - end
+        """Consume everything that arrived strictly before ``batch_time``.
+
+        The committed offsets are replaced, never updated in place, so a
+        returned batch keeps its ranges.
+        """
+        topic = self.topic
+        starts = self._committed
+        ends = topic.offsets_at(batch_time)
+        if batch_time < topic.last_t1:
+            # Behind the produced time: a partition's offset may not
+            # have reached what an earlier, later-timed poll committed.
+            for pid, (start, end) in enumerate(zip(starts, ends)):
+                if end < start:
+                    raise RuntimeError(
+                        f"partition {pid}: offset went backwards "
+                        f"({end} < committed {start})"
+                    )
+            lag = topic.total_records() - sum(ends)
+        else:
+            lag = 0
+        total = sum(ends) - sum(starts)
+        self._committed = ends
         self.total_consumed += total
         self._m_polls.inc()
         self._m_consumed.inc(total)
         self._m_lag.set(lag)
-        return ConsumedBatch(batch_time, ranges, total)
+        return ConsumedBatch(batch_time, starts, ends, total)
 
     def mean_arrival_time(self, batch: ConsumedBatch) -> float:
         """Record-weighted mean arrival time of a consumed batch.
 
         Falls back to the batch time for empty batches.
         """
-        partitions = self.topic.partitions
         total_t = 0.0
         total_n = 0
-        for r in batch.ranges:
-            count = r.end - r.start
-            if count:
-                p = partitions[r.partition_id]
-                total_t += p.mean_arrival_time(r.start, r.end) * count
+        means = self.topic.range_means(batch.starts, batch.ends)
+        for mean, start, end in zip(means, batch.starts, batch.ends):
+            if mean is not None:
+                count = end - start
+                total_t += mean * count
                 total_n += count
         if total_n == 0:
             return batch.batch_time

@@ -17,7 +17,9 @@ Supported objectives:
 * ``recovery_time``      — worst per-fault time-to-recover against the
   chaos engine's firing log (seconds; ``inf`` when never recovered);
 * ``counter_max``        — ceiling on a metrics-registry counter/gauge
-  value (e.g. dropped batches), read at verdict time.
+  value (e.g. dropped batches; a labeled family reads its total), read
+  at verdict time.  A cataloged metric of another kind is rejected when
+  the SLO is declared.
 
 The evaluator is pure arithmetic over simulated timestamps — verdicts
 are byte-deterministic for a given run.
@@ -31,6 +33,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.streaming.metrics import BatchInfo, percentile_sorted
+
+from . import catalog
 
 SEVERITIES = ("critical", "warning", "info")
 
@@ -68,8 +72,15 @@ class SLO:
             )
         if self.threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
-        if self.objective == "counter_max" and not self.metric:
-            raise ValueError("counter_max SLOs need a registry metric name")
+        if self.objective == "counter_max":
+            if not self.metric:
+                raise ValueError("counter_max SLOs need a registry metric name")
+            spec = catalog.SPECS.get(self.metric)
+            if spec is not None and spec.kind not in ("counter", "gauge"):
+                raise ValueError(
+                    f"counter_max reads one value, and {self.metric} is a "
+                    f"{spec.kind}; name a counter or gauge"
+                )
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -10,7 +10,7 @@ interval, "the unprocessed batches would pile up in the batch queue"
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Iterator, Optional
+from typing import Any, Deque, Iterator, Optional, Sequence
 
 from repro.obs.span import TraceContext
 
@@ -98,14 +98,45 @@ class BatchQueue:
         self.total_enqueued += 1
         waiting = len(queue)
         if self.max_length is not None and waiting > self.max_length:
-            evicted = self.last_evicted = queue.popleft()
-            self.total_dropped += 1
-            self.total_dropped_records += evicted.records
+            self.evict_oldest()
             return False
         self.last_evicted = None
         if waiting > self.peak_length:
             self.peak_length = waiting
         return True
+
+    def evict_oldest(self) -> QueuedBatch:
+        """Drop the oldest waiting batch (IndexError when empty)."""
+        evicted = self.last_evicted = self._queue.popleft()
+        self.total_dropped += 1
+        self.total_dropped_records += evicted.records
+        return evicted
+
+    def book_run(
+        self,
+        enqueued: int,
+        dequeued: int,
+        dropped_records: Sequence[int],
+        peak: int,
+        waiting: Sequence[QueuedBatch],
+        last_evicted: Optional[QueuedBatch],
+    ) -> None:
+        """Book a run of steps whose own batches waited outside the queue
+        (:meth:`repro.fast.engine.FastBatchEngine.drain_run`), as
+        :meth:`enqueue` and :meth:`dequeue` would have one at a time:
+        ``enqueued`` of them came in and ``dequeued`` left, those with
+        ``dropped_records`` were evicted, the queue peaked at ``peak``
+        and ``waiting`` join it in order.  ``last_evicted`` is what the
+        run's last enqueue evicted.
+        """
+        self._queue.extend(waiting)
+        self.total_enqueued += enqueued
+        self.total_dequeued += dequeued
+        self.total_dropped += len(dropped_records)
+        self.total_dropped_records += sum(dropped_records)
+        if peak > self.peak_length:
+            self.peak_length = peak
+        self.last_evicted = last_evicted
 
     def dequeue(self, now: float) -> QueuedBatch:
         """Pop the oldest batch for processing (IndexError when empty)."""

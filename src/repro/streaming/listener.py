@@ -66,6 +66,11 @@ class StreamingListener:
         self._subscribers.append(callback)
         self._fanout = tuple(self._subscribers)
 
+    @property
+    def subscribed(self) -> bool:
+        """Whether any callback reads each batch as it completes."""
+        return bool(self._fanout)
+
     def watch(self, observer) -> None:
         """Attach a judge-style observer (anything with ``observe_batch``).
 

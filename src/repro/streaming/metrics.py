@@ -17,7 +17,7 @@ Definitions follow the paper exactly:
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -64,10 +64,7 @@ def percentiles(
     return tuple(percentile_sorted(s, q) for q in qs)
 
 
-_set = object.__setattr__  # stores into frozen instances
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class BatchInfo:
     """Complete record of one processed micro-batch."""
 
@@ -105,15 +102,15 @@ class BatchInfo:
             )
         if processing_end < processing_start:
             raise ValueError("processing_end precedes processing_start")
-        _set(self, "batch_index", batch_index)
-        _set(self, "batch_time", batch_time)
-        _set(self, "interval", interval)
-        _set(self, "records", records)
-        _set(self, "num_executors", num_executors)
-        _set(self, "mean_arrival_time", mean_arrival_time)
-        _set(self, "processing_start", processing_start)
-        _set(self, "processing_end", processing_end)
-        _set(self, "first_after_reconfig", first_after_reconfig)
+        _store_batch_index(self, batch_index)
+        _store_batch_time(self, batch_time)
+        _store_interval(self, interval)
+        _store_records(self, records)
+        _store_num_executors(self, num_executors)
+        _store_mean_arrival_time(self, mean_arrival_time)
+        _store_processing_start(self, processing_start)
+        _store_processing_end(self, processing_end)
+        _store_first_after_reconfig(self, first_after_reconfig)
 
     @property
     def processing_time(self) -> float:
@@ -148,6 +145,21 @@ class BatchInfo:
             "endToEndDelay": self.end_to_end_delay,
             "firstAfterReconfig": self.first_after_reconfig,
         }
+
+
+# The stores into a frozen BatchInfo's slots, bound once: one C call
+# each, against an attribute lookup per field for object.__setattr__.
+(
+    _store_batch_index,
+    _store_batch_time,
+    _store_interval,
+    _store_records,
+    _store_num_executors,
+    _store_mean_arrival_time,
+    _store_processing_start,
+    _store_processing_end,
+    _store_first_after_reconfig,
+) = (getattr(BatchInfo, f.name).__set__ for f in fields(BatchInfo))
 
 
 @dataclass

@@ -203,15 +203,22 @@ class TestWindowedWorkload:
 
     @staticmethod
     def _served(ctx):
-        """Spy on the coster: (records, effective records) per formed batch."""
+        """Spy on the coster: (records, effective records) per formed
+        batch, whether it forms in a single step or in a run."""
         served = []
         prepare = ctx.engine.prepare
+        drain_run = ctx.engine.drain_run
 
         def spy(batch):
             prepare(batch)
             served.append((batch.records, batch.cost_records))
 
+        def spy_run(queue, bounds, records, means, costs, *rest):
+            served.extend((n, c) for n, (_, c) in zip(records, costs))
+            return drain_run(queue, bounds, records, means, costs, *rest)
+
         ctx.engine.prepare = spy
+        ctx.engine.drain_run = spy_run
         return served
 
     def test_window_holds_formed_batches(self):

@@ -23,6 +23,24 @@ class TestSpec:
         with pytest.raises(ValueError, match="metric name"):
             SLO(name="x", objective="counter_max", threshold=1.0)
 
+    def test_counter_max_rejects_a_histogram(self):
+        # A histogram has no one value: this used to pass here and raise
+        # AttributeError at verdict time.
+        with pytest.raises(ValueError, match="histogram"):
+            SLO(name="x", objective="counter_max", threshold=1.0,
+                metric="repro_streaming_processing_seconds")
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            "repro_streaming_batches_dropped_total",
+            "repro_streaming_queue_length",
+            "repro_kafka_records_consumed_total",  # summed over topics
+        ],
+    )
+    def test_counter_max_accepts_a_counter_or_gauge(self, metric):
+        SLO(name="x", objective="counter_max", threshold=1.0, metric=metric)
+
     def test_duplicate_names_rejected(self):
         slo = SLO(name="dup", objective="delay_p95", threshold=1.0)
         with pytest.raises(ValueError, match="duplicate"):
