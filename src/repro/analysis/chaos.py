@@ -138,9 +138,6 @@ class FaultJoinResult(Sequence):
     def __getitem__(self, index):
         return self.joins[index]
 
-    def by_event_id(self) -> Dict[int, FaultTraceJoin]:
-        return {j.event_id: j for j in self.joins}
-
     def __repr__(self) -> str:
         return (
             f"FaultJoinResult({len(self.joins)} joins, "

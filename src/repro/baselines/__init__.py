@@ -12,9 +12,7 @@ from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "acquisition": ("expected_improvement",),
-    "backpressure": ("BackPressureRunResult", "run_backpressure"),
-    "fixed": (
-        "DEFAULT_CONFIGURATION", "FixedRunResult", "run_fixed_configuration",
-    ),
-    "gp": ("GaussianProcess", "rbf_kernel"),
+    "backpressure": ("run_backpressure",),
+    "fixed": ("DEFAULT_CONFIGURATION", "run_fixed_configuration"),
+    "gp": ("GaussianProcess",),
 })

@@ -11,11 +11,11 @@ from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "engine": ("ChaosEngine", "EventRecord"),
-    "events": ("AtTime", "FaultEvent", "FaultSchedule", "Periodic", "RateAbove"),
+    "events": ("AtTime", "FaultEvent", "FaultSchedule", "Periodic"),
     "injectors": (
         "BrokerOutage", "DataSkewBurst", "DriverFailure", "ExecutorCrash",
-        "Injector", "NodeOutage", "StragglerSlowdown",
+        "Injector", "StragglerSlowdown",
     ),
-    "report": ("ChaosReport", "EventOutcome", "build_event_outcomes"),
-    "runner": ("ChaosRunResult", "run_chaos_scenario", "standard_chaos_schedule"),
+    "report": ("ChaosReport", "build_event_outcomes"),
+    "runner": ("run_chaos_scenario", "standard_chaos_schedule"),
 })

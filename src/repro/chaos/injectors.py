@@ -90,8 +90,7 @@ class ExecutorCrash(Injector):
             pool = rm.executors
             victim = pool[int(rng.integers(len(pool)))]
             node = victim.node
-            rm.fail_executor(victim.executor_id)
-            victims.append(victim.executor_id)
+            victims.append(context.inject_executor_failure(victim.executor_id))
             if self.hold_slot:
                 # The crashed slot's resources stay unusable until the
                 # event recovers (the machine is rebooting).
@@ -135,8 +134,7 @@ class NodeOutage(Injector):  # det: allow-unused: DESIGN.md §9 chaos DSL table
         killed: List[int] = []
         for ex in list(rm.executors):
             if ex.node is node and rm.executor_count > 1:
-                rm.fail_executor(ex.executor_id)
-                killed.append(ex.executor_id)
+                killed.append(context.inject_executor_failure(ex.executor_id))
         node.set_offline()
         self._node = node
         return f"node {node.node_id} offline, killed executors {killed}"

@@ -26,11 +26,9 @@ from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "invariants": ("InvariantEngine",),
-    "lint": ("LintFinding", "lint_file", "lint_paths", "lint_source"),
+    "lint": ("lint_paths",),
     "metamorphic": ("executor_homogeneity_check", "time_dilation_check"),
-    "oracles": (
-        "run_oracles", "steady_state_delay_oracle", "utilization_oracle",
-    ),
+    "oracles": ("run_oracles",),
     "run": ("run_check",),
     "violations": ("CheckReport", "InvariantViolation", "OracleResult"),
 })

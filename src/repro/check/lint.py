@@ -28,12 +28,17 @@ classes silently break that, and this linter flags all of them:
 One more rule keeps deleted code deleted:
 
 * **DEAD001 — unused public symbol.**  A public top-level ``def`` or
-  ``class`` of a package that no ``Name`` or ``Attribute`` anywhere in
-  the package, or in the ``benchmarks/``, ``examples/`` and
-  ``perfbench/`` trees next to its ``src/``, refers to.  Tests do not
-  count, nor do import aliases and ``__all__`` strings.  Classes filed
-  in a registry by ``@register_tuner`` / ``@register_cell`` are exempt.
-  It runs when ``lint_paths`` is given a top-level package directory.
+  ``class``, or a public method or property of any class, that no
+  ``Name`` or ``Attribute`` anywhere in the package refers to, nor a
+  ``Name``, ``Attribute`` or string constant in the ``benchmarks/``,
+  ``examples/`` and ``perfbench/`` trees next to its ``src/``.  A
+  ``lazy_exports`` table entry is dead when no such reference exists
+  outside the module that defines the name.  Tests do not count, nor do
+  import aliases and ``__all__`` strings.  Classes filed in a registry
+  by ``@register_tuner`` / ``@register_cell`` are exempt, and so are the
+  ``visit_*`` methods of an ``ast.NodeVisitor``, which ``ast`` dispatch
+  calls.  It runs when ``lint_paths`` is given a top-level package
+  directory.
 
 Legitimate sites (``repro report``'s stage timer, the runner's
 wall-time accounting — measurement, not results) carry a pragma comment
@@ -43,8 +48,9 @@ on the offending line::
 
 ``# det: allow`` suppresses every rule on its line; the targeted forms
 are ``allow-rng``, ``allow-wallclock``, ``allow-unordered`` and, on the
-``def`` / ``class`` line, ``allow-unused`` with the user surface that
-keeps the symbol (a README snippet, a documented DSL name).
+``def`` / ``class`` line or the export-table line, ``allow-unused`` with
+the user surface that keeps the symbol (a README snippet, a documented
+DSL name).
 
 Exposed as ``repro lint [paths...]``; exits non-zero on any finding, so
 CI wires it next to ruff.
@@ -389,11 +395,13 @@ def _python_files(root: Path) -> List[Path]:
     return sorted(f for f in root.rglob("*.py") if "__pycache__" not in f.parts)
 
 
-def _referenced_names(tree: ast.AST) -> Set[str]:
+def _referenced_names(tree: ast.AST, strings: bool = False) -> Set[str]:
     """Every ``Name`` and ``Attribute`` identifier in ``tree``.
 
     Import aliases and ``__all__`` strings are not ``Name`` nodes, so a
-    re-export alone keeps nothing alive.
+    re-export alone keeps nothing alive.  With ``strings``, string
+    constants count too: a consumer tree may name an entry point by
+    string (``getattr(tracer, "finish_span")``).
     """
     names: Set[str] = set()
     for node in ast.walk(tree):
@@ -401,6 +409,10 @@ def _referenced_names(tree: ast.AST) -> Set[str]:
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(
+            node.value, str
+        ):
+            names.add(node.value)
     return names
 
 
@@ -416,56 +428,119 @@ def _is_registered(node: ast.ClassDef) -> bool:
     return False
 
 
+def _is_node_visitor(node: ast.ClassDef) -> bool:
+    """Whether ``node`` subclasses ``ast.NodeVisitor`` (by base name)."""
+    return any(
+        getattr(base, "attr", getattr(base, "id", None)) == "NodeVisitor"
+        for base in node.bases
+    )
+
+
+def _members(tree: ast.AST):
+    """``(class, method)`` for every method and property of every class.
+
+    ``visit_*`` methods of an ``ast.NodeVisitor`` are skipped: ``ast``
+    dispatch calls them by name.
+    """
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        visitor = _is_node_visitor(cls)
+        for member in cls.body:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                visitor and member.name.startswith("visit_")
+            ):
+                yield cls, member
+
+
+def _exports(tree: ast.AST):
+    """``(submodule, name constant)`` per ``lazy_exports`` table entry."""
+    for call in ast.walk(tree):
+        if not (
+            isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "lazy_exports"
+            and len(call.args) == 2
+            and isinstance(call.args[1], ast.Dict)
+        ):
+            continue
+        for key, value in zip(call.args[1].keys, call.args[1].values):
+            for const in getattr(value, "elts", ()):
+                yield key.value, const
+
+
+def _defining_module(init: Path, submodule: str) -> Path:
+    """The file that supplies an export table's ``submodule`` key."""
+    if not submodule:
+        return init
+    base = init.parent.joinpath(*submodule.split("."))
+    module = base.with_suffix(".py")
+    return module if module.is_file() else base / "__init__.py"
+
+
 def lint_unused_symbols(package: Union[str, Path]) -> List[LintFinding]:
-    """DEAD001: public top-level defs and classes nothing references.
+    """DEAD001: public symbols, members and exports nothing references.
 
     A reference is a ``Name`` or ``Attribute`` anywhere in ``package``
-    or, when the package sits in a ``src/`` directory, in the
-    ``benchmarks/``, ``examples/`` and ``perfbench/`` trees next to that
-    ``src/``.  Tests are not consumers: a symbol only its own tests use
-    is dead code with a test.
+    or, when the package sits in a ``src/`` directory, a ``Name``,
+    ``Attribute`` or string constant in the ``benchmarks/``,
+    ``examples/`` and ``perfbench/`` trees next to that ``src/``.  Three
+    kinds of symbol are checked: public top-level ``def``s and
+    ``class``es, public methods and properties of any class, and the
+    names a ``lazy_exports`` table lists, which only a reference outside
+    their defining module keeps.  Tests are not consumers: a symbol only
+    its own tests use is dead code with a test.
     """
     package = Path(package)
     sources = {f: f.read_text(encoding="utf-8") for f in _python_files(package)}
     trees = {f: ast.parse(text, filename=str(f)) for f, text in sources.items()}
-    consumers = list(trees.values())
+    by_module = {f: _referenced_names(tree) for f, tree in trees.items()}
+    external: Set[str] = set()
     if package.parent.name == "src":
         for name in CONSUMER_DIRS:
             root = package.parent.parent / name
             if root.is_dir():
-                consumers.extend(
-                    ast.parse(f.read_text(encoding="utf-8"), filename=str(f))
-                    for f in _python_files(root)
-                )
-    referenced: Set[str] = set()
-    for tree in consumers:
-        referenced |= _referenced_names(tree)
+                for f in _python_files(root):
+                    tree = ast.parse(f.read_text(encoding="utf-8"), filename=str(f))
+                    external |= _referenced_names(tree, strings=True)
+    referenced = external.union(*by_module.values())
     findings: List[LintFinding] = []
     for path, tree in trees.items():
         lines = sources[path].splitlines()
-        for node in tree.body:
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            if (
-                node.name.startswith("_")
-                or node.name in referenced
-                or (isinstance(node, ast.ClassDef) and _is_registered(node))
-                or _suppressed(lines, "DEAD001", node.lineno)
-            ):
-                continue
-            findings.append(
-                LintFinding(
-                    path=str(path),
-                    line=node.lineno,
-                    col=node.col_offset + 1,
-                    rule="DEAD001",
-                    message=f"public symbol {node.name} is never referenced "
-                    "— delete it",
+
+        def flag(node: ast.AST, what: str) -> None:
+            if not _suppressed(lines, "DEAD001", node.lineno):
+                findings.append(
+                    LintFinding(
+                        path=str(path),
+                        line=node.lineno,
+                        col=node.col_offset + 1,
+                        rule="DEAD001",
+                        message=f"{what} is never referenced — delete it",
+                    )
                 )
-            )
-    return findings
+
+        for node in tree.body:
+            if (
+                isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                )
+                and not node.name.startswith("_")
+                and node.name not in referenced
+                and not (isinstance(node, ast.ClassDef) and _is_registered(node))
+            ):
+                flag(node, f"public symbol {node.name}")
+        for cls, member in _members(tree):
+            if not member.name.startswith("_") and member.name not in referenced:
+                flag(member, f"public member {cls.name}.{member.name}")
+        for submodule, const in _exports(tree):
+            owner = _defining_module(path, submodule)
+            if const.value not in external and not any(
+                const.value in names
+                for f, names in by_module.items()
+                if f != owner
+            ):
+                flag(const, f"export {const.value} outside {owner.name}")
+    return sorted(findings, key=lambda f: (f.path, f.line, f.col))
 
 
 def lint_paths(paths: Iterable[Union[str, Path]]) -> List[LintFinding]:

@@ -724,7 +724,7 @@ def _cmd_tournament(args) -> int:
 
     roster = _names(args.tuners, tuners.tuner_names(), tuners.tuner_names(),
                     "tuner")
-    scenarios = _names(args.scenarios, ["steady", "step", "spike"],
+    scenarios = _names(args.scenarios, tuners.DEFAULT_SCENARIOS,
                        tuners.scenario_names(), "scenario")
     if roster is None or scenarios is None:
         return 2

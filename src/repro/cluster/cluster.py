@@ -7,7 +7,7 @@ default substrate for every experiment driver under
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List
 
 from .node import (
     I5_9400,
@@ -50,13 +50,6 @@ class Cluster:
     @property
     def workers(self) -> List[Node]:
         return [n for n in self._nodes if n.role is NodeRole.WORKER]
-
-    @property
-    def master(self) -> Optional[Node]:
-        for n in self._nodes:
-            if n.role is NodeRole.MASTER:
-                return n
-        return None
 
     def node(self, node_id: int) -> Node:
         for n in self._nodes:

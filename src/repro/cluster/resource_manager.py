@@ -153,10 +153,6 @@ class ResourceManager:
             total += min(free_cores // cores, int(free_mem // memory_gb))
         return total
 
-    def newly_launched(self, since: float) -> List[Executor]:
-        """Executors launched at or after simulation time ``since``."""
-        return [e for e in self.executors if e.launched_at >= since]
-
     # -- allocation -------------------------------------------------------
 
     def _pick_node(self) -> Optional[Node]:

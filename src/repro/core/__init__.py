@@ -12,14 +12,14 @@ from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "adjust": (
-        "AdjustFunction", "AdjustResult", "ControlledSystem", "evaluate_config",
-        "theta_to_configuration",
+        "AdjustFunction", "AdjustResult", "ControlledSystem",
+        "evaluate_config", "theta_to_configuration",
     ),
     "bounds": (
         "Box", "MinMaxScaler", "multi_parameter_space",
         "paper_configuration_space",
     ),
-    "gains": ("DEFAULT_ALPHA", "DEFAULT_GAMMA", "GainSchedule", "paper_gains"),
+    "gains": ("GainSchedule", "paper_gains"),
     "metrics_collector": ("Measurement", "MetricsCollector"),
     "nostop": ("NoStopController", "NoStopReport", "RoundRecord"),
     "objective": ("RhoSchedule", "penalized_objective"),

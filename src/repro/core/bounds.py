@@ -78,11 +78,6 @@ class MinMaxScaler:
         self.physical = physical
         self.scaled = scaled
 
-    def to_scaled(self, theta_physical: Sequence[float]) -> np.ndarray:
-        t = np.asarray(theta_physical, dtype=float)
-        frac = (t - self.physical.lower) / self.physical.ranges
-        return self.scaled.lower + frac * self.scaled.ranges
-
     def to_physical(self, theta_scaled: Sequence[float]) -> np.ndarray:
         t = np.asarray(theta_scaled, dtype=float)
         frac = (t - self.scaled.lower) / self.scaled.ranges

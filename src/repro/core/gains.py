@@ -91,14 +91,6 @@ class GainSchedule:
                 "sum((a_k/c_k)^2) diverges, violating Condition B.1''"
             )
 
-    def is_convergent(self) -> bool:
-        """Boolean form of :meth:`validate`."""
-        try:
-            self.validate()
-        except ValueError:
-            return False
-        return True
-
 
 def paper_gains() -> GainSchedule:
     """The gains used in the paper's experiments: A=1, a=10, c=2 (§6.2.1)."""

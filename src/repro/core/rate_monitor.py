@@ -74,11 +74,6 @@ class RateMonitor:
             return std / mean if mean > 0 else 0.0
         return std
 
-    @property
-    def in_cooldown(self) -> bool:
-        """Whether the post-reset hysteresis is still suppressing triggers."""
-        return self._cooldown_left > 0
-
     def need_reset(self) -> bool:
         """Table 1's ``needResetCoefficient()``."""
         if self._cooldown_left > 0:

@@ -10,8 +10,8 @@ from repro._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "generator": ("DataGenerator",),
     "rates": (
-        "PAPER_RATE_BANDS", "ConstantRate", "RateTrace", "SineRate", "SpikeRate",
-        "StepRate", "TraceRate", "UniformRandomRate", "paper_rate_trace",
+        "PAPER_RATE_BANDS", "ConstantRate", "RateTrace", "SineRate",
+        "SpikeRate", "StepRate", "UniformRandomRate", "paper_rate_trace",
     ),
     "records": (
         "LabeledPoint", "make_labeled_points", "make_nginx_log_lines",

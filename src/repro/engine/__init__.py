@@ -13,7 +13,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "overhead": ("DEFAULT_OVERHEAD", "ZERO_OVERHEAD", "OverheadModel"),
     "stage": ("Stage",),
     "task": ("TaskRun", "TaskSpec"),
-    "task_scheduler": (
-        "JobRun", "NoExecutorsError", "NoiseModel", "StageRun", "TaskScheduler",
-    ),
+    "task_scheduler": ("JobRun", "NoiseModel", "TaskScheduler"),
 })

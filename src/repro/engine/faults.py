@@ -17,7 +17,6 @@ demonstrating the scheme's transparency to infrastructure churn.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,13 +71,6 @@ class FaultModel:
                 f"{worst:.2f}x its duration ((max_attempts - 1) * "
                 f"max_waste_fraction); must be <= {MAX_WORST_CASE_WASTE}"
             )
-
-    def with_prob(self, task_failure_prob: float) -> "FaultModel":
-        """A copy of this model with a different failure probability.
-
-        Convenience for sweeps that vary fault pressure while keeping the
-        retry/waste envelope fixed."""
-        return dataclasses.replace(self, task_failure_prob=task_failure_prob)
 
     @property
     def enabled(self) -> bool:

@@ -50,10 +50,6 @@ class BatchJob:
             seen.add(s.stage_id)
 
     @property
-    def num_stages(self) -> int:
-        return len(self.stages)
-
-    @property
     def num_tasks(self) -> int:
         return sum(s.num_tasks * s.iterations for s in self.stages)
 
@@ -61,18 +57,3 @@ class BatchJob:
     def total_compute_cost(self) -> float:
         """Baseline compute-seconds over the whole job."""
         return sum(s.total_compute_cost for s in self.stages)
-
-    def critical_path_lower_bound(self, total_cores: int, speed: float = 1.0) -> float:
-        """Cheap lower bound on the job's makespan with ``total_cores`` cores.
-
-        Used by tests as an invariant (the scheduler can never beat perfect
-        parallelism) and by the back-pressure estimator as a rate hint.
-        """
-        if total_cores < 1:
-            raise ValueError("total_cores must be >= 1")
-        bound = 0.0
-        for s in self.stages:
-            per_iter = sum(t.compute_cost for t in s.tasks) / (total_cores * speed)
-            longest = max((t.compute_cost / speed for t in s.tasks), default=0.0)
-            bound += s.iterations * max(per_iter, longest)
-        return bound

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.executor import Executor
-
 
 @dataclass
 class TaskSpec:
@@ -43,24 +41,6 @@ class TaskSpec:
             raise ValueError(f"compute_cost must be >= 0, got {self.compute_cost}")
         if self.io_cost < 0:
             raise ValueError(f"io_cost must be >= 0, got {self.io_cost}")
-
-    def duration_on(
-        self,
-        executor: Executor,
-        noise_factor: float = 1.0,
-        startup_cost: float = 0.0,
-    ) -> float:
-        """Wall-clock duration of this task on ``executor``.
-
-        ``noise_factor`` is the multiplicative runtime jitter (network,
-        GC, contention) drawn by the scheduler; ``startup_cost`` is the
-        one-time initialization charge for a freshly launched executor.
-        """
-        if noise_factor <= 0:
-            raise ValueError(f"noise_factor must be positive, got {noise_factor}")
-        compute = self.compute_cost / executor.speed_factor
-        io = self.io_cost * executor.io_penalty
-        return (compute + io) * noise_factor + startup_cost
 
 
 @dataclass

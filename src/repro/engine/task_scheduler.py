@@ -245,9 +245,9 @@ class TaskScheduler:
         max_attempts = self.faults.max_attempts
         faults_active = self.faults.enabled and max_attempts > 1
         record_tasks = self.record_tasks
-        # The inlined duration below performs exactly the same float
-        # operations as TaskSpec.duration_on, keeping makespans
-        # bit-identical.
+        # A task's duration: compute scaled by the executor's speed, I/O
+        # by its disk penalty, times the drawn noise, plus a fresh
+        # executor's one-time startup charge.
         for spec, noise_i in zip(order, noise.tolist()):
             compute_cost = spec.compute_cost
             io_cost = spec.io_cost

@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.nostop import NoStopController, NoStopReport
     from repro.core.pause import PauseRule
     from repro.obs.report import RunJudge, RunReport
-    from repro.tuners import TunerRunReport
+    from repro.tuners.base import TunerRunReport
 
 from repro.cluster.cluster import Cluster, paper_cluster
 from repro.core.bounds import MinMaxScaler, paper_configuration_space

@@ -35,11 +35,8 @@ from repro._exports import lazy_exports
 #: The fidelity tiers ``build_experiment`` / the cells / the CLI accept.
 FIDELITIES = ("exact", "vectorized", "fluid")
 
-#: The tiers served by this package (everything but the exact DES).
-FAST_FIDELITIES = ("vectorized", "fluid")
-
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "": ("FIDELITIES", "FAST_FIDELITIES"),
+    "": ("FIDELITIES",),
     "context": ("FastStreamingContext",),
     "engine": ("ExecutorProfile", "FastBatchEngine"),
     "invariants": ("check_fast_run",),

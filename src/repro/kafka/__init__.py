@@ -10,8 +10,8 @@ from repro._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "broker": ("KafkaBroker",),
     "cluster": ("KafkaCluster", "paper_kafka_cluster"),
-    "consumer": ("ConsumedBatch", "DirectStreamConsumer", "OffsetRange"),
-    "partition": ("Partition", "Segment"),
+    "consumer": ("DirectStreamConsumer",),
+    "partition": ("Partition",),
     "producer": ("RateControlledProducer",),
     "topic": ("Topic",),
 })

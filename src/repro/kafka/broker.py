@@ -1,64 +1,25 @@
 """Kafka broker model.
 
-Brokers own partitions; the paper deploys one broker per cluster node.
-Broker capacity only matters as a bottleneck guard: if a topic had fewer
-partitions than the cluster has cores, consumption parallelism would be
-capped — which the paper avoids by over-partitioning, and which we check
-in :meth:`KafkaBroker.validate_partition_load`.
+The paper deploys one broker per cluster node.  A broker matters only
+to chaos broker outages, which take it offline while the receiver stalls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
 
 
 @dataclass
 class KafkaBroker:
-    """A broker hosting a subset of each topic's partitions.
-
-    Parameters
-    ----------
-    broker_id:
-        Unique id (paper: one broker per node, so ids mirror node ids).
-    max_throughput:
-        Records/second the broker can ingest before becoming a bottleneck;
-        used by tests and the producer's optional rate cap.
-    """
+    """One broker; ``broker_id`` mirrors its node id (one per node)."""
 
     broker_id: int
-    max_throughput: float = 1_000_000.0
     online: bool = True
-    _assignments: List[Tuple[str, int]] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.max_throughput <= 0:
-            raise ValueError("max_throughput must be positive")
 
     def set_offline(self) -> None:
-        """Take the broker down (chaos outage); fetches from its
-        partitions fail until :meth:`set_online`."""
+        """Flag the broker down for a chaos outage (the receiver's
+        stall is what stops fetches) until :meth:`set_online`."""
         self.online = False
 
     def set_online(self) -> None:
         self.online = True
-
-    def assign(self, topic: str, partition_id: int) -> None:
-        key = (topic, partition_id)
-        if key in self._assignments:
-            raise ValueError(f"partition {key} already assigned to broker {self.broker_id}")
-        self._assignments.append(key)
-
-    @property
-    def assignments(self) -> List[Tuple[str, int]]:
-        return list(self._assignments)
-
-    @property
-    def partition_count(self) -> int:
-        return len(self._assignments)
-
-    def validate_partition_load(self, peak_rate: float) -> bool:
-        """Whether the broker can absorb ``peak_rate`` records/s overall."""
-        if peak_rate < 0:
-            raise ValueError("peak_rate must be >= 0")
-        return peak_rate <= self.max_throughput

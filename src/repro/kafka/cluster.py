@@ -1,4 +1,4 @@
-"""Kafka cluster: brokers + topics with partition assignment."""
+"""Kafka cluster: brokers + topics."""
 
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ class KafkaCluster:
         num_partitions: int,
         min_partitions: int = 0,
     ) -> Topic:
-        """Create a topic, spreading partitions round-robin over brokers.
+        """Create a topic of ``num_partitions`` partitions.
 
         ``min_partitions`` lets callers enforce the paper's guidance that
         partition count exceed total cluster cores.
@@ -43,8 +43,6 @@ class KafkaCluster:
                 f"to cluster cores to avoid broker bottlenecks"
             )
         topic = Topic(name, num_partitions)
-        for pid in range(num_partitions):
-            self.brokers[pid % len(self.brokers)].assign(name, pid)
         self.topics[name] = topic
         return topic
 
@@ -53,15 +51,6 @@ class KafkaCluster:
             return self.topics[name]
         except KeyError:
             raise KeyError(f"no topic named {name!r}") from None
-
-    def partition_balance(self, name: str) -> int:
-        """Max-minus-min partitions per broker for a topic (0 = balanced)."""
-        counts = [0] * len(self.brokers)
-        for b in self.brokers:
-            counts[b.broker_id - 1] = sum(
-                1 for t, _ in b.assignments if t == name
-            )
-        return max(counts) - min(counts)
 
 
 def paper_kafka_cluster(total_cluster_cores: int = 36, topic: str = "events") -> KafkaCluster:

@@ -139,10 +139,6 @@ class PartitionLog:
             for a, b, c, o in zip(self.t0s, self.t1s, self.counts, self.bases)
         ]
 
-    def records_before(self, t: float) -> int:
-        """Records that arrived strictly before time ``t``, topic-wide."""
-        return sum(self.offsets_at(t))
-
     def append_uniform(self, t0: float, t1: float, count: int) -> None:
         """Append ``count`` records over ``[t0, t1)`` spread evenly over
         the partitions.

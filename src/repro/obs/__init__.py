@@ -20,53 +20,37 @@ asserts).
 from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "alerts": (
-        "Alert", "BurnRateAlerter", "BurnRatePolicy", "default_policies",
-        "delay_above", "unstable_batch",
-    ),
-    "audit": (
-        "AuditTrail", "ReplayMismatch", "RuleFiring", "SPSADecision",
-        "clipped_axes",
-    ),
+    "alerts": ("Alert", "BurnRateAlerter"),
+    "audit": ("AuditTrail", "RuleFiring", "SPSADecision", "clipped_axes"),
     "catalog": (
-        "CATALOG", "DEFAULT_COUNT_BUCKETS", "catalog_json", "catalog_markdown",
-        "check_registry", "governance_report", "lint_catalog",
+        "CATALOG", "catalog_json", "catalog_markdown", "governance_report",
+        "lint_catalog",
     ),
     "critical": (
-        "SEGMENT_SPANS", "TILING_TOL", "CriticalStep", "DelayBreakdown", "Epoch",
-        "OracleAgreement", "SegmentStat", "TraceDecomposition",
-        "analyze_decompositions", "analyze_spans", "critical_path", "decompose",
-        "decompose_spans", "group_spans_by_trace", "split_epochs",
-        "steady_state_agreement",
+        "DelayBreakdown", "analyze_spans", "critical_path", "decompose",
+        "decompose_spans", "steady_state_agreement",
     ),
-    "dash": ("build_dashboard", "dashboard_json"),
+    "dash": ("dashboard_json",),
     "detect": (
-        "MAD_TO_SIGMA", "AnomalyEvent", "CusumDetector", "EwmaMadDetector",
-        "SpsaWatchdog", "WatchdogReport",
+        "AnomalyEvent", "CusumDetector", "EwmaMadDetector", "SpsaWatchdog",
+        "WatchdogReport",
     ),
     "emit": (
         "EmissionBatcher", "JsonlSink", "metric_events", "trace_summary_event",
     ),
     "exporters": (
-        "chrome_trace_json", "escape_help_text", "escape_label_value",
-        "folded_stacks", "parse_jsonl_spans", "prometheus_text",
-        "render_metrics_summary", "render_timeline", "save_chrome_trace",
-        "save_folded", "save_spans", "spans_to_jsonl",
+        "parse_jsonl_spans", "prometheus_text", "render_metrics_summary",
+        "render_timeline", "save_chrome_trace", "save_folded", "save_spans",
     ),
     "registry": (
-        "CARDINALITY_REJECTED", "DEFAULT_MAX_CHILDREN",
-        "DEFAULT_SECONDS_BUCKETS", "NOOP_INSTRUMENT", "NOOP_REGISTRY",
-        "Counter", "Gauge", "Histogram", "MetricFamily", "MetricSpec",
-        "MetricsRegistry",
+        "CARDINALITY_REJECTED", "DEFAULT_MAX_CHILDREN", "NOOP_REGISTRY",
+        "Counter", "Histogram", "MetricSpec", "MetricsRegistry",
     ),
     "report": (
-        "FaultOutcome", "RunJudge", "RunReport", "Section", "breakdown_section",
-        "build_run_report", "section_text",
+        "RunJudge", "RunReport", "breakdown_section", "build_run_report",
+        "section_text",
     ),
-    "slo": (
-        "SLO", "SLOEvaluator", "SLOVerdict", "default_slos",
-        "has_critical_breach",
-    ),
-    "span": ("NOOP_SPAN", "Span", "SpanEvent", "TraceContext"),
+    "slo": ("SLOEvaluator", "SLOVerdict", "has_critical_breach"),
+    "span": ("NOOP_SPAN", "Span", "TraceContext"),
     "tracer": ("NOOP_TELEMETRY", "Telemetry", "Tracer"),
 })

@@ -206,16 +206,3 @@ class BurnRateAlerter:
         for alert in list(self._active.values()):
             alert.resolved_at = now
         self._active.clear()
-
-    @property
-    def active_alerts(self) -> List[Alert]:
-        return [a for a in self.log if a.active]
-
-    def alerts_between(self, start: float, end: float) -> List[Alert]:
-        """Alerts whose active period overlaps ``[start, end]``."""
-        out = []
-        for a in self.log:
-            resolved = a.resolved_at if a.resolved_at is not None else float("inf")
-            if a.fired_at <= end and resolved >= start:
-                out.append(a)
-        return out

@@ -80,33 +80,6 @@ class SPSADecision:
             "minusCorrupted": self.minus_corrupted,
         }
 
-    @staticmethod
-    def from_dict(d: Dict[str, object]) -> "SPSADecision":
-        return SPSADecision(
-            round_index=int(d["round"]),  # type: ignore[arg-type]
-            k=int(d["k"]),  # type: ignore[arg-type]
-            sim_time=float(d["simTime"]),  # type: ignore[arg-type]
-            rho=float(d["rho"]),  # type: ignore[arg-type]
-            a_k=float(d["aK"]),  # type: ignore[arg-type]
-            c_k=float(d["cK"]),  # type: ignore[arg-type]
-            theta=tuple(d["theta"]),  # type: ignore[arg-type]
-            delta=tuple(d["delta"]),  # type: ignore[arg-type]
-            theta_plus=tuple(d["thetaPlus"]),  # type: ignore[arg-type]
-            theta_minus=tuple(d["thetaMinus"]),  # type: ignore[arg-type]
-            probe_clipped=tuple(bool(v) for v in d["probeClipped"]),  # type: ignore[union-attr]
-            y_plus=float(d["yPlus"]),  # type: ignore[arg-type]
-            y_minus=float(d["yMinus"]),  # type: ignore[arg-type]
-            gradient=(
-                None if d.get("gradient") is None
-                else tuple(d["gradient"])  # type: ignore[arg-type]
-            ),
-            theta_next=tuple(d["thetaNext"]),  # type: ignore[arg-type]
-            step_clipped=tuple(bool(v) for v in d["stepClipped"]),  # type: ignore[union-attr]
-            guarded=bool(d.get("guarded", False)),
-            plus_corrupted=bool(d.get("plusCorrupted", False)),
-            minus_corrupted=bool(d.get("minusCorrupted", False)),
-        )
-
 
 @dataclass(frozen=True)
 class RuleFiring:
@@ -232,29 +205,6 @@ class AuditTrail:
         ]
         entries.sort(key=lambda e: (e["round"], 0 if e["type"] == "decision" else 1))
         return "\n".join(json.dumps(e, sort_keys=True) for e in entries)
-
-    @staticmethod
-    def from_jsonl(text: str) -> "AuditTrail":
-        trail = AuditTrail(enabled=True)
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            payload = json.loads(line)
-            if payload.get("type") == "decision":
-                trail.decisions.append(SPSADecision.from_dict(payload))
-            elif payload.get("type") == "rule":
-                trail.firings.append(
-                    RuleFiring(
-                        kind=str(payload["kind"]),
-                        round_index=int(payload["round"]),
-                        sim_time=float(payload["simTime"]),
-                        detail=str(payload.get("detail", "")),
-                    )
-                )
-            else:
-                raise ValueError(f"unknown audit entry type in line: {line!r}")
-        return trail
 
     def save(self, path: str) -> str:
         with open(path, "w", encoding="utf-8") as fh:

@@ -34,10 +34,6 @@ from .span import Span
 #: setup/coordination slices interleaved with stage execution.
 SEGMENT_SPANS = ("ingest", "queue", "schedule", "execute")
 
-#: Tiling tolerance: the segments are contiguous by construction, so the
-#: residual is pure float-summation noise, orders of magnitude below this.
-TILING_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class CriticalStep:

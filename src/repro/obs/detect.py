@@ -245,10 +245,6 @@ class WatchdogReport:
     step_clip_fraction: float = 0.0
     probe_clip_fraction: float = 0.0
 
-    @property
-    def healthy(self) -> bool:
-        return not self.events
-
 
 class SpsaWatchdog:
     """Convergence watchdog over the SPSA decision audit trail.

@@ -19,7 +19,7 @@ Supported objectives:
 * ``counter_max``        — ceiling on a metrics-registry counter/gauge
   value (e.g. dropped batches; a labeled family reads its total), read
   at verdict time.  A cataloged metric of another kind is rejected when
-  the SLO is declared.
+  the SLO is declared; an uncataloged one fails its verdict.
 
 The evaluator is pure arithmetic over simulated timestamps — verdicts
 are byte-deterministic for a given run.
@@ -299,6 +299,12 @@ class SLOEvaluator:
             metric = registry.get(slo.metric)
             if metric is None:
                 return None, f"metric {slo.metric} not registered"
+            if metric.spec.kind not in ("counter", "gauge"):
+                # An uncataloged metric escapes the declaration check.
+                return math.inf, (
+                    f"{slo.metric} is a {metric.spec.kind}, not a counter "
+                    "or gauge"
+                )
             return float(metric.value), slo.metric
         value = self._running_value(slo)
         detail = f"over {self._batches} batches"

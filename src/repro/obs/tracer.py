@@ -25,10 +25,9 @@ The store is a **flight recorder**, not a keep-everything archive:
   Interesting traces are always kept, even when head sampling would
   discard them: traces carrying ``chaos.*`` span events, traces
   overlapping a :meth:`Tracer.note_interest` window (SLO breaches,
-  detector anomalies, NoStop pause/resume/reset/reconfig decisions), and
-  traces force-marked via :meth:`Tracer.mark_interesting`.  Everything
-  else that fails head sampling is discarded wholesale and accounted as
-  an evicted trace.
+  detector anomalies, NoStop pause/resume/reset/reconfig decisions).
+  Everything else that fails head sampling is discarded wholesale and
+  accounted as an evicted trace.
 
 All accounting lands on the cataloged ``repro_obs_trace_*`` metric
 families when the tracer is constructed with a registry (the
@@ -150,9 +149,9 @@ class Tracer:
         keeps every trace.
     retain_interesting:
         Tail-based retention switch.  When True (default), traces with
-        ``chaos.*`` span events, traces overlapping a
-        :meth:`note_interest` window, and force-marked traces survive
-        finalization even when head sampling would discard them.
+        ``chaos.*`` span events and traces overlapping a
+        :meth:`note_interest` window survive finalization even when head
+        sampling would discard them.
     registry:
         Destination for the cataloged ``repro_obs_trace_*`` accounting
         families; defaults to the no-op registry.
@@ -208,11 +207,9 @@ class Tracer:
         #: Open (not yet finalized) traces: trace id → root span.
         self._open: Dict[str, Span] = {}
         self._head_keep: Dict[str, bool] = {}
-        self._forced: Dict[str, str] = {}
         self._partial: Dict[str, bool] = {}
         self._interest = _InterestIndex()
         self._by_id: Dict[int, Span] = {}
-        self._children: Dict[int, Deque[Span]] = {}
         self._next_span_id = 1
         self._open_span_count = 0
         #: Spans consumed by the ring bound (any reason).
@@ -261,11 +258,6 @@ class Tracer:
         else:
             self._open_span_count += 1
         self._by_id[span.span_id] = span
-        if parent_id is not None:
-            siblings = self._children.get(parent_id)
-            if siblings is None:
-                siblings = self._children[parent_id] = deque()
-            siblings.append(span)
         return span
 
     def start_trace(
@@ -323,25 +315,10 @@ class Tracer:
             lo, hi = hi, lo
         self._interest.append((lo, hi, str(reason)))
 
-    def mark_interesting(self, trace_id: str, reason: str = "forced") -> None:
-        """Force-retain one specific trace at finalization."""
-        if self.enabled:
-            self._forced[trace_id] = str(reason)
-
-    @property
-    def interest_windows(self) -> List[Tuple[float, float, str]]:
-        return list(self._interest.windows)
-
     def _retention_reason(
-        self,
-        root: Span,
-        spans: List[Span],
-        head: bool,
-        forced: Optional[str],
+        self, root: Span, spans: List[Span], head: bool
     ) -> Optional[str]:
         """The reason this trace survives finalization, or None to evict."""
-        if forced is not None:
-            return forced
         if self.retain_interesting:
             chaos = False
             lo = root.start
@@ -387,16 +364,15 @@ class Tracer:
     def _finalize_trace(self, tid: str) -> None:
         root = self._open.pop(tid)
         head = self._head_keep.pop(tid, False)
-        forced = self._forced.pop(tid, None)
         partial = self._partial.pop(tid, False)
         buf = self._by_trace.get(tid)
         spans = list(buf) if buf else []
         if partial:
             root.set_attribute("partial", True)
-        reason = self._retention_reason(root, spans, head, forced)
+        reason = self._retention_reason(root, spans, head)
         if reason is None or not spans:
             for s in spans:
-                self._unindex(s)
+                self._by_id.pop(s.span_id, None)
             if buf is not None:
                 del self._by_trace[tid]
             self._open_span_count -= len(spans)
@@ -447,7 +423,7 @@ class Tracer:
         self._drop_span(span)
 
     def _drop_span(self, span: Span) -> None:
-        self._unindex(span)
+        self._by_id.pop(span.span_id, None)
         self.dropped_spans += 1
         if span.finished:
             self._m_span_drops.labels(reason="ring").inc()
@@ -455,16 +431,6 @@ class Tracer:
             self.dropped_unfinished += 1
             self._m_span_drops.labels(reason="unfinished").inc()
             self._partial[span.trace_id] = True
-
-    def _unindex(self, span: Span) -> None:
-        self._by_id.pop(span.span_id, None)
-        self._children.pop(span.span_id, None)
-        if span.parent_id is not None:
-            siblings = self._children.get(span.parent_id)
-            if siblings and siblings[0] is span:
-                siblings.popleft()
-                if not siblings:
-                    del self._children[span.parent_id]
 
     # -- context plumbing ----------------------------------------------------
 
@@ -511,10 +477,6 @@ class Tracer:
         """Distinct live trace ids in first-seen order."""
         return list(self._by_trace)
 
-    def children_of(self, span: Span) -> List[Span]:
-        """Direct children of ``span`` in creation order (O(children))."""
-        return list(self._children.get(span.span_id, ()))
-
     def roots(self) -> List[Span]:
         return [
             s
@@ -522,10 +484,6 @@ class Tracer:
             for s in buf
             if s.parent_id is None
         ]
-
-    def partial_trace_ids(self) -> List[str]:
-        """Open traces currently marked partial, in first-marked order."""
-        return list(self._partial)
 
     def clear(self) -> None:
         """Drop every span, index, window, and counter consistently."""

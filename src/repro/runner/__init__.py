@@ -15,13 +15,10 @@ resumable, and failures structured instead of fatal.  See DESIGN.md
 from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "cache": (
-        "CACHE_ENV", "ResultCache", "cell_digest", "default_cache_dir",
-        "substrate_version_tag",
-    ),
-    "cells": ("cell_kinds", "execute_cell", "register_cell"),
-    "journal": ("KILL_AFTER_ENV", "SweepJournal", "spec_digest"),
-    "runner": ("SweepResult", "SweepRunner", "SweepStats"),
-    "spec": ("SweepCell", "SweepSpec", "canonical_json", "spawn_seeds"),
-    "supervisor": ("CellFailure", "CellSupervisor", "RetryPolicy", "is_failure"),
+    "cache": ("ResultCache", "cell_digest", "substrate_version_tag"),
+    "cells": ("cell_kinds", "execute_cell"),
+    "journal": ("SweepJournal",),
+    "runner": ("SweepRunner",),
+    "spec": ("SweepCell", "SweepSpec", "canonical_json"),
+    "supervisor": ("CellSupervisor", "RetryPolicy", "is_failure"),
 })

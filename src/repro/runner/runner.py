@@ -74,10 +74,6 @@ class SweepStats:
     cache_self_healed: int = 0
     """Corrupt cache entries dropped (treated as misses) this run."""
 
-    @property
-    def hit_rate(self) -> float:
-        return self.cache_hits / self.cells if self.cells else 0.0
-
 
 @dataclass
 class SweepResult:

@@ -368,17 +368,3 @@ class StreamingContext:
         self._pool_changed(launched=False)
         self._invalidate()
         return failed
-
-    # -- status -----------------------------------------------------------
-
-    @property
-    def pending_batches(self) -> int:
-        """Batches formed but not yet started (queue occupancy)."""
-        return len(self.queue)
-
-    def is_stable(self, last_n: int = 5) -> bool:
-        """Stability over the last ``last_n`` completed batches."""
-        recent = self.listener.metrics.recent(last_n)
-        if not recent:
-            return True
-        return all(b.stable for b in recent)

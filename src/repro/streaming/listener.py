@@ -15,7 +15,6 @@ scheduling delay, and end-to-end delay.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, List, Optional
 
 from repro.obs import catalog
@@ -129,28 +128,3 @@ class StreamingListener:
             cb(info)
 
     # -- status reports -------------------------------------------------
-
-    def latest_status(self) -> Optional[dict]:
-        """Most recent performance vector, or None before the first batch."""
-        last = self.metrics.last
-        return last.to_dict() if last else None
-
-    def status_json(self, last_n: int = 1) -> str:
-        """JSON status report covering the last ``last_n`` batches."""
-        if last_n < 1:
-            raise ValueError("last_n must be >= 1")
-        recent = self.metrics.recent(last_n)
-        payload = {
-            "batches": [b.to_dict() for b in recent],
-            "totalBatches": len(self.metrics),
-            "totalRecords": self.metrics.total_records(),
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def parse_status(report: str) -> dict:
-        """Parse a :meth:`status_json` report back into a dict."""
-        payload = json.loads(report)
-        if "batches" not in payload:
-            raise ValueError("malformed status report: missing 'batches'")
-        return payload

@@ -133,7 +133,8 @@ class BatchInfo:
         return self.processing_time <= self.interval
 
     def to_dict(self) -> Dict[str, float]:
-        """Flat dict used for the listener's JSON status reports."""
+        """Flat JSON-safe dict: the batch report NoStop reads as system
+        status (Fig. 4)."""
         return {
             "batchIndex": self.batch_index,
             "batchTime": self.batch_time,
@@ -246,10 +247,6 @@ class StreamingMetrics:
     def processing_time_percentile(self, q: float) -> float:
         pt, _ = self._sorted_views()
         return percentile_sorted(pt, q)
-
-    def end_to_end_delay_percentile(self, q: float) -> float:
-        _, delays = self._sorted_views()
-        return percentile_sorted(delays, q)
 
     def delay_percentiles(
         self, qs: Sequence[float] = (0.5, 0.95, 0.99)

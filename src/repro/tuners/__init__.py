@@ -16,19 +16,13 @@ See :mod:`repro.tuners.base` for the protocol and the run driver,
 from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "adapters": (
-        "AnnealingTuner", "BOTuner", "GridTuner", "NoStopTuner", "RandomTuner",
-        "SPSAIteration", "grid_points",
-    ),
+    "adapters": ("NoStopTuner",),
     "base": (
-        "DIVERGENCE_PENALTY", "Tuner", "TunerRunReport", "clamp_objective",
-        "make_tuner", "register_tuner", "run_tuner", "tuner_names",
+        "Tuner", "clamp_objective", "make_tuner", "register_tuner",
+        "run_tuner", "tuner_names",
     ),
-    "rl": ("RLTuner",),
-    "safe_online": ("SafeOnlineTuner",),
     "tournament": (
-        "DEFAULT_SCENARIOS", "SCORE_COLUMNS", "TOURNAMENT_SCENARIOS",
-        "build_leaderboard", "render_leaderboard", "scenario_names",
-        "scenario_trace", "tournament_space",
+        "DEFAULT_SCENARIOS", "build_leaderboard", "render_leaderboard",
+        "scenario_names", "scenario_trace", "tournament_space",
     ),
 })

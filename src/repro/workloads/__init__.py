@@ -11,12 +11,11 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "base": ("Workload",),
     "cost_models": (
         "LINEAR_REGRESSION_COSTS", "LOGISTIC_REGRESSION_COSTS",
-        "PAGE_ANALYZE_COSTS", "WORDCOUNT_COSTS", "IterationModel", "StageCost",
-        "WorkloadCostModel",
+        "PAGE_ANALYZE_COSTS", "WORDCOUNT_COSTS", "WorkloadCostModel",
     ),
     "linear_regression": ("StreamingLinearRegression",),
     "logistic_regression": ("StreamingLogisticRegression",),
-    "page_analyze": ("AnalyzeResult", "PageAnalyze", "PageStats"),
+    "page_analyze": ("PageAnalyze",),
     "registry": ("WORKLOADS", "make_workload"),
     "windowed": ("WindowedWordCount",),
     "wordcount": ("WordCount",),

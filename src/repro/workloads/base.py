@@ -108,10 +108,6 @@ class Workload(abc.ABC):
         self._job_counter += 1
         return job
 
-    def expected_cost_per_record(self) -> float:
-        """Mean core-seconds of work per record (for analytic baselines)."""
-        return self.cost_model.mean_cost_per_record()
-
     # -- real computation -----------------------------------------------------
 
     @abc.abstractmethod

@@ -101,14 +101,6 @@ class WorkloadCostModel:
         if unknown:
             raise ValueError(f"iterated_stages not in stage chain: {sorted(unknown)}")
 
-    def mean_cost_per_record(self) -> float:
-        """Expected total core-seconds per record (all stages, mean iters)."""
-        total = 0.0
-        for s in self.stages:
-            reps = self.iterations.mean if s.name in self.iterated_stages else 1.0
-            total += reps * (s.compute_per_record + s.io_per_record)
-        return total
-
 
 # --------------------------------------------------------------------------
 # Calibrated models for the four paper workloads.

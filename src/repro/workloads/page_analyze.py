@@ -42,13 +42,6 @@ class AnalyzeResult:
     malformed: int = 0
     per_path: Dict[str, PageStats] = field(default_factory=dict)
 
-    @property
-    def error_rate(self) -> float:
-        total = self.parsed
-        if total == 0:
-            return 0.0
-        return sum(s.errors for s in self.per_path.values()) / total
-
 
 class PageAnalyze(Workload):
     """Nginx access-log washing, analysis and aggregation."""

@@ -90,7 +90,3 @@ class WindowedWordCount(WordCount):
         for c in self._window_counters:
             windowed.update(c)
         return dict(windowed)
-
-    def window_fill(self) -> int:
-        """How many batches currently populate the window."""
-        return len(self._window_counters)

@@ -44,9 +44,3 @@ class WordCount(Workload):
         self.totals.update(batch_counts)
         self.batches_processed += 1
         return dict(batch_counts)
-
-    def top_words(self, k: int = 10):
-        """Most frequent words seen so far."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        return self.totals.most_common(k)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.bounds import paper_configuration_space
 from repro.experiments.common import build_experiment
-from repro.tuners import AnnealingTuner, make_tuner, run_tuner
+from repro.tuners import make_tuner, run_tuner
+from repro.tuners.adapters import AnnealingTuner
 
 
 def _anneal(seed, max_evaluations):

@@ -19,7 +19,8 @@ from repro.core.bounds import paper_configuration_space
 from repro.core.pause import EvaluatedConfig, PauseRule
 from repro.obs import catalog
 from repro.obs.registry import MetricsRegistry
-from repro.tuners import DIVERGENCE_PENALTY, BOTuner
+from repro.tuners.base import DIVERGENCE_PENALTY
+from repro.tuners.adapters import BOTuner
 
 
 def _bo(seed=0, init_points=BOTuner.INIT_POINTS):

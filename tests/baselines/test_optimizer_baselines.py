@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.core.pause import PauseRule
 from repro.experiments.common import build_experiment, run_search
-from repro.tuners import grid_points
+from repro.tuners.adapters import grid_points
 
 
 class TestBOAgainstLiveSystem:

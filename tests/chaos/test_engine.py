@@ -1,12 +1,7 @@
 """The chaos engine's boundary hook against a live deployment."""
 
-from repro.chaos import (
-    ChaosEngine,
-    FaultEvent,
-    FaultSchedule,
-    RateAbove,
-    StragglerSlowdown,
-)
+from repro.chaos import ChaosEngine, FaultEvent, FaultSchedule, StragglerSlowdown
+from repro.chaos.events import RateAbove
 from repro.chaos.runner import standard_chaos_schedule
 from repro.datagen.rates import SpikeRate, paper_rate_trace
 from repro.experiments.common import build_experiment

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.chaos import AtTime, FaultEvent, FaultSchedule, Periodic, RateAbove
+from repro.chaos import AtTime, FaultEvent, FaultSchedule, Periodic
+from repro.chaos.events import RateAbove
 from repro.chaos.injectors import DataSkewBurst
 
 

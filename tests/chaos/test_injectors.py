@@ -11,9 +11,9 @@ from repro.chaos import (
     ExecutorCrash,
     FaultEvent,
     FaultSchedule,
-    NodeOutage,
     StragglerSlowdown,
 )
+from repro.chaos.injectors import NodeOutage
 from repro.experiments.common import build_experiment
 
 

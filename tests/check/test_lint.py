@@ -246,6 +246,87 @@ class TestDead001UnusedSymbols:
         )
         assert self.dead(repo) == []
 
+    BOX = (
+        "class Box:\n"
+        "    def method(self):\n"
+        "        return 1\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 2\n"
+        "Box()\n"
+    )
+
+    def test_unreferenced_method_and_property_flagged(self, repo):
+        (repo / "src" / "pkg" / "mod.py").write_text(self.BOX)
+        assert self.dead(repo) == [
+            ("mod.py", 2, "DEAD001"), ("mod.py", 5, "DEAD001"),
+        ]
+
+    def test_benchmark_use_clears_a_member(self, repo):
+        (repo / "src" / "pkg" / "mod.py").write_text(self.BOX)
+        (repo / "benchmarks" / "bench.py").write_text(
+            "from pkg.mod import Box\nBox().method()\nBox().size\n"
+        )
+        assert self.dead(repo) == []
+
+    def test_perfbench_string_clears_a_member_but_package_string_does_not(
+        self, repo
+    ):
+        (repo / "src" / "pkg" / "mod.py").write_text(
+            self.BOX + "getattr(Box(), 'size')\n"
+        )
+        (repo / "perfbench").mkdir()
+        (repo / "perfbench" / "run.py").write_text("ENTRY = 'method'\n")
+        assert self.dead(repo) == [("mod.py", 5, "DEAD001")]
+
+    def test_node_visitor_visit_methods_exempt(self, repo):
+        (repo / "src" / "pkg" / "mod.py").write_text(
+            "import ast\n"
+            "class Finder(ast.NodeVisitor):\n"
+            "    def visit_Name(self, node):\n"
+            "        pass\n"
+            "class Plain:\n"
+            "    def visit_Name(self, node):\n"
+            "        pass\n"
+            "Finder(), Plain()\n"
+        )
+        assert self.dead(repo) == [("mod.py", 6, "DEAD001")]
+
+    def test_export_read_only_by_its_own_module_flagged(self, repo):
+        (repo / "src" / "pkg" / "__init__.py").write_text(
+            "__getattr__, __dir__, __all__ = lazy_exports(__name__, {\n"
+            "    'mod': ('helper', 'other'),\n"
+            "})\n"
+        )
+        (repo / "src" / "pkg" / "mod.py").write_text(
+            "def helper():\n    return other()\n"
+            "def other():\n    return 1\n"
+        )
+        (repo / "benchmarks" / "bench.py").write_text(
+            "from pkg import helper\nhelper()\n"
+        )
+        assert self.dead(repo) == [("__init__.py", 2, "DEAD001")]
+        # A read from another module of the package keeps the export.
+        (repo / "src" / "pkg" / "user.py").write_text(
+            "from pkg.mod import other\nother()\n"
+        )
+        assert self.dead(repo) == []
+
+    def test_pragma_suppresses_member_and_export_findings(self, repo):
+        (repo / "src" / "pkg" / "__init__.py").write_text(
+            "__getattr__, __dir__, __all__ = lazy_exports(__name__, {\n"
+            "    'mod': ('Box',),  # det: allow-unused: README snippet\n"
+            "})\n"
+        )
+        (repo / "src" / "pkg" / "mod.py").write_text(
+            self.BOX
+            .replace("(self):\n        return 1",
+                     "(self):  # det: allow-unused: README\n        return 1")
+            .replace("def size(self):",
+                     "def size(self):  # det: allow-unused: README")
+        )
+        assert self.dead(repo) == []
+
     def test_subpackage_path_skips_the_rule(self, repo):
         sub = repo / "src" / "pkg" / "sub"
         sub.mkdir()

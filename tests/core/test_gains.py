@@ -41,7 +41,6 @@ class TestGainSchedule:
 
     def test_validate_accepts_spall_exponents(self):
         paper_gains().validate()
-        assert paper_gains().is_convergent()
 
     def test_validate_rejects_alpha_above_one(self):
         g = GainSchedule(a=1.0, c=1.0, alpha=1.2, gamma=0.101)
@@ -51,7 +50,8 @@ class TestGainSchedule:
     def test_validate_rejects_b1_violation(self):
         # 2(alpha - gamma) <= 1 makes sum((a_k/c_k)^2) diverge.
         g = GainSchedule(a=1.0, c=1.0, alpha=0.6, gamma=0.4)
-        assert not g.is_convergent()
+        with pytest.raises(ValueError):
+            g.validate()
 
     @pytest.mark.parametrize("kwargs", [
         {"a": 0.0, "c": 1.0},

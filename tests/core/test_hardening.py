@@ -9,6 +9,11 @@ from repro.core.rate_monitor import RateMonitor
 from repro.streaming.metrics import BatchInfo
 
 
+def in_cooldown(monitor):
+    """Whether the post-reset hysteresis is still suppressing triggers."""
+    return monitor.checkpoint()["cooldownLeft"] > 0
+
+
 def binfo(idx, proc=3.0, bt=10.0, interval=5.0, first=False):
     return BatchInfo(
         batch_index=idx,
@@ -173,7 +178,7 @@ class TestRateMonitorCooldown:
         self._surge(m)
         assert m.need_reset()
         m.acknowledge_reset()
-        assert m.in_cooldown
+        assert in_cooldown(m)
         # The post-fault spike is still in the incoming rate stream; the
         # cooldown must absorb it instead of resetting every round.
         self._surge(m)
@@ -185,7 +190,7 @@ class TestRateMonitorCooldown:
         self._surge(m)
         m.acknowledge_reset()
         self._surge(m)  # 6 observations: cooldown of 4 fully elapsed
-        assert not m.in_cooldown
+        assert not in_cooldown(m)
         assert m.need_reset()
 
     def test_zero_cooldown_is_legacy_behavior(self):
@@ -214,14 +219,14 @@ class TestRateMonitorCooldownSemantics:
             m.observe(50_000.0)
         assert m.need_reset()
         m.acknowledge_reset()
-        assert m.in_cooldown
+        assert in_cooldown(m)
         # Two observations: fewer than min_samples, but each one still
         # burns a cooldown tick.
         m.observe(1_000.0)
         m.observe(1_000.0)
-        assert m.in_cooldown  # one tick left
+        assert in_cooldown(m)  # one tick left
         m.observe(1_000.0)
-        assert not m.in_cooldown  # expired at 3 observations...
+        assert not in_cooldown(m)  # expired at 3 observations...
         # ...yet need_reset stays False: only 3 < min_samples rates in
         # the refilled window.  The two gates are independent.
         assert not m.need_reset()
@@ -238,7 +243,7 @@ class TestRateMonitorCooldownSemantics:
         # re-trigger.
         for _ in range(4):
             m.observe(1_000.0)
-        assert not m.in_cooldown
+        assert not in_cooldown(m)
         assert not m.need_reset()
         assert m.resets_triggered == 1
 

@@ -88,22 +88,25 @@ class TestBox:
 
 class TestMinMaxScaler:
     def test_roundtrip(self):
+        # to_physical inverts the min-max map from physical to scaled.
         scaler = paper_configuration_space()
         for phys in ([1.0, 1.0], [40.0, 20.0], [10.0, 10.0], [23.5, 7.0]):
-            scaled = scaler.to_scaled(phys)
-            back = scaler.to_physical(scaled)
-            assert np.allclose(back, phys)
+            frac = (np.asarray(phys) - scaler.physical.lower) / (
+                scaler.physical.ranges
+            )
+            scaled = scaler.scaled.lower + frac * scaler.scaled.ranges
+            assert np.allclose(scaler.to_physical(scaled), phys)
 
     def test_paper_space_maps_to_common_range(self):
         # §6.2.1: both parameters scaled into [1, 20].
         scaler = paper_configuration_space()
-        assert np.allclose(scaler.to_scaled([1.0, 1.0]), [1.0, 1.0])
-        assert np.allclose(scaler.to_scaled([40.0, 20.0]), [20.0, 20.0])
+        assert np.allclose(scaler.to_physical([1.0, 1.0]), [1.0, 1.0])
+        assert np.allclose(scaler.to_physical([20.0, 20.0]), [40.0, 20.0])
 
     def test_executor_axis_is_identity(self):
         scaler = paper_configuration_space()
-        scaled = scaler.to_scaled([10.0, 13.0])
-        assert scaled[1] == pytest.approx(13.0)
+        physical = scaler.to_physical([10.0, 13.0])
+        assert physical[1] == pytest.approx(13.0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.bounds import Box, MinMaxScaler
 from repro.core.gains import GainSchedule
-from repro.tuners import DIVERGENCE_PENALTY, NoStopTuner
+from repro.tuners import NoStopTuner
+from repro.tuners.base import DIVERGENCE_PENALTY
 
 
 def make_tuner(

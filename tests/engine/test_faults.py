@@ -58,17 +58,6 @@ class TestFaultModel:
         FaultModel(task_failure_prob=0.1, max_attempts=4,
                    max_waste_fraction=0.9)
 
-    def test_with_prob_copies_envelope(self):
-        base = FaultModel(task_failure_prob=0.0, max_attempts=3,
-                          min_waste_fraction=0.2, max_waste_fraction=0.5)
-        hot = base.with_prob(0.25)
-        assert hot.task_failure_prob == 0.25
-        assert hot.enabled and not base.enabled
-        assert (hot.max_attempts, hot.min_waste_fraction,
-                hot.max_waste_fraction) == (3, 0.2, 0.5)
-        with pytest.raises(ValueError):
-            base.with_prob(1.0)  # validation still applies to copies
-
 
 class TestRetryScheduling:
     def test_failures_inflate_makespan(self, rng):

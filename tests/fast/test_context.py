@@ -183,7 +183,7 @@ class TestReconfiguration:
             rate=200_000.0, interval=2.0, executors=2, noise_sigma=0.0
         )
         ctx.advance_batches(6)  # overloaded: queue builds up
-        assert ctx.pending_batches > 0
+        assert len(ctx.queue) > 0
         ctx.change_configuration(num_executors=18)
         done = ctx.advance_batches(20)
         post = [b for b in done if b.first_after_reconfig]
@@ -265,7 +265,7 @@ class TestQueueBound:
         )
         ctx.advance_batches(12)
         assert ctx.queue.total_dropped > 0
-        assert ctx.pending_batches <= 3
+        assert len(ctx.queue) <= 3
 
     @pytest.mark.parametrize("fidelity", FIDELITIES)
     def test_zero_length_queue_rejected_on_every_tier(self, fidelity):
@@ -296,7 +296,7 @@ class TestStreamingTelemetry:
     def test_queue_drops_fail_the_data_loss_slo(self, fidelity):
         setup = self._overloaded(fidelity)
         ctx = setup.context
-        dropped = 60 - len(ctx.listener.metrics) - ctx.pending_batches
+        dropped = 60 - len(ctx.listener.metrics) - len(ctx.queue)
         assert dropped > 10
         slo = SLO(
             name="loss", objective="counter_max", threshold=10.0,

@@ -79,8 +79,8 @@ def _control_script(fidelity: str) -> Callable[[], Any]:
         return {
             "batches": [b.to_dict() for b in batches],
             "configChanges": ctx.config_changes,
-            "dropped": formed - len(batches) - ctx.pending_batches,
-            "pending": ctx.pending_batches,
+            "dropped": formed - len(batches) - len(ctx.queue),
+            "pending": len(ctx.queue),
         }
 
     return run

@@ -1,11 +1,12 @@
 """End-to-end integration tests across all subsystems."""
 
+import json
+
 import pytest
 
 from repro.baselines.backpressure import run_backpressure
 from repro.baselines.fixed import DEFAULT_CONFIGURATION, run_fixed_configuration
 from repro.experiments.common import build_experiment, make_controller, run_search
-from repro.streaming.listener import StreamingListener
 
 
 class TestFullStackNoStop:
@@ -48,11 +49,12 @@ class TestFullStackNoStop:
 
     def test_listener_json_reports_flow(self, outcome):
         setup, _, _ = outcome
-        payload = StreamingListener.parse_status(
-            setup.context.listener.status_json(last_n=3)
-        )
-        assert payload["totalBatches"] > 10
-        assert len(payload["batches"]) == 3
+        metrics = setup.context.listener.metrics
+        payload = json.loads(json.dumps([b.to_dict() for b in metrics.recent(3)]))
+        assert len(metrics) > 10
+        assert [b["batchIndex"] for b in payload] == [
+            b.batch_index for b in metrics.recent(3)
+        ]
 
 
 class TestKernelIntegration:

@@ -10,11 +10,17 @@ from repro.obs import (
     Telemetry,
     catalog_json,
     catalog_markdown,
-    check_registry,
     governance_report,
     lint_catalog,
 )
-from repro.obs.catalog import MetricSpec, _spec, instrument, names, spec_for
+from repro.obs.catalog import (
+    MetricSpec,
+    _spec,
+    check_registry,
+    instrument,
+    names,
+    spec_for,
+)
 
 
 class TestCatalogConventions:

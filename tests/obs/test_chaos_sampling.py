@@ -48,7 +48,7 @@ class TestSampledChaosRun:
         tracer = sampled.telemetry.tracer
         windows = [
             (lo, hi)
-            for lo, hi, reason in tracer.interest_windows
+            for lo, hi, reason in tracer._interest.windows
             if reason == "chaos"
         ]
         assert len(windows) >= 2

@@ -6,7 +6,6 @@ import pytest
 from repro.check.oracles import clean_batches, steady_state_delay_oracle
 from repro.experiments.common import build_experiment, make_controller
 from repro.obs import (
-    TILING_TOL,
     Telemetry,
     analyze_spans,
     critical_path,
@@ -14,12 +13,15 @@ from repro.obs import (
     breakdown_section,
     decompose_spans,
     section_text,
-    split_epochs,
     steady_state_agreement,
 )
+from repro.obs.critical import split_epochs
 from repro.obs.span import Span
 
 ROUNDS = 6
+#: The segments tile a root by construction, so the tiling residual is
+#: float-summation noise, orders of magnitude below this.
+TILING_TOL = 1e-9
 
 
 def make_span(span_id, parent_id, name, start, end, trace_id="t", **attrs):

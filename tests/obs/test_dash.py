@@ -2,7 +2,8 @@
 
 import json
 
-from repro.obs import CATALOG, build_dashboard, dashboard_json
+from repro.obs import CATALOG, dashboard_json
+from repro.obs.dash import build_dashboard
 from repro.obs.catalog import _spec
 
 

@@ -131,7 +131,7 @@ class TestSpsaWatchdog:
     def test_healthy_descent_stays_quiet(self):
         trail = self._trail([(-2.0, 1.0)] * 10)
         report = SpsaWatchdog(window=8).scan(trail)
-        assert report.healthy
+        assert not report.events
         assert report.sign_flip_fraction == 0.0
 
     def test_sign_thrash_fires(self):
@@ -141,7 +141,7 @@ class TestSpsaWatchdog:
         report = SpsaWatchdog(window=8, thrash_threshold=0.75).scan(
             self._trail(gradients)
         )
-        assert not report.healthy
+        assert report.events
         assert report.events[0].kind == "gradient_thrash"
         assert report.sign_flip_fraction == 1.0
 
@@ -155,5 +155,5 @@ class TestSpsaWatchdog:
 
     def test_short_trail_is_not_judged(self):
         report = SpsaWatchdog(window=8).scan(self._trail([(-2.0, 1.0)] * 3))
-        assert report.healthy
+        assert not report.events
         assert report.rounds_scanned == 3

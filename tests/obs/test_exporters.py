@@ -4,16 +4,14 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    escape_help_text,
-    escape_label_value,
     Tracer,
     parse_jsonl_spans,
     prometheus_text,
     render_metrics_summary,
     render_timeline,
     save_spans,
-    spans_to_jsonl,
 )
+from repro.obs.exporters import escape_help_text, escape_label_value, spans_to_jsonl
 
 from repro.obs.catalog import _spec
 

@@ -87,7 +87,7 @@ class TestClear:
         assert tracer.evicted_traces == 0
         assert tracer.retained_by_reason == {}
         assert tracer.evicted_by_reason == {}
-        assert tracer.interest_windows == []
+        assert tracer._interest.windows == []
         # Span ids restart: the index holds no stale entries.
         root = tracer.start_trace("batch", trace_id="fresh", start=0.0)
         assert root.span_id == 1
@@ -171,14 +171,6 @@ class TestTailRetention:
         tracer.finalize_all()
         assert tracer.retained_by_reason == {RETAIN_CHAOS: 1}
 
-    def test_mark_interesting_forces_retention(self):
-        tid = self._sampled_out_id()
-        tracer = Tracer(sample_rate=16)
-        make_trace(tracer, tid, 0.0)
-        tracer.mark_interesting(tid, "debug")
-        tracer.finalize_all()
-        assert tracer.retained_by_reason == {"debug": 1}
-
     def test_retain_interesting_off_disables_tail_retention(self):
         tid = self._sampled_out_id()
         tracer = Tracer(sample_rate=16, retain_interesting=False)
@@ -212,7 +204,9 @@ class TestPartialAndLateFinish:
         # partial; then finish the trace via a live reference.
         extra = tracer.start_span("schedule", root, start=0.2)
         extra.finish(0.3)
-        assert "t0" in tracer.partial_trace_ids()
+        root.finish(1.0)
+        tracer.finalize_all()
+        assert root.attributes["partial"] is True
 
     def test_finish_span_handles_none_and_disabled(self):
         tracer = Tracer()

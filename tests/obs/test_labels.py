@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.obs import (
-    CARDINALITY_REJECTED,
+from repro.obs import CARDINALITY_REJECTED, NOOP_REGISTRY, MetricsRegistry, lint_catalog
+from repro.obs.registry import (
     NOOP_INSTRUMENT,
-    NOOP_REGISTRY,
-    MetricsRegistry,
-    lint_catalog,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricFamily,
 )
 from repro.obs.catalog import _spec
-from repro.obs.registry import Counter, Gauge, Histogram, MetricFamily
 
 
 def family(reg, name, labels=("k",), kind="counter", **fields):

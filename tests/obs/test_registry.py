@@ -4,13 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro.obs import (
-    NOOP_INSTRUMENT,
-    NOOP_REGISTRY,
-    MetricsRegistry,
-)
+from repro.obs import NOOP_REGISTRY, MetricsRegistry
+from repro.obs.registry import NOOP_INSTRUMENT, Histogram, MetricFamily
 from repro.obs.catalog import _spec
-from repro.obs.registry import Histogram, MetricFamily
 
 
 class TestNaming:
@@ -73,7 +69,7 @@ class TestInstruments:
         reg = MetricsRegistry()
         g = reg.instrument(_spec("repro_x_y", "gauge", "h"))
         g.set(5)
-        g.dec(2)
+        g.inc(-2)
         g.inc(0.5)
         assert g.value == pytest.approx(3.5)
 

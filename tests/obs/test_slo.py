@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs import SLO, SLOEvaluator, default_slos, has_critical_breach
+from repro.obs import SLOEvaluator, has_critical_breach
+from repro.obs.slo import SLO, default_slos
 from repro.obs.catalog import _spec
 from repro.obs.registry import MetricsRegistry
 
@@ -119,6 +120,20 @@ class TestEndOfRunSignals:
         verdict = SLOEvaluator([slo]).verdicts(registry=registry)[0]
         assert not verdict.passed
         assert verdict.value == 7.0
+
+    def test_counter_max_on_an_uncataloged_histogram_fails(self):
+        # The declaration-time kind check reads only cataloged specs, so
+        # the verdict must check the live instrument's kind itself.
+        registry = MetricsRegistry()
+        hist = registry.instrument(
+            _spec("repro_test_latency_seconds", "histogram", "latency")
+        )
+        hist.observe(0.5)
+        slo = SLO(name="h", objective="counter_max", threshold=5.0,
+                  metric="repro_test_latency_seconds")
+        verdict = SLOEvaluator([slo]).verdicts(registry=registry)[0]
+        assert not verdict.passed
+        assert "histogram" in verdict.detail
 
     def test_missing_signal_passes_vacuously(self):
         slo = SLO(name="r", objective="recovery_time", threshold=100.0)

@@ -47,8 +47,11 @@ class TestNesting:
         assert child.parent_id == root.span_id
         assert child.trace_id == root.trace_id
         assert grandchild.parent_id == child.span_id
-        assert tracer.children_of(root) == [child]
-        assert tracer.children_of(child) == [grandchild]
+        spans = tracer.trace(root.trace_id)
+        assert [s for s in spans if s.parent_id == root.span_id] == [child]
+        assert [s for s in spans if s.parent_id == child.span_id] == [
+            grandchild
+        ]
         assert tracer.roots() == [root]
 
     def test_parent_via_context(self):

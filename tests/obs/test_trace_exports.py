@@ -10,14 +10,8 @@ import pytest
 
 from repro.analysis import load_span_jsonl
 from repro.experiments.common import build_experiment, make_controller
-from repro.obs import (
-    Telemetry,
-    chrome_trace_json,
-    folded_stacks,
-    parse_jsonl_spans,
-    save_spans,
-    spans_to_jsonl,
-)
+from repro.obs import Telemetry, parse_jsonl_spans, save_spans
+from repro.obs.exporters import chrome_trace_json, folded_stacks, spans_to_jsonl
 from repro.obs.span import Span
 
 ROUNDS = 4

@@ -20,10 +20,10 @@ from repro.chaos import (
     ExecutorCrash,
     FaultEvent,
     FaultSchedule,
-    NodeOutage,
     Periodic,
     StragglerSlowdown,
 )
+from repro.chaos.injectors import NodeOutage
 from repro.experiments.common import build_experiment
 
 INJECTOR_FACTORIES = (

@@ -226,9 +226,7 @@ def _scan(windows, lo, hi):
 class _ScanningTracer(Tracer):
     """The tracer as it was: every span's events and every window scanned."""
 
-    def _retention_reason(self, root, spans, head, forced):
-        if forced is not None:
-            return forced
+    def _retention_reason(self, root, spans, head):
         if self.retain_interesting:
             for s in spans:
                 for ev in s.events:
@@ -239,7 +237,7 @@ class _ScanningTracer(Tracer):
             for s in spans:
                 lo = min(lo, s.start)
                 hi = max(hi, s.start if s.end is None else s.end)
-            reason = _scan(self.interest_windows, lo, hi)
+            reason = _scan(self._interest.windows, lo, hi)
             if reason is not None:
                 return reason
         return RETAIN_SAMPLED if head else None

@@ -1,6 +1,7 @@
 """Property-based tests for the SPSA core (hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,8 +80,11 @@ class TestGainProperties:
     @settings(max_examples=100, deadline=None)
     def test_validate_matches_analytic_conditions(self, alpha, gamma):
         g = GainSchedule(a=1.0, c=1.0, alpha=alpha, gamma=gamma)
-        expected = alpha <= 1.0 and 2 * (alpha - gamma) > 1.0
-        assert g.is_convergent() == expected
+        if alpha <= 1.0 and 2 * (alpha - gamma) > 1.0:
+            g.validate()
+        else:
+            with pytest.raises(ValueError):
+                g.validate()
 
 
 class TestPerturbationProperties:

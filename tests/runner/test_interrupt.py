@@ -16,12 +16,8 @@ import sys
 
 import pytest
 
-from repro.runner import (
-    KILL_AFTER_ENV,
-    ResultCache,
-    SweepJournal,
-    SweepRunner,
-)
+from repro.runner import ResultCache, SweepJournal, SweepRunner
+from repro.runner.journal import KILL_AFTER_ENV
 
 WORKLOAD = "logistic_regression"
 REPEATS = 2

@@ -13,8 +13,8 @@ from repro.runner import (
     SweepRunner,
     SweepSpec,
     cell_digest,
-    spec_digest,
 )
+from repro.runner.journal import spec_digest
 from repro.runner.cache import substrate_version_tag
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.runner import SweepCell, SweepSpec, canonical_json, spawn_seeds
+from repro.runner import SweepCell, SweepSpec, canonical_json
+from repro.runner.spec import spawn_seeds
 
 
 class TestExpansion:

@@ -6,15 +6,8 @@ import pytest
 
 from repro.obs.catalog import instrument
 from repro.obs.tracer import Telemetry
-from repro.runner import (
-    CellFailure,
-    CellSupervisor,
-    RetryPolicy,
-    SweepRunner,
-    SweepSpec,
-    is_failure,
-)
-from repro.runner.supervisor import cell_backoff_rng
+from repro.runner import CellSupervisor, RetryPolicy, SweepRunner, SweepSpec, is_failure
+from repro.runner.supervisor import CellFailure, cell_backoff_rng
 
 
 def _dumps(results):

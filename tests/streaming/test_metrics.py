@@ -144,7 +144,7 @@ class TestPercentiles:
         assert m.processing_time_percentile(0.5) == pytest.approx(
             1.0 + 19 * 0.1 / 2, abs=0.2
         )
-        assert m.end_to_end_delay_percentile(0.99) == pytest.approx(p99)
+        assert m.delay_percentiles((0.99,))[0] == pytest.approx(p99)
 
 
 class TestSortedViewCache:
@@ -177,7 +177,7 @@ class TestSortedViewCache:
                     assert m.processing_time_percentile(q) == percentile(
                         [b.processing_time for b in m.batches], q
                     )
-                    assert m.end_to_end_delay_percentile(q) == percentile(
+                    assert m.delay_percentiles((q,))[0] == percentile(
                         [b.end_to_end_delay for b in m.batches], q
                     )
 
@@ -201,7 +201,7 @@ class TestSortedViewCache:
                           end=float(10 + i * 5) + 1.0 + i))
         m.delay_percentiles()  # cache sees 10 batches
         m.batches = m.batches[:3]  # external truncation
-        p50 = m.end_to_end_delay_percentile(0.5)
+        p50 = m.delay_percentiles((0.5,))[0]
         from repro.streaming.metrics import percentile
 
         assert p50 == percentile([b.end_to_end_delay for b in m.batches], 0.5)
@@ -234,7 +234,7 @@ class TestSortedViewReplacement:
 
         m = StreamingMetrics()
         self._fill(m, 5, base_delay=1.0)
-        m.end_to_end_delay_percentile(0.5)  # warm the cache
+        m.delay_percentiles((0.5,))[0]  # warm the cache
         replacement = StreamingMetrics()
         # In-place slice assignment: same list object, 8 new batches
         # with fresh indices — strictly longer than the synced prefix.
@@ -245,7 +245,7 @@ class TestSortedViewReplacement:
             for i, b in enumerate(replacement.batches)
         ]
         expect = percentile([b.end_to_end_delay for b in m.batches], 0.5)
-        assert m.end_to_end_delay_percentile(0.5) == expect
+        assert m.delay_percentiles((0.5,))[0] == expect
         expect_pt = percentile([b.processing_time for b in m.batches], 0.5)
         assert m.processing_time_percentile(0.5) == expect_pt
 

@@ -108,27 +108,23 @@ class TestStreamingListener:
         assert len(seen) == 3
 
     def test_latest_status_none_before_batches(self):
-        assert StreamingListener().latest_status() is None
+        assert StreamingListener().metrics.last is None
 
     def test_status_json_roundtrip(self):
         listener = StreamingListener()
         listener.on_batch_completed(binfo(0))
         listener.on_batch_completed(binfo(1, bt=15.0))
-        report = listener.status_json(last_n=2)
-        payload = StreamingListener.parse_status(report)
-        assert payload["totalBatches"] == 2
-        assert len(payload["batches"]) == 2
-        assert payload["batches"][-1]["batchIndex"] == 1
+        report = json.dumps([b.to_dict() for b in listener.metrics.recent(2)])
+        payload = json.loads(report)
+        assert len(listener.metrics) == 2
+        assert len(payload) == 2
+        assert payload[-1]["batchIndex"] == 1
 
     def test_status_json_is_valid_json(self):
         listener = StreamingListener()
         listener.on_batch_completed(binfo(0))
-        json.loads(listener.status_json())
-
-    def test_parse_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            StreamingListener.parse_status('{"nope": 1}')
+        json.loads(json.dumps(listener.metrics.last.to_dict(), allow_nan=False))
 
     def test_status_json_validates_last_n(self):
         with pytest.raises(ValueError):
-            StreamingListener().status_json(last_n=0)
+            StreamingListener().metrics.recent(-1)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.bounds import Box, MinMaxScaler
-from repro.tuners import DIVERGENCE_PENALTY, make_tuner
+from repro.tuners import make_tuner
+from repro.tuners.base import DIVERGENCE_PENALTY
 
 
 def _scaler(dim: int, upper: float) -> MinMaxScaler:

@@ -11,12 +11,8 @@ import os
 import subprocess
 import sys
 
-from repro.runner import (
-    KILL_AFTER_ENV,
-    SweepJournal,
-    SweepRunner,
-    SweepSpec,
-)
+from repro.runner import SweepJournal, SweepRunner, SweepSpec
+from repro.runner.journal import KILL_AFTER_ENV
 from repro.tuners import build_leaderboard
 
 BUDGET = 5

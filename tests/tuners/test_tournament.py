@@ -8,9 +8,6 @@ from repro.experiments.common import build_experiment
 from repro.runner.cells import execute_cell
 from repro.tuners import (
     DEFAULT_SCENARIOS,
-    SCORE_COLUMNS,
-    TOURNAMENT_SCENARIOS,
-    SafeOnlineTuner,
     build_leaderboard,
     make_tuner,
     render_leaderboard,
@@ -18,6 +15,8 @@ from repro.tuners import (
     scenario_trace,
     tournament_space,
 )
+from repro.tuners.tournament import SCORE_COLUMNS, TOURNAMENT_SCENARIOS
+from repro.tuners.safe_online import SafeOnlineTuner
 
 BUDGET = 6
 

@@ -18,7 +18,7 @@ class TestBuildJob:
         wl = WordCount(partitions=8)
         job = wl.build_job(batch_time=5.0, records=1000, rng=rng)
         assert job.workload == "wordcount"
-        assert job.num_stages == 2
+        assert len(job.stages) == 2
         assert all(s.num_tasks == 8 for s in job.stages)
         assert job.records == 1000
 
@@ -60,7 +60,7 @@ class TestBuildJob:
         wl = WordCount()
         job = wl.build_job(0.0, 0, rng)
         assert job.records == 0
-        assert job.num_stages == 2
+        assert len(job.stages) == 2
 
     def test_negative_records_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -75,4 +75,7 @@ class TestBuildJob:
     ])
     def test_expected_cost_positive(self, name):
         wl = make_workload(name)
-        assert wl.expected_cost_per_record() > 0
+        assert any(
+            s.compute_per_record + s.io_per_record > 0
+            for s in wl.cost_model.stages
+        )

