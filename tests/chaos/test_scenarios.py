@@ -62,6 +62,22 @@ class TestStandardScenario:
         )
         assert mitigations >= 1
 
+    def test_clean_monitoring_windows_after_recovery_are_not_guarded(self):
+        # Each paused monitoring window starts a fresh measurement, so
+        # one tainted window does not taint every later one: once the
+        # faults are over, the parked optimum is re-ranked again.
+        setup = build_experiment("wordcount", seed=5)
+        result = run_chaos_scenario(
+            setup, standard_chaos_schedule(), rounds=40, seed=5
+        )
+        recovered = result.engine.last_recovery_time()
+        after = [
+            r for r in result.nostop.paused_rounds()
+            if r.sim_time >= recovered
+        ]
+        assert after
+        assert not all(r.guarded for r in after)
+
     def test_unhardened_arm_takes_poisoned_steps(self):
         report = run_standard(seed=7, harden=False).report
         assert not report.hardened

@@ -461,7 +461,7 @@ GOLDEN: Dict[str, str] = {
     "chaos-report/wordcount/rounds40/html": "bee51bd2707b2d4ad345164954af40a18866f5be76ef3f04cd155a38a933822e",
     "chaos-report/wordcount/rounds40/json": "9ab3eedd266a8a9fe1725a3d372e2f26c449665c28aa9a2ec11f7cb27dc8e543",
     "chaos-report/wordcount/rounds40/text": "82eb8f13d877ab819b5e3bda840db004fe838909646c41e486c3cff658c7f017",
-    "chaos/guarded/wordcount/seed5": "5691b696b9fa027360a09eed52440b29a254d523e5b7b3836b3960fba6575b53",
+    "chaos/guarded/wordcount/seed5": "90b48792a911f4866be93ef8ed8f5d8ff2eed0b5086fb0c01265458af9dcba65",
     "cli/check chaos --json": "a824df7e0114dc8387f8cfd418da3db5fe728bb4bea7821368a7f6dcabe9c830",
     "cli/check fig7 --json": "de37c811f0fe53d5e56ac478ea3a0d4d961a09f72bd0a5adebf7be4a21198142",
     "cli/check quickstart --json": "54553e5f4cc52538b4938eb9a7e69b102c329479007c36790974ca1adc36d755",
