@@ -121,7 +121,7 @@ def run_chaos_scenario(
     outcomes = build_event_outcomes(engine.records, batches)
 
     samples = _objective_samples(
-        nostop.rounds, controller.tuner.schedule.cap
+        nostop.rounds, controller.rho_cap
     )
     first_fire = engine.first_fire_time()
     last_recovery = engine.last_recovery_time()

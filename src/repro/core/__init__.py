@@ -23,9 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "metrics_collector": ("Measurement", "MetricsCollector"),
     "nostop": ("NoStopController", "NoStopReport", "RoundRecord"),
     "objective": ("RhoSchedule", "penalized_objective"),
-    "pause": (
-        "EvaluatedConfig", "PauseRule", "confirm_best", "steady_state_delay",
-    ),
+    "pause": ("EvaluatedConfig", "PauseRule", "steady_state_delay"),
     "perturbation": (
         "BernoulliPerturbation", "PerturbationGenerator",
         "SegmentedUniformPerturbation",

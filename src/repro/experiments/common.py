@@ -208,37 +208,20 @@ def run_search(
     """Run one registered tuner against a deployment via ``run_tuner``.
 
     With ``confirm``, a singleton winner is then re-measured by the same
-    :func:`~repro.core.pause.confirm_best` pass NoStop ends its run
-    with, and the report's best-configuration fields and search time
-    cover the confirmation too.
+    :meth:`~repro.core.nostop.NoStopController.confirm_best` pass NoStop
+    ends its run with, and the report's best-configuration fields and
+    search time cover the confirmation too.
     """
-    from repro.core.adjust import AdjustFunction
-    from repro.core.pause import PauseRule, confirm_best
     from repro.tuners.base import make_tuner, run_tuner
 
-    rho_cap = 2.0  # confirmation must measure at run_tuner's ranking cap
-    rule = pause_rule or PauseRule()
-    collector = MetricsCollector()
-    start_time = setup.system.time
-    report = run_tuner(
+    return run_tuner(
         make_tuner(tuner, setup.scaler, seed=seed),
         setup.system,
         setup.scaler,
         max_evaluations=max_evaluations,
-        rho_cap=rho_cap,
-        pause_rule=rule,
-        collector=collector,
+        pause_rule=pause_rule,
+        confirm=confirm,
     )
-    if confirm:
-        adjust = AdjustFunction(setup.system, setup.scaler, collector)
-        confirm_best(rule, adjust, rho_cap, report.evaluations)
-        best = rule.best_config()
-        report.best_objective = best.objective
-        report.best_theta = best.theta
-        report.best_delay = best.end_to_end_delay
-        report.best_stable = best.stable
-        report.search_time = setup.system.time - start_time
-    return report
 
 
 def paper_repeat_seeds(base_seed: int, repeats: int) -> list:

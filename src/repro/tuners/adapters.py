@@ -4,7 +4,8 @@ protocol.
 SPSA/NoStop, Bayesian optimization, simulated annealing, random search
 and grid search each hold only their search state here; the driving
 loop, the Adjust measurement pathway and the pause rule that ranks
-their picks are shared through :func:`~repro.tuners.base.run_tuner`.
+their picks are :class:`~repro.core.nostop.NoStopController`'s, shared
+through :func:`~repro.tuners.base.run_tuner`.
 """
 
 from __future__ import annotations

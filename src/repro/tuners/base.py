@@ -12,8 +12,8 @@ safe online tuner — speaks the same four-verb protocol:
   :class:`~repro.core.nostop.NoStopController` also journals.
 
 :func:`run_tuner` drives any registered tuner against a live
-:class:`~repro.core.adjust.ControlledSystem` through the identical
-Adjust measurement pathway NoStop uses, scores the run on the three
+:class:`~repro.core.adjust.ControlledSystem` through NoStop's own
+controller (its tournament policy), scores the run on the three
 tournament axes (convergence batches, SLO-violation seconds, total
 reconfiguration cost), and reports a flat, JSON-friendly record — the
 unit the ``tournament`` sweep cell fans out over.
@@ -28,12 +28,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.core.adjust import AdjustFunction, ControlledSystem, evaluate_config
+from repro.core.adjust import ControlledSystem
 from repro.core.bounds import MinMaxScaler
-from repro.core.metrics_collector import MetricsCollector
 from repro.core.pause import EvaluatedConfig, PauseRule
-from repro.obs import catalog
-from repro.obs.registry import MetricsRegistry
 
 #: Finite stand-in for a diverged (non-finite) objective observation.
 #: Large enough to rank a diverged configuration strictly worst, small
@@ -234,17 +231,17 @@ def run_tuner(
     system: ControlledSystem,
     scaler: MinMaxScaler,
     max_evaluations: int = 30,
-    rho_cap: float = 2.0,
     slo_delay: float = DEFAULT_SLO_DELAY,
     pause_rule: Optional[PauseRule] = None,
-    collector: Optional[MetricsCollector] = None,
-    registry: Optional[MetricsRegistry] = None,
+    confirm: bool = False,
 ) -> TunerRunReport:
     """Drive one tuner against a live system and score the run.
 
-    The loop is the tournament's level playing field: every tuner pays
-    for its configuration changes through the same Adjust pathway,
-    is judged by the same impeded-progress pause rule, and is scored on
+    The run is :meth:`~repro.core.nostop.NoStopController.run_until_pause`
+    on an unhardened controller: the tournament's level playing field,
+    where every tuner pays for its configuration changes through the
+    same Adjust pathway, is judged by the same impeded-progress pause
+    rule, and is scored on
 
     * **convergence batches** — micro-batches the stream executed before
       the pause rule fired (lower = faster convergence);
@@ -252,34 +249,31 @@ def run_tuner(
       end-to-end delay exceeded ``slo_delay`` (lower = safer search);
     * **reconfig seconds** — total reconfiguration pause injected
       (lower = cheaper search).
+
+    With ``confirm``, a singleton winner is then re-measured by the
+    controller's :meth:`~repro.core.nostop.NoStopController.confirm_best`
+    pass; the best-configuration fields and the search time cover the
+    confirmation, the three scores do not.
     """
-    if max_evaluations < 1:
-        raise ValueError("max_evaluations must be >= 1")
+    from repro.core.nostop import NoStopController
+
     if slo_delay <= 0:
         raise ValueError("slo_delay must be positive")
-    collector = collector or MetricsCollector()
-    adjust = AdjustFunction(system, scaler, collector)
-    rule = pause_rule or PauseRule()
-    report = TunerRunReport(tuner=tuner.name)
+    controller = NoStopController(
+        system, scaler, pause_rule=pause_rule, harden=False, tuner=tuner
+    )
     metrics = _batch_metrics(system)
     start_time = system.time
     start_changes = system.config_changes
     start_pause = _pause_injected(system)
-
-    for i in range(1, max_evaluations + 1):
-        if tuner.exhausted:
-            break
-        theta = scaler.scaled.project(tuner.ask())
-        result = adjust(theta, tuner.rho(rho_cap))
-        evaluated = evaluate_config(result, theta, i, rho_cap=rho_cap)
-        rule.record(evaluated)
-        report.evaluated.append(evaluated)
-        tuner.observe(theta, result.objective, evaluated)
-        report.evaluations = i
-        if rule.should_pause():
-            report.converged = True
-            report.converged_at = i
-            break
+    evaluated = controller.run_until_pause(max_evaluations)
+    report = TunerRunReport(
+        tuner=tuner.name,
+        evaluations=len(evaluated),
+        converged=controller.paused,
+        converged_at=len(evaluated) if controller.paused else None,
+        evaluated=evaluated,
+    )
 
     total_batches = len(metrics) if metrics is not None else 0
     report.convergence_batches = total_batches
@@ -294,33 +288,14 @@ def run_tuner(
         )
     report.reconfig_seconds = _pause_injected(system) - start_pause
     report.config_changes = system.config_changes - start_changes
+    if confirm:
+        controller.confirm_best(iteration=report.evaluations)
     report.search_time = system.time - start_time
+    rule = controller.pause_rule
     if rule.evaluations:
         best = rule.best_config()
         report.best_objective = best.objective
         report.best_theta = best.theta
         report.best_delay = best.end_to_end_delay
         report.best_stable = best.stable
-
-    if registry is not None:
-        label = tuner.name
-        catalog.instrument(registry, "repro_tuner_asks_total").labels(
-            tuner=label
-        ).inc(report.evaluations)
-        catalog.instrument(registry, "repro_tuner_observations_total").labels(
-            tuner=label
-        ).inc(report.evaluations)
-        catalog.instrument(registry, "repro_tuner_convergence_batches").labels(
-            tuner=label
-        ).set(report.convergence_batches)
-        catalog.instrument(
-            registry, "repro_tuner_slo_violation_seconds"
-        ).labels(tuner=label).set(report.slo_violation_seconds)
-        catalog.instrument(registry, "repro_tuner_reconfig_seconds").labels(
-            tuner=label
-        ).set(report.reconfig_seconds)
-        if np.isfinite(report.best_objective):
-            catalog.instrument(
-                registry, "repro_tuner_best_objective"
-            ).labels(tuner=label).set(report.best_objective)
     return report
