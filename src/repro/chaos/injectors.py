@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.kafka.broker import KafkaBroker
     from repro.streaming.context import StreamingContext
 
 
@@ -193,24 +192,16 @@ class BrokerOutage(Injector):
 
     Records keep accumulating in the topic, so the first post-recovery
     batch carries the whole backlog — the burst that poisons a naive
-    measurement window.  ``brokers`` (optional) are also flagged offline
-    for observability.
+    measurement window.
     """
-
-    brokers: Sequence["KafkaBroker"] = ()
 
     def inject(
         self, context: "StreamingContext", now: float, rng: np.random.Generator
     ) -> str:
         context.receiver.stall()
-        for b in self.brokers:
-            b.set_offline()
-        ids = [b.broker_id for b in self.brokers]
-        return f"brokers {ids} down, receiver stalled" if ids else "receiver stalled"
+        return "receiver stalled"
 
     def recover(self, context: "StreamingContext", now: float) -> None:
-        for b in self.brokers:
-            b.set_online()
         context.receiver.resume()
 
 

@@ -1,26 +1,21 @@
-"""Kafka cluster: brokers + topics."""
+"""Kafka cluster: the topics it hosts."""
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from .broker import KafkaBroker
 from .topic import Topic
 
 
 class KafkaCluster:
-    """A set of brokers and the topics they host.
+    """The topics of a Kafka deployment.
 
     The paper deploys one Kafka broker on every cluster node (§6.1) and
-    over-partitions topics relative to total cluster cores.
+    over-partitions topics relative to total cluster cores.  Brokers
+    are not modelled: a chaos broker outage stalls the receiver.
     """
 
-    def __init__(self, num_brokers: int) -> None:
-        if num_brokers < 1:
-            raise ValueError(f"need at least one broker, got {num_brokers}")
-        self.brokers: List[KafkaBroker] = [
-            KafkaBroker(broker_id=i + 1) for i in range(num_brokers)
-        ]
+    def __init__(self) -> None:
         self.topics: Dict[str, Topic] = {}
 
     def create_topic(
@@ -54,11 +49,11 @@ class KafkaCluster:
 
 
 def paper_kafka_cluster(total_cluster_cores: int = 36, topic: str = "events") -> KafkaCluster:
-    """Five-broker Kafka deployment mirroring the paper's testbed.
+    """Kafka deployment mirroring the paper's testbed.
 
     Partition count is set above ``total_cluster_cores`` per §6.1.
     """
-    cluster = KafkaCluster(num_brokers=5)
+    cluster = KafkaCluster()
     cluster.create_topic(
         topic,
         num_partitions=total_cluster_cores + 4,

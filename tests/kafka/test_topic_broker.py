@@ -1,4 +1,4 @@
-"""Unit tests for topics, brokers and the Kafka cluster."""
+"""Unit tests for topics and the Kafka cluster."""
 
 import pytest
 
@@ -49,19 +49,18 @@ class TestKafkaCluster:
         # §6.1: partitions > total cluster cores.
         kc = paper_kafka_cluster(total_cluster_cores=36)
         assert kc.topic("events").num_partitions > 36
-        assert len(kc.brokers) == 5  # one broker per node
 
     def test_min_partitions_enforced(self):
-        kc = KafkaCluster(2)
+        kc = KafkaCluster()
         with pytest.raises(ValueError):
             kc.create_topic("t", 4, min_partitions=8)
 
     def test_duplicate_topic_rejected(self):
-        kc = KafkaCluster(2)
+        kc = KafkaCluster()
         kc.create_topic("t", 2)
         with pytest.raises(ValueError):
             kc.create_topic("t", 2)
 
     def test_unknown_topic_raises(self):
         with pytest.raises(KeyError):
-            KafkaCluster(1).topic("nope")
+            KafkaCluster().topic("nope")
