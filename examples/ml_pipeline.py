@@ -22,7 +22,7 @@ def main() -> None:
     workload = setup.workload
 
     print("phase 1: online model training on sampled batch payloads")
-    print(f"  (model dim={workload.dim}, {workload.epochs} SGD epochs/batch)")
+    print(f"  (model dim={workload.DIM}, {workload.EPOCHS} SGD epochs/batch)")
     for batch in range(8):
         # Sample payloads representative of one micro-batch's records.
         points = setup.generator.sample_payloads(1500)

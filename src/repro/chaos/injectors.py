@@ -93,8 +93,8 @@ class ExecutorCrash(Injector):
             if self.hold_slot:
                 # The crashed slot's resources stay unusable until the
                 # event recovers (the machine is rebooting).
-                node.allocate(rm.executor_cores, rm.executor_memory_gb)
-                self._held.append((node, rm.executor_cores, rm.executor_memory_gb))
+                node.allocate(rm.executor_cores, rm.EXECUTOR_MEMORY_GB)
+                self._held.append((node, rm.executor_cores, rm.EXECUTOR_MEMORY_GB))
         return f"crashed executors {victims}" if victims else "no-op (pool at 1)"
 
     def recover(self, context: "StreamingContext", now: float) -> None:

@@ -27,25 +27,20 @@ from .injectors import BrokerOutage, ExecutorCrash
 from .report import ChaosReport, build_event_outcomes
 
 
-def standard_chaos_schedule(
-    crash_at: float = 120.0,
-    crash_duration: float = 60.0,
-    stall_at: float = 300.0,
-    stall_duration: float = 30.0,
-) -> FaultSchedule:
+def standard_chaos_schedule() -> FaultSchedule:
     """The scripted two-fault scenario used across example/benchmark/tests."""
     return FaultSchedule.of(
         FaultEvent(
             name="executor-crash",
-            trigger=AtTime(crash_at),
+            trigger=AtTime(120.0),
             injector=ExecutorCrash(count=1, hold_slot=True),
-            duration=crash_duration,
+            duration=60.0,
         ),
         FaultEvent(
             name="broker-stall",
-            trigger=AtTime(stall_at),
+            trigger=AtTime(300.0),
             injector=BrokerOutage(),
-            duration=stall_duration,
+            duration=30.0,
         ),
     )
 

@@ -74,14 +74,11 @@ class InvariantEngine:
     arrivals.
     """
 
-    def __init__(
-        self,
-        context: StreamingContext,
-        check_busy_time: bool = True,
-        max_recorded: int = 50,
-    ) -> None:
+    #: Violations kept in :attr:`violations`; later ones are only counted.
+    MAX_RECORDED = 50
+
+    def __init__(self, context: StreamingContext) -> None:
         self.context = context
-        self.max_recorded = max_recorded
         self.violations: List[InvariantViolation] = []
         self.total_violations = 0
         self.checks_run = 0
@@ -94,8 +91,7 @@ class InvariantEngine:
         self._slack_total = 0.0
         self._slack_checks = 0
         self._fast = isinstance(context, FastStreamingContext)
-        self._check_busy_time = check_busy_time and not self._fast
-        if self._check_busy_time:
+        if not self._fast:
             # Observation-only switches: record per-task windows so busy
             # time can be audited.  Tracing-parity CI guarantees these
             # change no simulated result.
@@ -124,7 +120,7 @@ class InvariantEngine:
     def _violate(self, invariant: str, time: float, message: str, **details):
         self.total_violations += 1
         self._m_violations.labels(invariant=invariant).inc()
-        if len(self.violations) < self.max_recorded:
+        if len(self.violations) < self.MAX_RECORDED:
             self.violations.append(
                 InvariantViolation(
                     invariant=invariant,
@@ -306,7 +302,7 @@ class InvariantEngine:
 
         if self._fast:
             self._check_delay_identity(info)
-        if self._check_busy_time:
+        else:
             self._audit_job_runs(info)
 
     def _check_delay_identity(self, info: BatchInfo) -> None:

@@ -43,6 +43,14 @@ DILATION_STABILITY_TOL = 0.10
 #: Allowed difference in mean normalized (e2e/interval) delay.
 DILATION_DELAY_TOL = 0.10
 
+#: The homogeneity check's batch: records per job, on this many
+#: executors (or cores) of this CPU speed factor.
+HOMOGENEITY_RECORDS = 50_000
+HOMOGENEITY_EXECUTORS = 8
+HOMOGENEITY_SPEED = 1.0
+#: Allowed relative makespan gap: float round-off only.
+HOMOGENEITY_REL_TOL = 1e-9
+
 
 def scaled_cluster(base: Cluster, k: float) -> Cluster:
     """A copy of ``base`` with every CPU's speed factor multiplied by k."""
@@ -85,8 +93,6 @@ def time_dilation_check(
     base_batches: Sequence[BatchInfo],
     dilated_batches: Sequence[BatchInfo],
     k: float,
-    stability_tol: float = DILATION_STABILITY_TOL,
-    delay_tol: float = DILATION_DELAY_TOL,
 ) -> Tuple[OracleResult, OracleResult]:
     """Compare a base run against its k-dilated twin.
 
@@ -101,7 +107,7 @@ def time_dilation_check(
         oracle=f"time-dilation-stability-x{k:g}",
         expected=base_stab,
         actual=dil_stab,
-        tolerance=stability_tol,
+        tolerance=DILATION_STABILITY_TOL,
         samples=min(len(base_batches), len(dilated_batches)),
         detail="stable-batch fraction must survive rate+speed scaling",
     )
@@ -118,7 +124,7 @@ def time_dilation_check(
         oracle=f"time-dilation-delay-x{k:g}",
         expected=expected,
         actual=actual,
-        tolerance=delay_tol * max(expected, 1e-9),
+        tolerance=DILATION_DELAY_TOL * max(expected, 1e-9),
         samples=samples,
         detail="mean e2e delay / interval must survive rate+speed scaling",
     )
@@ -135,23 +141,21 @@ def _uniform_node(cores: int, speed: float) -> Node:
     )
 
 
-def executor_homogeneity_check(
-    workload,
-    records: int = 50_000,
-    n: int = 8,
-    speed: float = 1.0,
-    seed: int = 0,
-    rel_tol: float = 1e-9,
-) -> OracleResult:
+def executor_homogeneity_check(workload, seed: int = 0) -> OracleResult:
     """N single-core executors at speed s ≡ one N-core executor at speed s.
 
     Runs one batch job through the task scheduler both ways with zero
     overheads and zero noise; the makespans must agree to round-off
     (same aggregate capacity, same LPT order, no per-executor charges).
+    N and s are :data:`HOMOGENEITY_EXECUTORS` and
+    :data:`HOMOGENEITY_SPEED`.
     """
+    n, speed = HOMOGENEITY_EXECUTORS, HOMOGENEITY_SPEED
     rng = np.random.default_rng(seed)
     job = workload.build_job(
-        batch_time=0.0, records=records, rng=np.random.default_rng(seed)
+        batch_time=0.0,
+        records=HOMOGENEITY_RECORDS,
+        rng=np.random.default_rng(seed),
     )
     scheduler = TaskScheduler(
         overhead=ZERO_OVERHEAD, noise=NoiseModel(sigma=0.0)
@@ -183,7 +187,7 @@ def executor_homogeneity_check(
         oracle=f"executor-homogeneity-{n}x1-vs-1x{n}",
         expected=expected,
         actual=actual,
-        tolerance=rel_tol * max(abs(expected), 1.0),
+        tolerance=HOMOGENEITY_REL_TOL * max(abs(expected), 1.0),
         samples=1,
         detail=(
             f"{n} single-core executors vs one {n}-core executor, "

@@ -35,24 +35,16 @@ class InsufficientResourcesError(RuntimeError):
 class ResourceManager:
     """Launch and decommission executors on a :class:`Cluster`.
 
-    Parameters
-    ----------
-    cluster:
-        The cluster to manage.
-    executor_cores, executor_memory_gb:
-        Fixed per-executor sizing (the paper fixes 1 core / 1 GB and only
-        varies the *count*).
+    Executors start at the paper's sizing, 1 core / 1 GB; the paper only
+    varies the *count*.  :meth:`resize_cores` changes the cores (the
+    fourth tunable); the memory stays fixed.
     """
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        executor_cores: int = DEFAULT_EXECUTOR_CORES,
-        executor_memory_gb: float = DEFAULT_EXECUTOR_MEMORY_GB,
-    ) -> None:
+    EXECUTOR_MEMORY_GB = DEFAULT_EXECUTOR_MEMORY_GB
+
+    def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
-        self.executor_cores = executor_cores
-        self.executor_memory_gb = executor_memory_gb
+        self.executor_cores = DEFAULT_EXECUTOR_CORES
         self._executors: Dict[int, Executor] = {}
         self._next_id = 1
         #: number of reconfigurations performed (for overhead accounting)
@@ -101,7 +93,7 @@ class ResourceManager:
         total = 0
         for node in self.cluster.workers:
             by_cores = node.executor_capacity // self.executor_cores
-            by_mem = int(node.memory_gb // self.executor_memory_gb)
+            by_mem = int(node.memory_gb // self.EXECUTOR_MEMORY_GB)
             total += min(by_cores, by_mem)
         return total
 
@@ -115,10 +107,10 @@ class ResourceManager:
         """
         total = 0
         for node in self.cluster.workers:
-            if not node.can_host(self.executor_cores, self.executor_memory_gb):
+            if not node.can_host(self.executor_cores, self.EXECUTOR_MEMORY_GB):
                 continue
             by_cores = node.free_cores // self.executor_cores
-            by_mem = int(node.free_memory_gb // self.executor_memory_gb)
+            by_mem = int(node.free_memory_gb // self.EXECUTOR_MEMORY_GB)
             total += min(by_cores, by_mem)
         return total
 
@@ -134,7 +126,7 @@ class ResourceManager:
         """
         if cores < 1:
             raise ValueError(f"executor cores must be >= 1, got {cores}")
-        memory_gb = self.executor_memory_gb if memory_gb is None else memory_gb
+        memory_gb = self.EXECUTOR_MEMORY_GB if memory_gb is None else memory_gb
         mine_cores: Dict[int, int] = {}
         mine_mem: Dict[int, float] = {}
         for e in self._executors.values():
@@ -164,7 +156,7 @@ class ResourceManager:
         candidates = [
             n
             for n in self.cluster.workers
-            if n.can_host(self.executor_cores, self.executor_memory_gb)
+            if n.can_host(self.executor_cores, self.EXECUTOR_MEMORY_GB)
         ]
         if not candidates:
             return None
@@ -176,15 +168,15 @@ class ResourceManager:
         if node is None:
             raise InsufficientResourcesError(
                 f"cluster {self.cluster.name!r} cannot host another "
-                f"{self.executor_cores}-core/{self.executor_memory_gb}GB executor "
+                f"{self.executor_cores}-core/{self.EXECUTOR_MEMORY_GB}GB executor "
                 f"({self.executor_count} running, max {self.max_executors})"
             )
-        node.allocate(self.executor_cores, self.executor_memory_gb)
+        node.allocate(self.executor_cores, self.EXECUTOR_MEMORY_GB)
         executor = Executor(
             executor_id=self._next_id,
             node=node,
             cores=self.executor_cores,
-            memory_gb=self.executor_memory_gb,
+            memory_gb=self.EXECUTOR_MEMORY_GB,
             launched_at=now,
         )
         self._next_id += 1
@@ -206,7 +198,7 @@ class ResourceManager:
         import heapq
 
         cores = self.executor_cores
-        mem = self.executor_memory_gb
+        mem = self.EXECUTOR_MEMORY_GB
         heap = [
             (n.used_cores, -n.speed_factor, idx, n)
             for idx, n in enumerate(self.cluster.workers)

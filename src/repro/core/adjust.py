@@ -166,7 +166,6 @@ def evaluate_config(
     theta_scaled: Sequence[float],
     iteration: int,
     rho_cap: float = 2.0,
-    stability_margin: float = STABILITY_MARGIN,
 ):
     """Build the ranking record for one Adjust result.
 
@@ -187,7 +186,7 @@ def evaluate_config(
         batch_interval=result.batch_interval,
         num_executors=result.num_executors,
         mean_processing_time=proc,
-        stable=proc <= result.batch_interval * (1.0 - stability_margin),
+        stable=proc <= result.batch_interval * (1.0 - STABILITY_MARGIN),
     )
 
 

@@ -19,7 +19,7 @@ controller):
    produces one wildly inflated batch among otherwise clean ones.  With
    ``mad_threshold`` set, batches whose modified z-score (0.6745·(x−med)
    / MAD over processing times) exceeds the threshold are dropped and
-   the window refills once (one retry); if corruption persists, the
+   the window refills ``MAX_RETRIES`` (one) time; if corruption persists, the
    measurement is summarized anyway but flagged *tainted* so the
    optimizer can refuse to differentiate through it.  Rejection is
    one-sided: only abnormally *slow* batches are outliers — faults
@@ -27,7 +27,7 @@ controller):
    objective optimistically.
 
 4. **Degraded mode** — while the chaos engine reports active faults the
-   effective window widens by ``degraded_extra`` batches, trading
+   effective window widens by ``DEGRADED_EXTRA`` (3) batches, trading
    measurement latency for variance exactly when variance spikes.
 """
 
@@ -90,15 +90,17 @@ class Measurement:
 class MetricsCollector:
     """Build :class:`Measurement` objects from listener batch reports."""
 
+    #: Window refills allowed per measurement after outliers are dropped.
+    MAX_RETRIES = 1
+    #: Extra batches per window while faults are active (degraded mode).
+    DEGRADED_EXTRA = 3
+
     def __init__(
         self,
         window: int = 3,
         max_window: int = 12,
-        skip_first_after_reconfig: bool = True,
         mad_threshold: Optional[float] = None,
         reject_outliers: bool = True,
-        max_retries: int = 1,
-        degraded_extra: int = 3,
     ) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -110,21 +112,14 @@ class MetricsCollector:
             raise ValueError(
                 f"mad_threshold must be positive, got {mad_threshold}"
             )
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if degraded_extra < 0:
-            raise ValueError(f"degraded_extra must be >= 0, got {degraded_extra}")
         self.base_window = window
         self.max_window = max_window
-        self.skip_first_after_reconfig = skip_first_after_reconfig
         self.mad_threshold = mad_threshold
         #: When False, outliers are *detected* (the measurement is
         #: flagged tainted) but kept in the average — detection-only
         #: mode, used by the unhardened ablation arm so poisoned steps
         #: can be counted without changing the paper's measurements.
         self.reject_outliers = reject_outliers
-        self.max_retries = max_retries
-        self.degraded_extra = degraded_extra
         self._window = window
         self._degraded = False
         self._buffer: List[BatchInfo] = []
@@ -143,12 +138,12 @@ class MetricsCollector:
         """Current number of batches required per measurement.
 
         Includes the degraded-mode widening: while faults are active the
-        window grows by ``degraded_extra`` so one transient cannot
+        window grows by ``DEGRADED_EXTRA`` so one transient cannot
         dominate the average.
         """
         w = self._window
         if self._degraded:
-            w += self.degraded_extra
+            w += self.DEGRADED_EXTRA
         return w
 
     def set_degraded(self, active: bool) -> None:
@@ -245,10 +240,10 @@ class MetricsCollector:
         window fills, else None.
 
         With MAD rejection enabled, a filled window containing corrupted
-        batches is purged and refilled (up to ``max_retries`` times per
+        batches is purged and refilled (up to ``MAX_RETRIES`` times per
         measurement) before being summarized.
         """
-        if self.skip_first_after_reconfig and info.first_after_reconfig:
+        if info.first_after_reconfig:
             self.total_skipped += 1
             return None
         self._buffer.append(info)
@@ -259,7 +254,7 @@ class MetricsCollector:
             if (
                 corrupt
                 and self.reject_outliers
-                and self._retries_used < self.max_retries
+                and self._retries_used < self.MAX_RETRIES
                 and clean
             ):
                 self._retries_used += 1

@@ -147,6 +147,8 @@ class NoStopController:
     #: A paused configuration resumes optimizing once its processing
     #: time exceeds the interval by this factor.
     STABILITY_SLACK = 1.05
+    #: Re-measurements :meth:`confirm_best` may spend on one run.
+    MAX_CONFIRMATIONS = 4
 
     def __init__(
         self,
@@ -333,7 +335,7 @@ class NoStopController:
             detail=(
                 f"input-rate drift exceeded the §5.5 threshold "
                 f"(rate std {self._reset_std:.3f} > "
-                f"{self.rate_monitor.threshold:g})"
+                f"{self.rate_monitor.THRESHOLD:g})"
             ),
         )
         return self._record("reset", self.tuner.theta)
@@ -603,9 +605,7 @@ class NoStopController:
                 break
         return ranked
 
-    def confirm_best(
-        self, max_confirmations: int = 4, iteration: Optional[int] = None
-    ) -> None:
+    def confirm_best(self, iteration: Optional[int] = None) -> None:
         """Re-measure singleton winners before trusting them.
 
         With dozens of noisy two-to-three-batch probe windows, the
@@ -615,15 +615,14 @@ class NoStopController:
         if the average no longer wins — makes the reported final
         configuration honest.  A hardened controller skips a probe a
         fault transient corrupted: it neither confirms nor demotes the
-        incumbent.  The re-measurements rank at ``iteration``, by
-        default the SPSA iteration count.
+        incumbent.  At most ``MAX_CONFIRMATIONS`` probes are spent; the
+        re-measurements rank at ``iteration``, by default the SPSA
+        iteration count.
         """
-        if max_confirmations < 0:
-            raise ValueError("max_confirmations must be >= 0")
         if iteration is None:
             iteration = self.tuner.k
         rule = self.pause_rule
-        for _ in range(max_confirmations):
+        for _ in range(self.MAX_CONFIRMATIONS):
             if not rule.evaluations:
                 return
             best = rule.best_config()

@@ -25,7 +25,7 @@ Two reproduction-motivated details (documented in DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -85,15 +85,13 @@ class PauseRule:
     S = 1 (second).
     """
 
-    def __init__(self, n_best: int = 10, std_threshold: float = 1.0) -> None:
+    #: The paper's S: the delay spread (seconds) under which NoStop pauses.
+    STD_THRESHOLD = 1.0
+
+    def __init__(self, n_best: int = 10) -> None:
         if n_best < 2:
             raise ValueError(f"n_best must be >= 2, got {n_best}")
-        if std_threshold <= 0:
-            raise ValueError(
-                f"std_threshold must be positive, got {std_threshold}"
-            )
         self.n_best = n_best
-        self.std_threshold = std_threshold
         self._history: List[EvaluatedConfig] = []
         #: Each configuration's measurements, in history order.
         self._measurements: Dict[Tuple[float, ...], List[EvaluatedConfig]] = {}
@@ -152,14 +150,13 @@ class PauseRule:
         """One aggregated record per distinct configuration."""
         return list(self._merged.values())
 
-    def best(self, n: Optional[int] = None) -> List[EvaluatedConfig]:
-        """The ``n`` best configurations (stable first, default ``n_best``).
+    def best(self) -> List[EvaluatedConfig]:
+        """The ``n_best`` best configurations (stable first).
 
         Configurations measured multiple times enter as one averaged
         record each.
         """
-        n = self.n_best if n is None else n
-        return sorted(self._grouped(), key=lambda e: e.sort_key)[:n]
+        return sorted(self._grouped(), key=lambda e: e.sort_key)[: self.n_best]
 
     def best_config(self) -> EvaluatedConfig:
         if not self._history:
@@ -180,7 +177,7 @@ class PauseRule:
             return False
         ranked = sorted(grouped, key=lambda e: e.sort_key)[: self.n_best]
         delays = np.array([e.end_to_end_delay for e in ranked])
-        return array_std(delays, array_mean(delays)) < self.std_threshold
+        return array_std(delays, array_mean(delays)) < self.STD_THRESHOLD
 
     def reset(self) -> None:
         """Clear history (used by ``resetCoefficient``, §5.5)."""

@@ -35,22 +35,19 @@ class PerturbationGenerator(abc.ABC):
 
 
 class BernoulliPerturbation(PerturbationGenerator):
-    """Symmetric Bernoulli ±``magnitude`` with probability 1/2 each.
+    """Symmetric Bernoulli ±``MAGNITUDE`` with probability 1/2 each.
 
     The paper's choice (§5.3.1): "each component of Δ_k is independently
     generated from a zero-mean symmetric Bernoulli ±1 distribution".
     """
 
-    def __init__(self, magnitude: float = 1.0) -> None:
-        if magnitude <= 0:
-            raise ValueError(f"magnitude must be positive, got {magnitude}")
-        self.magnitude = magnitude
+    MAGNITUDE = 1.0
 
     def sample(self, dim: int, rng: np.random.Generator) -> np.ndarray:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         signs = rng.integers(0, 2, size=dim) * 2 - 1
-        return signs.astype(float) * self.magnitude
+        return signs.astype(float) * self.MAGNITUDE
 
 
 class SegmentedUniformPerturbation(PerturbationGenerator):

@@ -7,9 +7,9 @@ the optimization process."
 
 The monitor keeps a sliding window of observed per-batch input rates;
 :meth:`RateMonitor.need_reset` is Table 1's ``needResetCoefficient()``.
-The threshold is naturally expressed *relative* to the mean rate (a 10k
+The threshold is expressed *relative* to the mean rate (a 10k
 records/s swing is a surge for logistic regression but noise for Page
-Analyze), with an absolute mode for ablation.
+Analyze).
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ import numpy as np
 class RateMonitor:
     """Sliding-window standard-deviation trigger on input rates."""
 
-    def __init__(
-        self,
-        threshold: float = 0.25,
-        window: int = 12,
-        relative: bool = True,
-        min_samples: int = 4,
-        cooldown: int = 0,
-    ) -> None:
+    #: §5.5's ``threshold_speed``, as std / mean of the window's rates.
+    THRESHOLD = 0.25
+    #: Rates kept in the sliding window.
+    WINDOW = 12
+    #: Rates the window needs before :meth:`need_reset` can fire.
+    MIN_SAMPLES = 4
+
+    def __init__(self, cooldown: int = 0) -> None:
         """``cooldown`` is the reset hysteresis: after a triggered reset,
         that many further observations are ignored by :meth:`need_reset`
         before it can fire again.  Without it, a single post-fault rate
@@ -38,20 +38,11 @@ class RateMonitor:
         reset on every subsequent round — a reset storm that keeps SPSA
         permanently at iteration zero while the pipeline is trying to
         recover."""
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window}")
-        if not (2 <= min_samples <= window):
-            raise ValueError("need 2 <= min_samples <= window")
         if cooldown < 0:
             raise ValueError(f"cooldown must be >= 0, got {cooldown}")
-        self.threshold = threshold
-        self.relative = relative
-        self.min_samples = min_samples
         self.cooldown = cooldown
         self._cooldown_left = 0
-        self._rates: Deque[float] = deque(maxlen=window)
+        self._rates: Deque[float] = deque(maxlen=self.WINDOW)
         self.resets_triggered = 0
 
     def observe(self, rate: float) -> None:
@@ -63,24 +54,22 @@ class RateMonitor:
             self._cooldown_left -= 1
 
     def current_std(self) -> float:
-        """Standard deviation of the recent input speed (possibly
-        normalized by the mean when ``relative``)."""
+        """Standard deviation of the recent input speed, normalized by
+        the mean."""
         if len(self._rates) < 2:
             return 0.0
         arr = np.array(self._rates)
         std = float(np.std(arr))
-        if self.relative:
-            mean = float(np.mean(arr))
-            return std / mean if mean > 0 else 0.0
-        return std
+        mean = float(np.mean(arr))
+        return std / mean if mean > 0 else 0.0
 
     def need_reset(self) -> bool:
         """Table 1's ``needResetCoefficient()``."""
         if self._cooldown_left > 0:
             return False
-        if len(self._rates) < self.min_samples:
+        if len(self._rates) < self.MIN_SAMPLES:
             return False
-        return self.current_std() > self.threshold
+        return self.current_std() > self.THRESHOLD
 
     def checkpoint(self) -> dict:
         """JSON-safe snapshot: window contents, hysteresis, reset count."""

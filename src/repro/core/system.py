@@ -27,28 +27,18 @@ from .metrics_collector import Measurement, MetricsCollector
 class SimulatedSparkSystem(ControlledSystem):
     """Drive a :class:`StreamingContext` as a controlled system.
 
-    Parameters
-    ----------
-    context:
-        The simulated streaming application.
-    max_boundaries_per_measurement:
-        Safety valve: how many batch boundaries to advance while waiting
-        for one measurement before summarizing whatever has arrived.  In
-        deeply unstable configurations completions lag boundaries, so a
-        cap keeps Adjust calls bounded (the real system has the same
-        property: NoStop would observe a huge processing time and move
-        on).
+    ``context`` is the simulated streaming application.
     """
 
-    def __init__(
-        self,
-        context: StreamingContext,
-        max_boundaries_per_measurement: int = 400,
-    ) -> None:
-        if max_boundaries_per_measurement < 1:
-            raise ValueError("max_boundaries_per_measurement must be >= 1")
+    #: Safety valve: how many batch boundaries to advance while waiting
+    #: for one measurement before summarizing whatever has arrived.  In
+    #: deeply unstable configurations completions lag boundaries, so a
+    #: cap keeps Adjust calls bounded (the real system has the same
+    #: property: NoStop would observe a huge processing time and move on).
+    MAX_BOUNDARIES = 400
+
+    def __init__(self, context: StreamingContext) -> None:
         self.context = context
-        self.max_boundaries = max_boundaries_per_measurement
         self._last_config_time = 0.0
         #: whether the most recent apply_configuration failed (guarded
         #: reconfiguration: the caller must not trust the gradient)
@@ -119,7 +109,7 @@ class SimulatedSparkSystem(ControlledSystem):
         rather than hanging.
         """
         fallback: List[BatchInfo] = []
-        for _ in range(self.max_boundaries):
+        for _ in range(self.MAX_BOUNDARIES):
             completed = self.context.advance_one_batch()
             for info in completed:
                 if info.batch_time < self._last_config_time:
@@ -158,11 +148,11 @@ class SimulatedSparkSystem(ControlledSystem):
     def time(self) -> float:
         return self.context.time
 
-    def observed_input_rate(self, window: Optional[float] = None) -> float:
-        w = window if window is not None else max(
-            self.context.batch_interval, 10.0
+    def observed_input_rate(self) -> float:
+        """Receiver rate over the last batch interval, at least 10 s."""
+        return self.context.receiver.observed_rate(
+            window=max(self.context.batch_interval, 10.0)
         )
-        return self.context.receiver.observed_rate(window=w)
 
     @property
     def config_changes(self) -> int:

@@ -143,7 +143,6 @@ def run_recovery_scenario(
     seed: int = 3,
     kill_time: float = 4000.0,
     outage: float = 60.0,
-    chaos_seed: int = 0,
     pause_n: int = 10,
 ) -> RecoveryResult:
     """One driver-failure run: optimize, die at ``kill_time``, recover.
@@ -164,7 +163,7 @@ def run_recovery_scenario(
     # telemetry bundle is always on regardless of REPRO_TRACE.
     setup = build_experiment(workload, seed=seed, telemetry=Telemetry(enabled=True))
     schedule = driver_failure_schedule(kill_time, outage=outage, host=host)
-    engine = ChaosEngine(setup.context, schedule, seed=chaos_seed)
+    engine = ChaosEngine(setup.context, schedule)
 
     controller = make_controller(setup, seed=seed, pause_n=pause_n)
     records: List[RoundRecord] = []

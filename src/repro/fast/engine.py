@@ -214,7 +214,7 @@ def fluid_proc_times(
     iteration count.  The fluid tier and the utilization oracle both
     evaluate this one function.
     """
-    model = workload.cost_model
+    model = workload.COST_MODEL
     serial = overhead.stage_setup + overhead.coordination_cost(profile.num_executors)
     cores = float(profile.total_cores)
     dispatch = workload.partitions * overhead.task_dispatch / cores
@@ -433,7 +433,7 @@ class FastBatchEngine(BusyTimeline):
             )
         if (
             len(cost_records) == 1
-            and not self.workload.cost_model.iterated_stages
+            and not self.workload.COST_MODEL.iterated_stages
         ):
             return np.array([self._one_batch_proc_time(int(cost_records[0]))])
         return self._vectorized_proc_times(
@@ -453,7 +453,7 @@ class FastBatchEngine(BusyTimeline):
         """
         prof = self.profile
         ov = self.overhead
-        model = self.workload.cost_model
+        model = self.workload.COST_MODEL
         partitions = self.workload.partitions
         serial = ov.stage_setup + ov.coordination_cost(prof.num_executors)
         dispatch = ov.task_dispatch
@@ -503,7 +503,7 @@ class FastBatchEngine(BusyTimeline):
     def _vectorized_proc_times(self, cr: np.ndarray) -> np.ndarray:
         prof = self.profile
         ov = self.overhead
-        model = self.workload.cost_model
+        model = self.workload.COST_MODEL
         partitions = self.workload.partitions
         k = cr.shape[0]
         serial = ov.stage_setup + ov.coordination_cost(prof.num_executors)

@@ -26,22 +26,20 @@ from .topic import Topic
 class RateControlledProducer:
     """Feed a topic from a rate trace, in fixed production ticks."""
 
+    #: Production tick in seconds.
+    TICK = 1.0
+
     def __init__(
         self,
         topic: Topic,
         trace: RateTrace,
-        tick: float = 1.0,
-        rate_cap: Optional[float] = None,
         count_only: bool = False,
     ) -> None:
-        if tick <= 0:
-            raise ValueError(f"tick must be positive, got {tick}")
-        if rate_cap is not None and rate_cap <= 0:
-            raise ValueError(f"rate_cap must be positive, got {rate_cap}")
         self.topic = topic
         self.trace = trace
-        self.tick = float(tick)
-        self.rate_cap = rate_cap
+        #: Producer-side throttle in records/second; None means unthrottled
+        #: (see :meth:`set_rate_cap`).
+        self.rate_cap: Optional[float] = None
         #: Count-only fast path: materialize one segment per constant-rate
         #: span (via :meth:`RateTrace.constant_until`) instead of one per
         #: tick.  Topic-wide totals follow the trace integral exactly; the
@@ -111,9 +109,9 @@ class RateControlledProducer:
                 # One production span per constant-rate region, but never
                 # shorter than a tick (sub-tick regions integrate across
                 # their boundary exactly as the default path does).
-                t1 = min(t, max(self.trace.constant_until(t0), t0 + self.tick))
+                t1 = min(t, max(self.trace.constant_until(t0), t0 + self.TICK))
             else:
-                t1 = min(t0 + self.tick, t)
+                t1 = min(t0 + self.TICK, t)
             want = self.trace.records_between(t0, t1)
             if self.surge != 1.0:
                 want = int(round(want * self.surge))

@@ -77,39 +77,31 @@ class EwmaMadDetector:
     spike from tightening future scales (MAD shrugs off outliers).
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.3,
-        threshold: float = 5.0,
-        window: int = 20,
-        warmup: int = 5,
-        min_scale: float = 1e-3,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
-        if window < 3:
-            raise ValueError(f"window must be >= 3, got {window}")
-        if warmup < 2:
-            raise ValueError(f"warmup must be >= 2, got {warmup}")
-        self.alpha = alpha
-        self.threshold = threshold
-        self.warmup = warmup
-        self.min_scale = min_scale
+    #: EWMA weight of each new observation.
+    ALPHA = 0.3
+    #: Robust sigmas a residual must exceed to fire.
+    THRESHOLD = 5.0
+    #: Residuals the MAD scale is taken over.
+    WINDOW = 20
+    #: Observations scored before the detector may fire.
+    WARMUP = 5
+    #: Floor of the residual scale.
+    MIN_SCALE = 1e-3
+
+    def __init__(self) -> None:
         self._ewma: Optional[float] = None
-        self._residuals: Deque[float] = deque(maxlen=window)
+        self._residuals: Deque[float] = deque(maxlen=self.WINDOW)
         self._seen = 0
         self.events: List[AnomalyEvent] = []
 
     def scale(self) -> float:
         """Current robust residual scale (one 'sigma')."""
         if len(self._residuals) < 3:
-            return self.min_scale
+            return self.MIN_SCALE
         res = list(self._residuals)
         med = _median(res)
         mad = _median([abs(r - med) for r in res])
-        return max(MAD_TO_SIGMA * mad, self.min_scale)
+        return max(MAD_TO_SIGMA * mad, self.MIN_SCALE)
 
     def observe(self, t: float, value: float) -> Optional[AnomalyEvent]:
         """Score one observation; returns the event if it fired."""
@@ -122,20 +114,20 @@ class EwmaMadDetector:
         residual = float(value) - self._ewma
         sigma = self.scale()
         score = abs(residual) / sigma
-        if self._seen > self.warmup and score > self.threshold:
+        if self._seen > self.WARMUP and score > self.THRESHOLD:
             event = AnomalyEvent(
                 kind="delay_spike",
                 time=t,
                 value=float(value),
                 score=score,
-                threshold=self.threshold,
+                threshold=self.THRESHOLD,
                 detail=(
                     f"residual {residual:+.3f} = {score:.1f} robust sigmas "
                     f"off EWMA {self._ewma:.3f}"
                 ),
             )
             self.events.append(event)
-        self._ewma += self.alpha * residual
+        self._ewma += self.ALPHA * residual
         self._residuals.append(residual)
         return event
 
@@ -152,32 +144,27 @@ class CusumDetector:
     instead of being chased by an adapting baseline); whenever both
     sums are at zero the reference re-centers on the recent window, so
     the detector tracks settled regime changes it has already judged.
-    Fires when either sum exceeds ``h``; on firing it resets and
+    Fires when either sum exceeds ``H``; on firing it resets and
     re-learns the post-shift level, so a second shift later in the run
     is detected against the *new* regime.
     """
 
-    def __init__(
-        self,
-        k: float = 0.5,
-        h: float = 4.0,
-        warmup: int = 8,
-        window: int = 12,
-    ) -> None:
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        if h <= 0:
-            raise ValueError(f"h must be positive, got {h}")
-        if warmup < 2:
-            raise ValueError(f"warmup must be >= 2, got {warmup}")
-        if window < warmup:
-            raise ValueError(
-                f"window ({window}) must be >= warmup ({warmup})"
-            )
-        self.k = k
-        self.h = h
-        self.warmup = warmup
-        self._recent: Deque[float] = deque(maxlen=window)
+    #: Allowance: standardized drift per sample that accumulates nothing.
+    K = 0.5
+    #: Decision interval: the one-sided sum at which a shift fires.  The
+    #: per-batch arrival-rate signal is noisier than CUSUM's textbook
+    #: setting assumes (held rate levels + catch-up batches after
+    #: backlog), so it decides at 8 rather than the textbook 4: a genuine
+    #: regime shift still fires within a couple of batches, transient
+    #: excursions mostly don't.
+    H = 8.0
+    #: Samples fitted before the detector arms.
+    WARMUP = 8
+    #: Quiescent samples the reference is re-fitted over (>= ``WARMUP``).
+    WINDOW = 12
+
+    def __init__(self) -> None:
+        self._recent: Deque[float] = deque(maxlen=self.WINDOW)
         self._armed = False
         self._mean = 0.0
         self._sigma = 0.0
@@ -199,22 +186,22 @@ class CusumDetector:
         value = float(value)
         if not self._armed:
             self._recent.append(value)
-            if len(self._recent) >= self.warmup:
+            if len(self._recent) >= self.WARMUP:
                 self._refit()
                 self._armed = True
             return None
         z = (value - self._mean) / self._sigma
-        self._pos = max(0.0, self._pos + z - self.k)
-        self._neg = max(0.0, self._neg - z - self.k)
+        self._pos = max(0.0, self._pos + z - self.K)
+        self._neg = max(0.0, self._neg - z - self.K)
         stat = max(self._pos, self._neg)
-        if stat > self.h:
+        if stat > self.H:
             direction = "up" if self._pos >= self._neg else "down"
             event = AnomalyEvent(
                 kind="rate_shift",
                 time=t,
                 value=value,
                 score=stat,
-                threshold=self.h,
+                threshold=self.H,
                 detail=(
                     f"{direction}ward shift off reference "
                     f"{self._mean:.1f} (sigma {self._sigma:.1f})"
@@ -263,31 +250,22 @@ class SpsaWatchdog:
     replays cleanly is judged exactly as the optimizer behaved.
     """
 
-    def __init__(
-        self,
-        window: int = 8,
-        thrash_threshold: float = 0.75,
-        clip_threshold: float = 0.75,
-    ) -> None:
-        if window < 3:
-            raise ValueError(f"window must be >= 3, got {window}")
-        if not 0.0 < thrash_threshold <= 1.0:
-            raise ValueError("thrash_threshold must be in (0, 1]")
-        if not 0.0 < clip_threshold <= 1.0:
-            raise ValueError("clip_threshold must be in (0, 1]")
-        self.window = window
-        self.thrash_threshold = thrash_threshold
-        self.clip_threshold = clip_threshold
+    #: Recent non-guarded decisions judged.
+    WINDOW = 8
+    #: Sign-flip fraction that counts as thrash.
+    THRASH_THRESHOLD = 0.75
+    #: Step-clip fraction that counts as saturation.
+    CLIP_THRESHOLD = 0.75
 
     def scan(self, trail: AuditTrail) -> WatchdogReport:
         """Judge one recorded trail; at most one event per failure mode."""
         report = WatchdogReport()
         decisions = [d for d in trail.decisions if not d.guarded]
         report.rounds_scanned = len(decisions)
-        if len(decisions) < self.window:
+        if len(decisions) < self.WINDOW:
             return report
 
-        recent = decisions[-self.window:]
+        recent = decisions[-self.WINDOW:]
 
         # Gradient-sign thrash: fraction of consecutive pairs flipping
         # sign, worst axis wins.
@@ -307,16 +285,16 @@ class SpsaWatchdog:
             if frac > worst_frac:
                 worst_frac, worst_axis = frac, ax
         report.sign_flip_fraction = worst_frac
-        if worst_frac >= self.thrash_threshold:
+        if worst_frac >= self.THRASH_THRESHOLD:
             report.events.append(AnomalyEvent(
                 kind="gradient_thrash",
                 time=recent[-1].sim_time,
                 value=worst_frac,
                 score=worst_frac,
-                threshold=self.thrash_threshold,
+                threshold=self.THRASH_THRESHOLD,
                 detail=(
                     f"axis {worst_axis}: gradient sign flipped in "
-                    f"{worst_frac:.0%} of the last {self.window} rounds"
+                    f"{worst_frac:.0%} of the last {self.WINDOW} rounds"
                 ),
             ))
 
@@ -326,13 +304,13 @@ class SpsaWatchdog:
         probe_clipped = sum(1 for d in recent if any(d.probe_clipped))
         report.step_clip_fraction = step_clipped / len(recent)
         report.probe_clip_fraction = probe_clipped / len(recent)
-        if report.step_clip_fraction >= self.clip_threshold:
+        if report.step_clip_fraction >= self.CLIP_THRESHOLD:
             report.events.append(AnomalyEvent(
                 kind="clip_saturation",
                 time=recent[-1].sim_time,
                 value=report.step_clip_fraction,
                 score=report.step_clip_fraction,
-                threshold=self.clip_threshold,
+                threshold=self.CLIP_THRESHOLD,
                 detail=(
                     f"box projection clipped the SPSA step in "
                     f"{step_clipped}/{len(recent)} recent rounds "

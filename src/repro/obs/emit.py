@@ -37,7 +37,6 @@ Event = Dict[str, object]
 
 Sink = Union["JsonlSink", Callable[[List[Event]], None]]
 
-DEFAULT_MAX_PENDING = 4096
 DEFAULT_FLUSH_INTERVAL = 10.0
 
 
@@ -76,30 +75,27 @@ class EmissionBatcher:
         Destination for the batcher's own accounting instruments
         (enqueued / dropped / flushed counters, queue-length gauge).
         Defaults to the no-op registry.
-    max_pending:
-        Hard queue bound.  An ``emit()`` against a full queue drops the
-        incoming event with accounting; it never blocks or grows.
     flush_interval:
         Simulated seconds between automatic flushes.  ``emit`` and
         ``tick`` both advance the clock; a flush fires the first time
         the interval has elapsed since the previous flush.
     """
 
+    #: Hard queue bound.  An ``emit()`` against a full queue drops the
+    #: incoming event with accounting; it never blocks or grows.
+    MAX_PENDING = 4096
+
     def __init__(
         self,
         sink: Sink,
         registry: Optional[MetricsRegistry] = None,
-        max_pending: int = DEFAULT_MAX_PENDING,
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
     ) -> None:
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if flush_interval <= 0:
             raise ValueError(
                 f"flush_interval must be > 0, got {flush_interval}"
             )
         self.sink = sink
-        self.max_pending = int(max_pending)
         self.flush_interval = float(flush_interval)
         self._pending: List[Event] = []
         self._last_flush: Optional[float] = None
@@ -139,7 +135,7 @@ class EmissionBatcher:
         if self.closed:
             return False
         self.maybe_flush(now)
-        if len(self._pending) >= self.max_pending:
+        if len(self._pending) >= self.MAX_PENDING:
             self.dropped += 1
             self._m_dropped.inc()
             return False

@@ -141,12 +141,7 @@ class RunJudge:
         self.evaluator = SLOEvaluator()
         self.alerter = BurnRateAlerter()
         self.delay_detector = EwmaMadDetector()
-        # The per-batch arrival-rate signal is noisier than CUSUM's
-        # textbook setting assumes (held rate levels + catch-up batches
-        # after backlog), so the judge decides at h=8 rather than the
-        # class default h=4: a genuine regime shift still fires within
-        # a couple of batches, transient excursions mostly don't.
-        self.rate_detector = CusumDetector(h=8.0)
+        self.rate_detector = CusumDetector()
         self.batches = 0
         self.last_time = 0.0
         self._tracer = None

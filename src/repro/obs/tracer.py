@@ -493,11 +493,13 @@ class Tracer:
 class Telemetry:
     """The bundle of telemetry surfaces threaded through the stack."""
 
+    #: The flight recorder's ring bound (:class:`Tracer`'s ``max_spans``).
+    MAX_SPANS = 200_000
+
     def __init__(
         self,
         enabled: bool = True,
         task_detail: bool = False,
-        max_spans: int = 200_000,
         sample_rate: int = 1,
         retain_interesting: bool = True,
     ) -> None:
@@ -510,7 +512,7 @@ class Telemetry:
         self.tracer = Tracer(
             enabled=enabled,
             task_detail=task_detail,
-            max_spans=max_spans,
+            max_spans=self.MAX_SPANS,
             sample_rate=sample_rate,
             retain_interesting=retain_interesting,
             registry=self.metrics if enabled else None,

@@ -38,12 +38,13 @@ class Workload(abc.ABC):
     #: Whether :meth:`effective_records` slides a window of past batches,
     #: so it must run once per formed batch, in order.
     windowed: bool = False
+    #: The workload's calibrated per-stage costs.
+    COST_MODEL: WorkloadCostModel
+    #: Tasks per stage (one per Kafka partition).  A live reconfiguration
+    #: overwrites it on the instance.
+    partitions: int = 40
 
-    def __init__(self, cost_model: WorkloadCostModel, partitions: int = 40) -> None:
-        if partitions < 1:
-            raise ValueError(f"partitions must be >= 1, got {partitions}")
-        self.cost_model = cost_model
-        self.partitions = partitions
+    def __init__(self) -> None:
         self._job_counter = 0
 
     # -- job factory --------------------------------------------------------
@@ -75,11 +76,11 @@ class Workload(abc.ABC):
         if records < 0:
             raise ValueError(f"records must be >= 0, got {records}")
         cost_records = self.effective_records(records)
-        iters = self.cost_model.iterations.draw(rng)
+        iters = self.COST_MODEL.iterations.draw(rng)
         partitions = self.partitions
         per_task, rem = divmod(cost_records, partitions)
         stages: List[Stage] = []
-        for sid, sc in enumerate(self.cost_model.stages):
+        for sid, sc in enumerate(self.COST_MODEL.stages):
             # A stage has two task sizes: the first ``rem`` tasks take one
             # record more.  Each size's costs are computed once.
             fixed = sc.fixed_compute / partitions
@@ -95,7 +96,7 @@ class Workload(abc.ABC):
                     stage_id=sid,
                     name=sc.name,
                     tasks=tasks,
-                    iterations=iters if sc.name in self.cost_model.iterated_stages else 1,
+                    iterations=iters if sc.name in self.COST_MODEL.iterated_stages else 1,
                 )
             )
         job = BatchJob(

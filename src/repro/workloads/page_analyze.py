@@ -17,7 +17,7 @@ from typing import Dict, Sequence
 from repro.datagen.records import parse_nginx_log_line
 
 from .base import Workload
-from .cost_models import PAGE_ANALYZE_COSTS, WorkloadCostModel
+from .cost_models import PAGE_ANALYZE_COSTS
 
 
 @dataclass
@@ -48,13 +48,10 @@ class PageAnalyze(Workload):
 
     name = "page_analyze"
     payload_kind = "nginx_logs"
+    COST_MODEL = PAGE_ANALYZE_COSTS
 
-    def __init__(
-        self,
-        partitions: int = 40,
-        cost_model: WorkloadCostModel = PAGE_ANALYZE_COSTS,
-    ) -> None:
-        super().__init__(cost_model, partitions=partitions)
+    def __init__(self) -> None:
+        super().__init__()
         self.batches_processed = 0
         #: Simulated HDFS sink: list of per-batch aggregate summaries.
         self.hdfs_sink: list = []

@@ -20,7 +20,7 @@ WORKLOADS: Dict[str, Type[Workload]] = {
 }
 
 
-def make_workload(name: str, **kwargs) -> Workload:
+def make_workload(name: str) -> Workload:
     """Instantiate a paper workload by registry name."""
     try:
         cls = WORKLOADS[name]
@@ -28,4 +28,4 @@ def make_workload(name: str, **kwargs) -> Workload:
         raise KeyError(
             f"unknown workload {name!r}; expected one of {sorted(WORKLOADS)}"
         ) from None
-    return cls(**kwargs)
+    return cls()

@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Deque, Dict, Sequence
 
-from .cost_models import WORDCOUNT_COSTS, WorkloadCostModel
 from .wordcount import WordCount
 
 
@@ -38,14 +37,8 @@ class WindowedWordCount(WordCount):
     payload_kind = "text"
     windowed = True
 
-    def __init__(
-        self,
-        window_batches: int = 6,
-        incremental: bool = True,
-        partitions: int = 40,
-        cost_model: WorkloadCostModel = WORDCOUNT_COSTS,
-    ) -> None:
-        super().__init__(partitions=partitions, cost_model=cost_model)
+    def __init__(self, window_batches: int = 6, incremental: bool = True) -> None:
+        super().__init__()
         if window_batches < 1:
             raise ValueError(
                 f"window_batches must be >= 1, got {window_batches}"

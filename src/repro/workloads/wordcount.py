@@ -13,7 +13,7 @@ from collections import Counter
 from typing import Dict, Sequence
 
 from .base import Workload
-from .cost_models import WORDCOUNT_COSTS, WorkloadCostModel
+from .cost_models import WORDCOUNT_COSTS
 
 
 class WordCount(Workload):
@@ -21,13 +21,10 @@ class WordCount(Workload):
 
     name = "wordcount"
     payload_kind = "text"
+    COST_MODEL = WORDCOUNT_COSTS
 
-    def __init__(
-        self,
-        partitions: int = 40,
-        cost_model: WorkloadCostModel = WORDCOUNT_COSTS,
-    ) -> None:
-        super().__init__(cost_model, partitions=partitions)
+    def __init__(self) -> None:
+        super().__init__()
         #: Running word totals across all processed batches.
         self.totals: Counter = Counter()
         self.batches_processed = 0

@@ -155,4 +155,4 @@ def test_bo_report_and_best_theta_tie_break():
         rule = PauseRule()
         for theta in order:
             rule.record(_evaluated(theta, 1.5))
-        assert [e.theta for e in rule.best(3)] == sorted(thetas)
+        assert [e.theta for e in rule.best()] == sorted(thetas)

@@ -160,7 +160,7 @@ class TestTamperDetection:
         setup = build_experiment(
             "logistic_regression", seed=3, fidelity=fidelity
         )
-        engine = InvariantEngine(setup.context, check_busy_time=False)
+        engine = InvariantEngine(setup.context)
         run_fixed_configuration(setup.context, batches=3, warmup=1)
         assert engine.ok
         last = setup.context.listener.metrics.last
@@ -186,7 +186,7 @@ class TestTamperDetection:
         setup = build_experiment(
             "logistic_regression", seed=3, fidelity=fidelity
         )
-        engine = InvariantEngine(setup.context, check_busy_time=False)
+        engine = InvariantEngine(setup.context)
         run_fixed_configuration(setup.context, batches=3, warmup=1)
         assert engine.ok
         last = setup.context.listener.metrics.last
@@ -240,7 +240,10 @@ class TestTamperDetection:
 
     def test_violation_recording_is_capped(self):
         setup = build_experiment("logistic_regression", seed=3)
-        engine = InvariantEngine(setup.context, max_recorded=2)
+        class TwoSlotEngine(InvariantEngine):
+            MAX_RECORDED = 2
+
+        engine = TwoSlotEngine(setup.context)
         for t in (5.0, 4.0, 3.0, 2.0):
             engine.on_boundary(t)
         assert engine.total_violations == 3  # first call sets the baseline

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.fixed import run_fixed_configuration
+from repro.check import metamorphic
 from repro.check.metamorphic import (
     dilated_experiment_kwargs,
     executor_homogeneity_check,
@@ -89,16 +90,19 @@ class TestTimeDilation:
 
 
 class TestExecutorHomogeneity:
-    def test_split_pool_equals_aggregate(self):
+    def test_split_pool_equals_aggregate(self, monkeypatch):
+        monkeypatch.setattr(metamorphic, "HOMOGENEITY_RECORDS", 30_000)
+        monkeypatch.setattr(metamorphic, "HOMOGENEITY_EXECUTORS", 6)
         wl = make_workload(WL)
-        res = executor_homogeneity_check(wl, records=30_000, n=6)
+        res = executor_homogeneity_check(wl)
         assert res.passed, res.render()
         assert res.expected == pytest.approx(res.actual, abs=1e-9)
 
-    def test_holds_across_speeds_and_sizes(self):
+    def test_holds_across_speeds_and_sizes(self, monkeypatch):
+        monkeypatch.setattr(metamorphic, "HOMOGENEITY_RECORDS", 20_000)
         wl = make_workload("wordcount")
         for n, speed in ((2, 1.0), (5, 0.66), (12, 1.05)):
-            res = executor_homogeneity_check(
-                wl, records=20_000, n=n, speed=speed
-            )
+            monkeypatch.setattr(metamorphic, "HOMOGENEITY_EXECUTORS", n)
+            monkeypatch.setattr(metamorphic, "HOMOGENEITY_SPEED", speed)
+            res = executor_homogeneity_check(wl)
             assert res.passed, res.render()

@@ -119,7 +119,3 @@ class TestSimulatedSparkSystem:
         t0 = system.time
         system.collect(MetricsCollector(window=2))
         assert system.time > t0
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            SimulatedSparkSystem(make_context(), max_boundaries_per_measurement=0)

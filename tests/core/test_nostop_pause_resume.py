@@ -93,9 +93,3 @@ class TestConfirmBest:
         calls = controller.adjust.calls
         controller.confirm_best()
         assert controller.adjust.calls == calls
-
-    def test_invalid_max_confirmations(self):
-        setup = build_experiment("wordcount", seed=6)
-        controller = make_controller(setup, seed=6)
-        with pytest.raises(ValueError):
-            controller.confirm_best(max_confirmations=-1)

@@ -28,7 +28,10 @@ class TestBernoulliPerturbation:
         assert abs(draws.mean()) < 0.02
 
     def test_magnitude_scales(self, rng):
-        delta = BernoulliPerturbation(magnitude=2.5).sample(3, rng)
+        class Wide(BernoulliPerturbation):
+            MAGNITUDE = 2.5
+
+        delta = Wide().sample(3, rng)
         assert set(np.abs(delta)) == {2.5}
 
     def test_validate_sample_accepts_own_output(self, rng):
@@ -40,8 +43,6 @@ class TestBernoulliPerturbation:
             BernoulliPerturbation().validate_sample(np.array([1.0, 0.0]))
 
     def test_invalid_args(self, rng):
-        with pytest.raises(ValueError):
-            BernoulliPerturbation(magnitude=0.0)
         with pytest.raises(ValueError):
             BernoulliPerturbation().sample(0, rng)
 

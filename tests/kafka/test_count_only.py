@@ -91,7 +91,8 @@ class TestCountOnlyProduction:
 
     def test_rate_cap_applies_per_span(self):
         fast = RateControlledProducer(topic(), ConstantRate(100.0),
-                                      rate_cap=50.0, count_only=True)
+                                      count_only=True)
+        fast.set_rate_cap(50.0)
         produced = fast.produce_until(10.0)
         assert produced == 500
         assert fast.total_throttled == 500

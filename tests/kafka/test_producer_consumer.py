@@ -34,13 +34,15 @@ class TestProducer:
             p.produce_until(4.0)
 
     def test_rate_cap_throttles(self, topic):
-        p = RateControlledProducer(topic, ConstantRate(1000.0), rate_cap=400.0)
+        p = RateControlledProducer(topic, ConstantRate(1000.0))
+        p.set_rate_cap(400.0)
         p.produce_until(10.0)
         assert p.total_produced == 4000
         assert p.total_throttled == 6000
 
     def test_rate_cap_can_be_lifted(self, topic):
-        p = RateControlledProducer(topic, ConstantRate(1000.0), rate_cap=100.0)
+        p = RateControlledProducer(topic, ConstantRate(1000.0))
+        p.set_rate_cap(100.0)
         p.produce_until(1.0)
         p.set_rate_cap(None)
         p.produce_until(2.0)
@@ -51,10 +53,6 @@ class TestProducer:
         p = RateControlledProducer(topic, trace)
         p.produce_until(10.0)
         assert p.total_produced == 5 * 100 + 5 * 200
-
-    def test_invalid_tick_rejected(self, topic):
-        with pytest.raises(ValueError):
-            RateControlledProducer(topic, ConstantRate(1.0), tick=0.0)
 
 
 class TestConsumer:

@@ -20,7 +20,7 @@ class TestEwmaMad:
         assert det.events == []
 
     def test_spike_fires_and_is_attributed(self):
-        det = EwmaMadDetector(threshold=5.0)
+        det = EwmaMadDetector()
         for i in range(20):
             det.observe(float(i), 10.0 + 0.2 * (i % 4))
         event = det.observe(20.0, 60.0)
@@ -33,7 +33,7 @@ class TestEwmaMad:
     def test_one_outlier_does_not_mask_the_next(self):
         # The point of MAD over std: a first spike must not inflate the
         # scale so much that an identical second spike goes unseen.
-        det = EwmaMadDetector(threshold=5.0, alpha=0.3)
+        det = EwmaMadDetector()
         for i in range(20):
             det.observe(float(i), 10.0)
         assert det.observe(20.0, 60.0) is not None
@@ -42,15 +42,25 @@ class TestEwmaMad:
         assert det.observe(26.0, 60.0) is not None
 
     def test_warmup_suppresses_early_firings(self):
-        det = EwmaMadDetector(warmup=5)
+        det = EwmaMadDetector()
         assert det.observe(0.0, 10.0) is None
         assert det.observe(1.0, 500.0) is None  # within warmup
         assert det.events == []
 
 
+class TextbookCusum(CusumDetector):
+    """CUSUM at the textbook decision interval h = 4."""
+
+    H = 4.0
+
+
+class ShortWarmupCusum(TextbookCusum):
+    WARMUP = 4
+
+
 class TestCusum:
     def test_level_shift_fires_within_a_few_samples(self):
-        det = CusumDetector(k=0.5, h=4.0, warmup=8)
+        det = TextbookCusum()
         for i in range(20):
             det.observe(float(i), 100.0 + (i % 2))  # ~flat baseline
         fired_at = None
@@ -64,7 +74,7 @@ class TestCusum:
         assert "upward" in det.events[0].detail
 
     def test_downward_shift_reported_with_direction(self):
-        det = CusumDetector(warmup=8)
+        det = TextbookCusum()
         for i in range(20):
             det.observe(float(i), 100.0 + (i % 2))
         for i in range(20, 30):
@@ -73,7 +83,7 @@ class TestCusum:
         assert det.events and "downward" in det.events[0].detail
 
     def test_rebaselines_after_firing(self):
-        det = CusumDetector(warmup=8)
+        det = TextbookCusum()
         for i in range(20):
             det.observe(float(i), 100.0 + (i % 2))
         for i in range(20, 40):
@@ -90,7 +100,7 @@ class TestCusum:
         # blind the detector to a later genuine shift — the robust refit
         # plus quiescent re-centering keeps the reference on the settled
         # regime.
-        det = CusumDetector(k=0.5, h=8.0, warmup=8)
+        det = CusumDetector()
         for i in range(30):
             det.observe(float(i), 100.0 + (i % 2))
         for i in range(30, 34):
@@ -104,15 +114,11 @@ class TestCusum:
         assert len(det.events) > before, "post-burst shift went undetected"
 
     def test_sigma_floor_prevents_infinite_scores(self):
-        det = CusumDetector(warmup=4)
+        det = ShortWarmupCusum()
         for i in range(4):
             det.observe(float(i), 100.0)  # perfectly flat warmup
         event = det.observe(4.0, 101.0)
         assert event is None  # 1% move must not fire off a zero sigma
-
-    def test_window_must_cover_warmup(self):
-        with pytest.raises(ValueError, match="window"):
-            CusumDetector(warmup=8, window=4)
 
 
 class TestSpsaWatchdog:
@@ -130,7 +136,7 @@ class TestSpsaWatchdog:
 
     def test_healthy_descent_stays_quiet(self):
         trail = self._trail([(-2.0, 1.0)] * 10)
-        report = SpsaWatchdog(window=8).scan(trail)
+        report = SpsaWatchdog().scan(trail)
         assert not report.events
         assert report.sign_flip_fraction == 0.0
 
@@ -138,7 +144,7 @@ class TestSpsaWatchdog:
         gradients = [
             ((-2.0, 1.0) if i % 2 == 0 else (2.0, 1.0)) for i in range(10)
         ]
-        report = SpsaWatchdog(window=8, thrash_threshold=0.75).scan(
+        report = SpsaWatchdog().scan(
             self._trail(gradients)
         )
         assert report.events
@@ -146,7 +152,7 @@ class TestSpsaWatchdog:
         assert report.sign_flip_fraction == 1.0
 
     def test_step_clip_saturation_fires(self):
-        report = SpsaWatchdog(window=8, clip_threshold=0.75).scan(
+        report = SpsaWatchdog().scan(
             self._trail([(-2.0, 1.0)] * 10,
                         step_clipped=[(True, False)] * 10)
         )
@@ -154,6 +160,6 @@ class TestSpsaWatchdog:
         assert report.step_clip_fraction == 1.0
 
     def test_short_trail_is_not_judged(self):
-        report = SpsaWatchdog(window=8).scan(self._trail([(-2.0, 1.0)] * 3))
+        report = SpsaWatchdog().scan(self._trail([(-2.0, 1.0)] * 3))
         assert not report.events
         assert report.rounds_scanned == 3

@@ -27,6 +27,12 @@ class RecordingSink:
         self.closed = True
 
 
+class TwoSlotBatcher(EmissionBatcher):
+    """A batcher whose queue holds two events."""
+
+    MAX_PENDING = 2
+
+
 class TestBatching:
     def test_events_batch_until_interval_elapses(self):
         sink = RecordingSink()
@@ -52,8 +58,7 @@ class TestBatching:
     def test_overflow_drops_newest_with_accounting(self):
         reg = MetricsRegistry()
         sink = RecordingSink()
-        b = EmissionBatcher(sink, registry=reg, max_pending=2,
-                            flush_interval=1000.0)
+        b = TwoSlotBatcher(sink, registry=reg, flush_interval=1000.0)
         assert b.emit({"n": 1}, now=0.0)
         assert b.emit({"n": 2}, now=0.0)
         assert not b.emit({"n": 3}, now=0.0)
@@ -89,8 +94,6 @@ class TestBatching:
         assert b.flushes == 2
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            EmissionBatcher(RecordingSink(), max_pending=0)
         with pytest.raises(ValueError):
             EmissionBatcher(RecordingSink(), flush_interval=0.0)
 

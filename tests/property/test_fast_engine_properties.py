@@ -52,11 +52,17 @@ sigmas = st.sampled_from([0.0, 0.1, 0.35])
 records = st.integers(0, 3_000_000)
 
 
+def _with_costs(cost_model, partitions):
+    """A word count costed by ``cost_model``, over ``partitions`` tasks."""
+    workload = type("Costed", (WordCount,), {"COST_MODEL": cost_model})()
+    workload.partitions = partitions
+    return workload
+
+
 def _workload(stage_list, partitions, iterations=IterationModel()):
     named = tuple(replace(s, name=f"s{i}") for i, s in enumerate(stage_list))
-    return WordCount(
-        partitions=partitions,
-        cost_model=WorkloadCostModel(stages=named, iterations=iterations),
+    return _with_costs(
+        WorkloadCostModel(stages=named, iterations=iterations), partitions
     )
 
 
@@ -125,9 +131,7 @@ class TestOneBatchForm:
     def test_iterated_stages_take_the_block_path(self, pool, partitions, r):
         from repro.workloads.cost_models import LOGISTIC_REGRESSION_COSTS
 
-        workload = WordCount(
-            partitions=partitions, cost_model=LOGISTIC_REGRESSION_COSTS
-        )
+        workload = _with_costs(LOGISTIC_REGRESSION_COSTS, partitions)
         one = _engine(workload, pool, 0.1)
         block = _engine(workload, pool, 0.1)
         assert _bits(one.batch_proc_times([r])) == _bits(

@@ -199,25 +199,31 @@ class TestPauseRule:
         threshold=st.sampled_from([0.5, 1.0, 50.0, 1e3]),
     )
     def test_matches_a_regroup_of_the_history(self, ops, n_best, threshold):
-        rule = PauseRule(n_best=n_best, std_threshold=threshold)
+        rule_cls = type("DrawnRule", (PauseRule,), {"STD_THRESHOLD": threshold})
+        # ``wide`` sees the same operations and ranks more configurations
+        # than any run records, so its ``best()`` is the whole ranking.
+        rule, wide = rule_cls(n_best=n_best), rule_cls(n_best=1000)
         history = []
         for kind, evaluated in ops:
             if kind == "record":
                 rule.record(evaluated)
+                wide.record(evaluated)
                 history.append(evaluated)
             elif kind == "reset":
                 rule.reset()
+                wide.reset()
                 history = []
-            else:  # checkpoint, then restore into a fresh rule
+            else:  # checkpoint, then restore into fresh rules
                 state = json.loads(json.dumps(rule.checkpoint()))
-                rule = PauseRule(n_best=n_best, std_threshold=threshold)
+                rule, wide = rule_cls(n_best=n_best), rule_cls(n_best=1000)
                 rule.restore(state)
+                wide.restore(state)
                 history = _reference_restore(state)
 
             ranked = _reference_ranked(history)
             assert rule.evaluations == len(history)
             assert rule.best() == ranked[:n_best]
-            assert rule.best(len(ranked) + 1) == ranked
+            assert wide.best() == ranked
             if history:
                 assert rule.best_config() == ranked[0]
                 theta = history[-1].theta

@@ -95,7 +95,8 @@ class TestBatchQueueProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_conservation_under_random_ops(self, max_length, ops):
-        wl = WordCount(partitions=2)
+        wl = WordCount()
+        wl.partitions = 2
         rng = np.random.default_rng(0)
         q = BatchQueue(max_length=max_length)
         t = 0.0

@@ -8,7 +8,8 @@ from repro.workloads.wordcount import WordCount
 
 
 def qb(t=0.0, records=10):
-    wl = WordCount(partitions=2)
+    wl = WordCount()
+    wl.partitions = 2
     job = wl.build_job(t, records, np.random.default_rng(0))
     return QueuedBatch(t, records, t - 1.0, interval=2.0, cost=job)
 
