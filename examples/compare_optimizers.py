@@ -3,7 +3,8 @@ vs grid search on the same live system (Fig. 8 extended).
 
 All four optimizers drive identical deployments through the identical
 Adjust measurement pathway, and the baselines share one tuning loop
-(``run_tuner``) whose pause rule picks each winner stable-first.  The
+(``NoStopController.run_until_pause``) whose pause rule picks each
+winner stable-first.  The
 table reports the paper's three axes — final delay, search time
 (simulated seconds), configuration steps — with every final
 configuration re-measured on a fresh deployment.
@@ -14,8 +15,10 @@ Run:  python examples/compare_optimizers.py
 from repro.analysis.tables import format_table
 from repro.baselines.fixed import run_fixed_configuration
 from repro.core.adjust import theta_to_configuration
+from repro.core.nostop import NoStopController
 from repro.core.pause import PauseRule
 from repro.experiments.common import build_experiment, make_controller, run_search
+from repro.tuners import make_tuner
 
 WORKLOAD = "linear_regression"
 SEED = 23
@@ -50,20 +53,26 @@ def main() -> None:
                  spsa_time, spsa_steps,
                  "yes" if rep.first_pause_round else "no"))
 
-    # The 5x5 grid stays exhaustive: the pause rule cannot fire before
-    # every point has been measured.
-    for label, tuner, budget, rule in (
-        ("Bayesian opt", "bo", 70, None),
-        ("Random search", "random", 70, None),
-        ("Grid search (5x5)", "grid", 25, PauseRule(n_best=25)),
-    ):
+    for label, tuner in (("Bayesian opt", "bo"), ("Random search", "random")):
         setup = build_experiment(WORKLOAD, seed=SEED)
-        run = run_search(setup, tuner, seed=SEED, max_evaluations=budget,
-                         pause_rule=rule, confirm=tuner == "bo")
-        converged = "n/a" if tuner == "grid" else (
-            "yes" if run.converged else "no")
+        run = run_search(setup, tuner, seed=SEED, max_evaluations=70,
+                         confirm=tuner == "bo")
         rows.append((label, honest_delay(run.best_theta, setup.scaler),
-                     run.search_time, run.evaluations, converged))
+                     run.search_time, run.evaluations,
+                     "yes" if run.converged else "no"))
+
+    # The 5x5 grid stays exhaustive: a pause rule over all 25 points
+    # cannot fire before every point has been measured.
+    setup = build_experiment(WORKLOAD, seed=SEED)
+    grid = NoStopController(
+        setup.system, setup.scaler, pause_rule=PauseRule(n_best=25),
+        harden=False, tuner=make_tuner("grid", setup.scaler, seed=SEED),
+    )
+    start = setup.system.time
+    steps = len(grid.run_until_pause(25))
+    rows.append(("Grid search (5x5)",
+                 honest_delay(grid.pause_rule.best_config().theta, setup.scaler),
+                 setup.system.time - start, steps, "n/a"))
 
     print(format_table(
         ["optimizer", "final delay (s)", "search time (s)",

@@ -17,7 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.runner import ChaosRunResult
     from repro.core.gains import GainSchedule
     from repro.core.nostop import NoStopController, NoStopReport
-    from repro.core.pause import PauseRule
     from repro.obs.report import RunJudge, RunReport
     from repro.tuners.base import TunerRunReport
 
@@ -202,7 +201,6 @@ def run_search(
     tuner: str,
     seed: int = 0,
     max_evaluations: int = 30,
-    pause_rule: Optional[PauseRule] = None,
     confirm: bool = False,
 ) -> "TunerRunReport":
     """Run one registered tuner against a deployment via ``run_tuner``.
@@ -219,7 +217,6 @@ def run_search(
         setup.system,
         setup.scaler,
         max_evaluations=max_evaluations,
-        pause_rule=pause_rule,
         confirm=confirm,
     )
 

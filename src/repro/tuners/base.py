@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.adjust import ControlledSystem
 from repro.core.bounds import MinMaxScaler
-from repro.core.pause import EvaluatedConfig, PauseRule
+from repro.core.pause import EvaluatedConfig
 
 #: Finite stand-in for a diverged (non-finite) objective observation.
 #: Large enough to rank a diverged configuration strictly worst, small
@@ -232,7 +232,6 @@ def run_tuner(
     scaler: MinMaxScaler,
     max_evaluations: int = 30,
     slo_delay: float = DEFAULT_SLO_DELAY,
-    pause_rule: Optional[PauseRule] = None,
     confirm: bool = False,
 ) -> TunerRunReport:
     """Drive one tuner against a live system and score the run.
@@ -259,9 +258,7 @@ def run_tuner(
 
     if slo_delay <= 0:
         raise ValueError("slo_delay must be positive")
-    controller = NoStopController(
-        system, scaler, pause_rule=pause_rule, harden=False, tuner=tuner
-    )
+    controller = NoStopController(system, scaler, harden=False, tuner=tuner)
     metrics = _batch_metrics(system)
     start_time = system.time
     start_changes = system.config_changes

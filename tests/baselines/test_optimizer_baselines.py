@@ -1,14 +1,26 @@
 """Tests for the BO / random-search / grid-search tuners on a live system.
 
-Each runs through the shared ``run_tuner`` loop, so the pause rule
-ranks its picks: stable configurations first, then by objective.
+Each runs through the shared driving loop
+(``NoStopController.run_until_pause``), so the pause rule ranks its
+picks: stable configurations first, then by objective.
 """
 
 import numpy as np
 
+from repro.core.nostop import NoStopController
 from repro.core.pause import PauseRule
 from repro.experiments.common import build_experiment, run_search
+from repro.tuners import make_tuner
 from repro.tuners.adapters import grid_points
+
+
+def exhaustive_grid(setup):
+    """An unhardened controller driving the 5x5 grid under a pause rule
+    over all 25 points, so the rule cannot fire before the grid ends."""
+    return NoStopController(
+        setup.system, setup.scaler, pause_rule=PauseRule(n_best=25),
+        harden=False, tuner=make_tuner("grid", setup.scaler),
+    )
 
 
 class TestBOAgainstLiveSystem:
@@ -62,17 +74,11 @@ class TestGridSearch:
         # A pause rule over all 25 points of the 5x5 grid keeps the run
         # exhaustive; the grid then stops on its own, inside the budget.
         setup = build_experiment("wordcount", seed=6)
-        report = run_search(
-            setup, "grid", max_evaluations=100,
-            pause_rule=PauseRule(n_best=25),
-        )
-        assert report.config_changes >= 24
-        assert report.evaluations == 25
+        changes = setup.system.config_changes
+        evaluated = exhaustive_grid(setup).run_until_pause(100)
+        assert setup.system.config_changes - changes >= 24
+        assert len(evaluated) == 25
 
     def test_max_evaluations_truncates(self):
         setup = build_experiment("wordcount", seed=7)
-        report = run_search(
-            setup, "grid", max_evaluations=5,
-            pause_rule=PauseRule(n_best=25),
-        )
-        assert report.evaluations == 5
+        assert len(exhaustive_grid(setup).run_until_pause(5)) == 5
