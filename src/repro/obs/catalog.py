@@ -230,31 +230,9 @@ CATALOG: Tuple[MetricSpec, ...] = (
     _spec("repro_supervisor_timeouts_total", "counter",
           "Cell attempts timed out"),
     # -- tuner ---------------------------------------------------------------
-    _spec("repro_tuner_asks_total", "counter",
-          "Configurations proposed by a tuner through the unified "
-          "ask/observe interface",
-          labels=("tuner",), max_children=16),
-    _spec("repro_tuner_best_objective", "gauge",
-          "Best penalized objective a tuner run settled on",
-          labels=("tuner",), max_children=16),
-    _spec("repro_tuner_convergence_batches", "gauge",
-          "Micro-batches executed before the tuner's convergence rule "
-          "fired (budget-exhausted runs report the full run)",
-          labels=("tuner",), max_children=16),
-    _spec("repro_tuner_observations_total", "counter",
-          "Objective observations fed back to a tuner",
-          labels=("tuner",), max_children=16),
     _spec("repro_tuner_penalized_total", "counter",
           "Non-finite objective observations clamped to the finite "
           "divergence penalty instead of aborting the run"),
-    _spec("repro_tuner_reconfig_seconds", "gauge",
-          "Total reconfiguration pause injected during a tuner run "
-          "(the restart-cost column of the tournament leaderboard)",
-          unit="seconds", labels=("tuner",), max_children=16),
-    _spec("repro_tuner_slo_violation_seconds", "gauge",
-          "Stream-time seconds whose batches breached the delay SLO "
-          "during a tuner run",
-          unit="seconds", labels=("tuner",), max_children=16),
 )
 
 #: Name → spec index over the catalog.

@@ -465,12 +465,12 @@ GOLDEN: Dict[str, str] = {
     "cli/check chaos --json": "a824df7e0114dc8387f8cfd418da3db5fe728bb4bea7821368a7f6dcabe9c830",
     "cli/check fig7 --json": "de37c811f0fe53d5e56ac478ea3a0d4d961a09f72bd0a5adebf7be4a21198142",
     "cli/check quickstart --json": "54553e5f4cc52538b4938eb9a7e69b102c329479007c36790974ca1adc36d755",
-    "cli/dash stdout": "8b3e927f391623b73bd4dbe22a7fc8dbe9fdfe7c7a5136a79b809fe48025ddcb",
+    "cli/dash stdout": "a49a84a36bd086544b7d45ae835c3783ecd6f8e3744959da3dc791b221c3b47c",
     "cli/figure fig5 stdout": "b6c7b81cd67e96d7e02a406f80c7ed1a9a3219ade9cdc1547db86b58c3f74a61",
     "cli/figure table2 stdout": "634216416dbef926c59988238f92a8169acef2392f2e997cb225e7ba1b13faae",
     "cli/metrics --format prom stdout": "97b6294dec020ab23475324a528d0a5174207158100e7ee24386dd9d4e53f589",
     "cli/metrics --json stdout": "f7fb23e1cb410e2b171c48412d59c387e697aa64938a11657add20e02f30f183",
-    "cli/metrics catalog stdout": "0008e4361540bcecf2cdccf96024c9743bc97827eaf6c84b0b0c0e256cd1b0c1",
+    "cli/metrics catalog stdout": "3c57079286c27001151473491637ddd0de128e4a52fa70eebdb5abb68ff66a4a",
     "cli/metrics stdout": "ef3153b610f2c64b02e91a546b5b8174a7d9697a731e910f873f0e91ae10f088",
     "cli/options": "e9f612940ee10a7e34f6546d3c1e875adbda855c911f7316f37b30b0e168cd4e",
     "cli/report --json": "425c5a56e66c8411d900b4baba12d68a9f06011a1349afd82008c9cb269e367a",
@@ -485,7 +485,7 @@ GOLDEN: Dict[str, str] = {
     "compare/Bayesian opt": "9e7e5ba410d0b6c3c5a0f8f079b3c5fd45a4793d2306e36682ee2455b528e972",
     "compare/SPSA (NoStop)": "5ccd7cd29b5145be659942b065d11d8e918372858323d64af868162591817230",
     "compare/Simulated annealing": "69ab7c1b5db567780540231b9753db76e70128bc3c2e0800ebce8a31763bd3cc",
-    "metrics/full-catalog": "56dc71c6d6e8ead8cebe78656f97606ead5fc82e903a9ecee4ce9eb4f4ff1c86",
+    "metrics/full-catalog": "1649787806230d9940935922452b1afe68748986fb8506cd371bbda35932e030",
     "nostop-cell/wordcount/seed0": "b2659be381dc74af37a46d337fe722215cbc578a23d1dc6eef7be1214742a49c",
     "records-between/table": "09b031ee1ef7c6896f3d06a9ec0b497cb957c7013f7a05e3b64b9d7318fbaf54",
     "recovery/logistic_regression": "19c0daa93a573b79263d156113a147aeb7b790e26f8f9bad199be239778bbf3e",
