@@ -49,6 +49,11 @@ class LabeledPoint:
     features: Tuple[float, ...]
 
 
+#: Features per labeled point the data generator synthesizes; the
+#: regression workloads' model dimension.
+FEATURE_DIM = 10
+
+
 def make_labeled_points(
     n: int,
     dim: int,
