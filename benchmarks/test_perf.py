@@ -478,15 +478,19 @@ class TestHotPaths:
         assert wall < 10.0
 
     def test_scheduler_task_throughput(self, bench_record):
-        """Tracking number for the LPT-hoist + inlined-duration loop."""
+        """Tracking numbers for the scheduling loop: an explicit 64-task
+        stage with 64 task sizes on 8 four-core executors, and the shape
+        exact runs use, ``build_job`` stages (two task sizes each) of
+        logistic regression on 10 one-core executors."""
         import numpy as np
 
-        from repro.cluster.cluster import homogeneous_cluster
+        from repro.cluster.cluster import homogeneous_cluster, paper_cluster
         from repro.cluster.resource_manager import ResourceManager
         from repro.engine.job import BatchJob
         from repro.engine.stage import Stage
         from repro.engine.task import TaskSpec
         from repro.engine.task_scheduler import TaskScheduler
+        from repro.workloads import make_workload
 
         manager = ResourceManager(homogeneous_cluster(workers=4,
                                                       cores_per_node=4))
@@ -513,13 +517,39 @@ class TestHotPaths:
         elapsed = time.perf_counter() - t0
         n_tasks = len(tasks) * iterations
         rate = n_tasks / elapsed if elapsed > 0 else float("inf")
+
+        # ~100k records a batch: logistic regression at its rate band
+        # over a 10 s interval.
+        workload = make_workload("logistic_regression")
+        jobs = [
+            workload.build_job(10.0 * i, 100_003, rng)
+            for i in range(20 if SMOKE else 200)
+        ]
+        exact_manager = ResourceManager(paper_cluster())
+        exact_manager.scale_to(10)
+        t0 = time.perf_counter()
+        for built in jobs:
+            scheduler.run_job(built, exact_manager.executors, 0.0, rng)
+        sized_elapsed = time.perf_counter() - t0
+        sized_tasks = sum(built.num_tasks for built in jobs)
+        sized_rate = (
+            sized_tasks / sized_elapsed if sized_elapsed > 0 else float("inf")
+        )
         bench_record(
             tasks=n_tasks,
             seconds=round(elapsed, 4),
             tasksPerSecond=round(rate),
             makespan=round(run.processing_time, 3),
+            sizedJobs=len(jobs),
+            sizedTasks=sized_tasks,
+            sizedSeconds=round(sized_elapsed, 4),
+            sizedTasksPerSecond=round(sized_rate),
         )
-        emit(f"scheduler: {n_tasks} tasks in {elapsed:.3f}s ({rate:,.0f}/s)")
+        emit(
+            f"scheduler: {n_tasks} tasks in {elapsed:.3f}s ({rate:,.0f}/s); "
+            f"build_job stages: {sized_tasks} tasks in {sized_elapsed:.3f}s "
+            f"({sized_rate:,.0f}/s)"
+        )
         assert run.processing_time > 0
 
     def test_import_surface(self, bench_record):

@@ -4,7 +4,7 @@ The chaos engine logs *when* faults fired; these helpers read the
 streaming listener's batch history to quantify *how* the system coped:
 
 * **time-to-recover** — from fault injection until the pipeline is again
-  processing batches within their interval (``k`` consecutive stable
+  processing batches within their interval (three consecutive stable
   batches, so one lucky batch does not count as recovery);
 * **delay overshoot** — how far end-to-end delay rose above its
   pre-fault baseline while the fault was being absorbed.
@@ -25,28 +25,30 @@ from repro.obs.span import Span
 from repro.streaming.metrics import BatchInfo
 
 
+#: Consecutive stable batches after a fault that count as recovery.
+RECOVERY_BATCHES = 3
+
+
 def time_to_recover(
     batches: Sequence[BatchInfo],
     fault_start: float,
-    consecutive: int = 3,
 ) -> float:
     """Seconds from ``fault_start`` until sustained stability returns.
 
-    Recovery is declared at the completion time of the ``consecutive``-th
-    consecutive stable batch (``processing_time <= interval``) among
-    batches completing after the fault.  Returns ``math.inf`` when the
-    history never restabilizes — a baseline that stays drowned reports an
-    infinite MTTR rather than a misleading large number.
+    Recovery is declared at the completion time of the
+    :data:`RECOVERY_BATCHES`-th consecutive stable batch
+    (``processing_time <= interval``) among batches completing after the
+    fault.  Returns ``math.inf`` when the history never restabilizes — a
+    baseline that stays drowned reports an infinite MTTR rather than a
+    misleading large number.
     """
-    if consecutive < 1:
-        raise ValueError(f"consecutive must be >= 1, got {consecutive}")
     run = 0
     for b in batches:
         if b.processing_end <= fault_start:
             continue
         if b.stable:
             run += 1
-            if run >= consecutive:
+            if run >= RECOVERY_BATCHES:
                 return b.processing_end - fault_start
         else:
             run = 0

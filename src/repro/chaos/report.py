@@ -146,7 +146,7 @@ def build_event_outcomes(
     """Join the engine's firing log with recovery metrics from batches.
 
     A fault has recovered once three consecutive stable batches complete
-    (:func:`time_to_recover`'s default).
+    (:data:`~repro.analysis.chaos.RECOVERY_BATCHES`).
     """
     outcomes: List[EventOutcome] = []
     for rec in records:

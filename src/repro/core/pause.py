@@ -172,11 +172,9 @@ class PauseRule:
         gate and take the std over just two delays — pausing far too
         early on a sample the rule was never meant to accept.
         """
-        grouped = self._grouped()
-        if len(grouped) < self.n_best:
+        if len(self._merged) < self.n_best:
             return False
-        ranked = sorted(grouped, key=lambda e: e.sort_key)[: self.n_best]
-        delays = np.array([e.end_to_end_delay for e in ranked])
+        delays = np.array([e.end_to_end_delay for e in self.best()])
         return array_std(delays, array_mean(delays)) < self.STD_THRESHOLD
 
     def reset(self) -> None:

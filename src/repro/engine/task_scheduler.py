@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,21 +142,29 @@ class TaskScheduler:
             finish=start_time,
             executors_used=len(executors),
         )
-        # (free_at, slot_seq, executor) heap — one entry per core.
+        # (free_at, slot_seq, speed, io_penalty, executor) heap — one
+        # entry per core.  Executor speed/penalty only change between
+        # batches: each slot carries them, resolved once per job.
         slots: List[tuple] = []
         seq = 0
         clock = start_time + self.overhead.batch_setup
         for ex in executors:
+            speed, io_penalty = ex.speed_factor, ex.io_penalty
             for _ in range(ex.cores):
-                slots.append((clock, seq, ex))
+                slots.append((clock, seq, speed, io_penalty, ex))
                 seq += 1
         heapq.heapify(slots)
         coord = self.overhead.coordination_cost(len(executors))
-        # Executor speed/penalty only change between batches: resolve the
-        # property chains once per job, not once per attempt.
-        ex_costs = {
-            ex.executor_id: (ex.speed_factor, ex.io_penalty) for ex in executors
-        }
+        task_spans = traced and tracer.task_detail
+        # A task set that cannot fail, traces and records no task, and
+        # runs once every executor is initialized (so no task pays
+        # startup) takes the plain loop.
+        plain = not (
+            self.record_tasks
+            or task_spans
+            or (self.faults.enabled and self.faults.max_attempts > 1)
+        )
+        warm = False
         if traced:
             setup = tracer.start_span(
                 "schedule", parent, start_time, phase="job_setup"
@@ -165,16 +173,20 @@ class TaskScheduler:
 
         for stage in job.stages:
             stage_start = clock
-            # LPT order: longest tasks first minimizes makespan for list
-            # scheduling and mirrors Spark's preference for large pending
-            # tasks.  The order is a pure function of the stage, so it is
-            # computed once here rather than once per iteration — iterated
-            # ML stages re-run the same task set dozens of times.
-            order = sorted(
-                stage.tasks,
-                key=lambda t: t.compute_cost + t.io_cost,
+            # LPT order, once per stage (iterated ML stages rerun it dozens
+            # of times): longest tasks first minimizes makespan and mirrors
+            # Spark's preference for large pending tasks.  The stable sort
+            # of the runs, expanded, is the stable sort of the tasks: a
+            # run's tasks are contiguous and equal.
+            order: List[Tuple[float, float]] = []
+            for count, _, compute_cost, io_cost in sorted(
+                stage.runs, key=lambda run: run[2] + run[3], reverse=True
+            ):
+                order += [(compute_cost, io_cost)] * count
+            specs = sorted(
+                stage.tasks, key=lambda t: t.compute_cost + t.io_cost,
                 reverse=True,
-            )
+            ) if self.record_tasks else None
             for iteration in range(stage.iterations):
                 # Driver-side serial costs per stage execution.
                 sched_start = clock
@@ -189,13 +201,20 @@ class TaskScheduler:
                     exec_span = tracer.start_span(
                         "execute", parent, clock,
                         stage=stage.stage_id, iteration=iteration,
-                        tasks=stage.num_tasks,
+                        tasks=len(order),
                     )
-                clock = self._run_task_set(
-                    order, slots, clock, rng, run, ex_costs,
-                    tracer=tracer if traced else None,
-                    exec_span=exec_span,
-                )
+                if plain and not warm:
+                    warm = all(ex.initialized for ex in executors)
+                if warm:
+                    clock = self._run_plain_task_set(
+                        order, slots, clock, rng
+                    )
+                else:
+                    clock = self._run_task_set(
+                        order, specs, slots, clock, rng, run,
+                        tracer=tracer if task_spans else None,
+                        exec_span=exec_span,
+                    )
                 if exec_span is not None:
                     exec_span.finish(clock)
             run.stage_runs.append(
@@ -204,35 +223,64 @@ class TaskScheduler:
                     name=stage.name,
                     start=stage_start,
                     finish=clock,
-                    num_tasks=stage.num_tasks,
+                    num_tasks=len(order),
                     iterations=stage.iterations,
                 )
             )
         run.finish = clock
         return run
 
+    def _run_plain_task_set(
+        self,
+        order: Sequence[Tuple[float, float]],
+        slots: List[tuple],
+        barrier: float,
+        rng: np.random.Generator,
+    ) -> float:
+        """:meth:`_run_task_set` for a task set that cannot fail, pays no
+        startup and records nothing: the same float operations in the
+        same order, the same noise draw and the same heap keys."""
+        if not order:
+            return barrier
+        noise = self.noise.draw(rng, len(order))
+        finish_max = barrier
+        seq = len(slots)
+        heapreplace = heapq.heapreplace
+        task_dispatch = self.overhead.task_dispatch
+        startup = 0.0  # as in the other loop: ``+ 0.0`` maps -0.0 to 0.0
+        for (compute_cost, io_cost), noise_i in zip(order, noise.tolist()):
+            free_at, _, speed, io_penalty, ex = slots[0]
+            start = (free_at if free_at >= barrier else barrier) + task_dispatch
+            finish = start + (
+                (compute_cost / speed + io_cost * io_penalty) * noise_i + startup
+            )
+            if finish > finish_max:
+                finish_max = finish
+            heapreplace(slots, (finish, seq, speed, io_penalty, ex))
+            seq += 1
+        return finish_max
+
     def _run_task_set(
         self,
-        order: Sequence[TaskSpec],
+        order: Sequence[Tuple[float, float]],
+        specs: Optional[Sequence[TaskSpec]],
         slots: List[tuple],
         barrier: float,
         rng: np.random.Generator,
         run: JobRun,
-        ex_costs: Dict[int, Tuple[float, float]],
         tracer: Optional[Tracer] = None,
         exec_span: Optional[Span] = None,
     ) -> float:
         """Schedule one iteration of a stage's (LPT-ordered) tasks.
 
-        ``order`` must already be in longest-processing-time-first order
-        (the caller sorts once per stage); ``ex_costs`` maps executor id
-        to ``(speed_factor, io_penalty)``.  Returns the new barrier.
+        ``order`` holds each task's ``(compute_cost, io_cost)`` in
+        longest-processing-time-first order (the caller sorts once per
+        stage); ``specs`` holds the same tasks' specs when tasks are
+        recorded.  ``tracer`` is given when task spans are wanted.
+        Returns the new barrier.
         """
         if not order:
             return barrier
-        task_spans = (
-            tracer is not None and tracer.task_detail and exec_span is not None
-        )
         noise = self.noise.draw(rng, len(order))
         finish_max = barrier
         seq = len(slots)
@@ -244,17 +292,16 @@ class TaskScheduler:
         task_dispatch = self.overhead.task_dispatch
         max_attempts = self.faults.max_attempts
         faults_active = self.faults.enabled and max_attempts > 1
-        record_tasks = self.record_tasks
         # A task's duration: compute scaled by the executor's speed, I/O
         # by its disk penalty, times the drawn noise, plus a fresh
         # executor's one-time startup charge.
-        for spec, noise_i in zip(order, noise.tolist()):
-            compute_cost = spec.compute_cost
-            io_cost = spec.io_cost
+        for i, ((compute_cost, io_cost), noise_i) in enumerate(
+            zip(order, noise.tolist())
+        ):
             attempts = 0
             while True:
                 attempts += 1
-                free_at, _, ex = slots[0]
+                free_at, _, speed, io_penalty, ex = slots[0]
                 start = (free_at if free_at >= barrier else barrier) + task_dispatch
                 startup = 0.0
                 charged = False
@@ -262,7 +309,6 @@ class TaskScheduler:
                     startup = self.overhead.executor_startup
                     ex.mark_initialized()
                     charged = True
-                speed, io_penalty = ex_costs[ex.executor_id]
                 duration = (
                     compute_cost / speed + io_cost * io_penalty
                 ) * noise_i + startup
@@ -271,7 +317,7 @@ class TaskScheduler:
                     # Transient failure: the core is busy for part of the
                     # attempt, then the task re-queues on the earliest slot.
                     waste = duration * self.faults.waste_fraction(rng)
-                    heapreplace(slots, (start + waste, seq, ex))
+                    heapreplace(slots, (start + waste, seq, speed, io_penalty, ex))
                     seq += 1
                     run.task_failures += 1
                     if exec_span is not None:
@@ -287,18 +333,18 @@ class TaskScheduler:
                 finish = start + duration
                 if finish > finish_max:
                     finish_max = finish
-                heapreplace(slots, (finish, seq, ex))
+                heapreplace(slots, (finish, seq, speed, io_penalty, ex))
                 seq += 1
-                if task_spans:
+                if tracer is not None:
                     tspan = tracer.start_span(
                         "task", exec_span, start,
                         executor=ex.executor_id, attempts=attempts,
                     )
                     tspan.finish(finish)
-                if record_tasks:
+                if specs is not None:
                     run.task_runs.append(
                         TaskRun(
-                            spec=spec,
+                            spec=specs[i],
                             executor_id=ex.executor_id,
                             start=start,
                             finish=finish,

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.engine.job import BatchJob
 from repro.engine.stage import Stage
-from repro.engine.task import TaskSpec
 
 from .cost_models import WorkloadCostModel
 
@@ -82,20 +81,17 @@ class Workload(abc.ABC):
         stages: List[Stage] = []
         for sid, sc in enumerate(self.COST_MODEL.stages):
             # A stage has two task sizes: the first ``rem`` tasks take one
-            # record more.  Each size's costs are computed once.
+            # record more.  Each size is costed once.
             fixed = sc.fixed_compute / partitions
-            sizes = [
-                (n, fixed + n * sc.compute_per_record, n * sc.io_per_record)
-                for n in (per_task, per_task + 1)
-            ]
-            tasks = [
-                TaskSpec(tid, *sizes[tid < rem]) for tid in range(partitions)
+            runs = [
+                (count, n, fixed + n * sc.compute_per_record, n * sc.io_per_record)
+                for count, n in ((rem, per_task + 1), (partitions - rem, per_task))
             ]
             stages.append(
                 Stage(
                     stage_id=sid,
                     name=sc.name,
-                    tasks=tasks,
+                    runs=runs,
                     iterations=iters if sc.name in self.COST_MODEL.iterated_stages else 1,
                 )
             )

@@ -2,11 +2,13 @@
 
 ``Topic`` keeps every partition's segments in one columnar log that
 ``append_uniform`` writes and the consumer reads in one pass each;
-``TaskScheduler`` takes the earliest slot with one ``heapreplace`` and
-resolves executor costs once per job.  Each property below rebuilds the
-straightforward form — the per-partition ``Partition`` objects and
-consumer the log replaced, a checked ``Partition.append`` per
-partition, and a ``heappop``/``heappush`` scheduling loop — and
+``TaskScheduler`` costs a stage's runs of equal tasks, takes the
+earliest slot with one ``heapreplace``, resolves executor costs once
+per job and, with nothing to fail, charge or record, runs a plain
+loop.  Each property below rebuilds the straightforward form — the
+per-partition ``Partition`` objects and consumer the log replaced, a
+checked ``Partition.append`` per partition, and a
+``heappop``/``heappush`` scheduling loop over task specs — and
 requires the same logs, the same batches and the same schedules, bit
 for bit.
 """
@@ -31,6 +33,11 @@ from repro.engine.task_scheduler import JobRun, NoiseModel, TaskScheduler
 from repro.kafka.consumer import DirectStreamConsumer
 from repro.kafka.partition import Partition, Segment
 from repro.kafka.topic import Topic
+from repro.workloads import make_workload
+
+WORKLOADS = [
+    "logistic_regression", "linear_regression", "wordcount", "page_analyze",
+]
 
 # -- Kafka: the per-partition objects the topic log replaced ---------------
 
@@ -467,9 +474,22 @@ def _reference_run_job(scheduler, job, executors, start_time, rng):
 @st.composite
 def jobs(draw):
     """A job of a few stages; task costs come from small pools so equal
-    LPT keys (ties the sort must keep stable) are common."""
+    LPT keys (ties the sort must keep stable) are common.  A stage is
+    either an explicit task list or a stage of a ``build_job`` job."""
     stages = []
     for sid in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            wl = make_workload(draw(st.sampled_from(WORKLOADS)))
+            wl.partitions = draw(st.integers(1, 12))
+            built = wl.build_job(
+                0.0, draw(st.integers(0, 5000)),
+                np.random.default_rng(draw(st.integers(0, 2**16))),
+            ).stages[draw(st.integers(0, len(wl.COST_MODEL.stages) - 1))]
+            stages.append(Stage(
+                stage_id=sid, name=built.name, runs=built.runs,
+                iterations=built.iterations,
+            ))
+            continue
         tasks = [
             TaskSpec(
                 task_id=tid,
@@ -498,11 +518,12 @@ class TestSchedulerLoop:
         max_attempts=st.integers(1, 5),
         sigma=st.sampled_from([0.0, 0.1]),
         seed=st.integers(0, 2**16),
+        record_tasks=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
     def test_same_schedule_as_pop_and_push(
         self, job, executors, initialized, slowdowns, failure_prob,
-        max_attempts, sigma, seed,
+        max_attempts, sigma, seed, record_tasks,
     ):
         rm = ResourceManager(paper_cluster())
         rm.scale_to(executors)
@@ -515,19 +536,22 @@ class TestSchedulerLoop:
         scheduler = TaskScheduler(
             overhead=DEFAULT_OVERHEAD,
             noise=NoiseModel(sigma=sigma),
-            record_tasks=True,
+            record_tasks=record_tasks,
             faults=FaultModel(
                 task_failure_prob=failure_prob, max_attempts=max_attempts
             ),
         )
-        got = scheduler.run_job(job, pool, 3.0, np.random.default_rng(seed))
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        got = scheduler.run_job(job, pool, 3.0, got_rng)
         want = _reference_run_job(
-            scheduler, job, reference_pool, 3.0, np.random.default_rng(seed)
+            scheduler, job, reference_pool, 3.0, want_rng
         )
         assert got.finish == want.finish
         assert got.task_failures == want.task_failures
         assert got.exhausted_retries == want.exhausted_retries
-        assert got.task_runs == want.task_runs
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got.task_runs == (want.task_runs if record_tasks else [])
         assert [ex.initialized for ex in pool] == [
             ex.initialized for ex in reference_pool
         ]
