@@ -18,6 +18,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 from typing import Any, Callable, Dict, Tuple
 
 import pytest
@@ -28,6 +29,7 @@ from repro.datagen.rates import (
     SpikeRate,
     StepRate,
     TraceRate,
+    paper_rate_trace,
 )
 from repro.runner.cells import execute_cell
 
@@ -57,14 +59,9 @@ def _tournament_cell(scenario: str, tuner: str) -> Callable[[], Any]:
     })
 
 
-def _records_table() -> Any:
-    """``records_between`` of the generic-integration traces.
-
-    Intervals are not multiples of the 0.25 s integration cell and
-    straddle the step (600 s) and spike (400 s, 700 s) edges; the last
-    rows are a prefetch-style block ``t0 + i * interval``.
-    """
-    traces = {
+def _generic_traces() -> Dict[str, Any]:
+    """The traces without a closed-form ``records_between``."""
+    return {
         "step": StepRate(((0.0, 110_000.0), (600.0, 190_000.0))),
         "spike": SpikeRate(
             ConstantRate(150_000.0), spikes=((400.0, 700.0, 1.8),)
@@ -72,12 +69,57 @@ def _records_table() -> Any:
         "sine": SineRate(150_000.0, 37_500.0, 300.0),
         "trace": TraceRate([9_000.0, 12_500.0, 7_250.0, 11_000.0], dt=0.7),
     }
+
+
+def _records_table() -> Any:
+    """``records_between`` of the generic-integration traces.
+
+    Intervals are not multiples of the 0.25 s integration cell and
+    straddle the step (600 s) and spike (400 s, 700 s) edges; the last
+    rows are a prefetch-style block ``t0 + i * interval``.
+    """
+    traces = _generic_traces()
     intervals = [
         (0.0, 7.3), (12.345, 19.01), (3.0, 3.1), (1.0, 1.0),
         (595.1, 602.4), (592.9, 600.05), (599.9, 600.1),
         (398.3, 401.7), (399.99, 400.2), (699.2, 703.33), (650.0, 712.6),
     ]
     intervals += [(0.3 + i * 2.7, 0.3 + (i + 1) * 2.7) for i in range(300)]
+    return {
+        name: [trace.records_between(a, b) for a, b in intervals]
+        for name, trace in traces.items()
+    }
+
+
+def _records_ticks() -> Any:
+    """``records_between`` over production ticks and tick remainders.
+
+    Widths of 1 s and the sub-tick remainders 0.3 s, 1 ms and 1.75 s
+    (1 to 7 integration cells), starting on and off the 0.25 s grid
+    around the step, spike and trace edges, the chaos report's rate
+    shift at 600 s and its 10 s hold edges; then a run of 1 s ticks
+    accumulated in floats across the shift.  The chaos trace is the
+    one ``judged_chaos_run`` builds at its default seed.
+    """
+    traces = _generic_traces()
+    traces["chaos"] = SpikeRate(
+        paper_rate_trace("wordcount", seed=7),
+        spikes=((600.0, math.inf, 0.25),),
+    )
+    offsets = (-1.75, -1.0, -0.3, -0.2, -1e-3, 0.0, 0.1, 0.25, 0.37)
+    starts = sorted({
+        anchor + offset
+        for anchor in (0.0, 10.0, 20.0, 400.0, 590.0, 600.0, 610.0, 700.0)
+        for offset in offsets
+        if anchor + offset >= 0.0
+    })
+    intervals = [
+        (a, a + width) for a in starts for width in (1.0, 0.3, 1e-3, 1.75)
+    ]
+    t = 585.3
+    for _ in range(30):
+        intervals.append((t, t + 1.0))
+        t += 1.0
     return {
         name: [trace.records_between(a, b) for a, b in intervals]
         for name, trace in traces.items()
@@ -390,6 +432,7 @@ CASES: Dict[str, Callable[[], Any]] = {
         for s in TOURNAMENT_SCENARIOS for t in TOURNAMENT_TUNERS
     },
     "records-between/table": _records_table,
+    "records-between/ticks": _records_ticks,
     "chaos-report/wordcount/rounds10": _chaos_report,
     "chaos-report/wordcount/rounds40/json": (
         lambda: _report_data(_chaos_report_40().to_json())
@@ -488,6 +531,7 @@ GOLDEN: Dict[str, str] = {
     "metrics/full-catalog": "1649787806230d9940935922452b1afe68748986fb8506cd371bbda35932e030",
     "nostop-cell/wordcount/seed0": "b2659be381dc74af37a46d337fe722215cbc578a23d1dc6eef7be1214742a49c",
     "records-between/table": "09b031ee1ef7c6896f3d06a9ec0b497cb957c7013f7a05e3b64b9d7318fbaf54",
+    "records-between/ticks": "fbe69b5650e8129b55cc18c35b9814de707542c670aee2a72125d30cfb13b65d",
     "recovery/logistic_regression": "19c0daa93a573b79263d156113a147aeb7b790e26f8f9bad199be239778bbf3e",
     "tournament/sine/annealing": "a22792de4ff3f0b6ecdbdfb60a3b9be825caf44ee50569a72349bb85142bf939",
     "tournament/sine/bo": "816ca7761b68a8f82db12046510c0f9d5ffb34a167877265f30372a9af12c468",
