@@ -9,6 +9,7 @@ import heapq
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from repro.datagen.rates import (
     StepRate,
     TraceRate,
     UniformRandomRate,
+    _integrate_cells,
     _midpoint_integrals,
 )
 from repro.fast.engine import greedy_assignment
@@ -177,6 +179,64 @@ class TestBlockIntegration:
         assert trace.records_in([5.0, 7.0, 9.0], [5.0, 9.0, 9.0]) == [
             0, trace.records_between(7.0, 9.0), 0,
         ]
+
+
+#: Times on the 0.25 s grid, anywhere, and near the traces' edges.
+tick_starts = st.one_of(
+    st.integers(0, 8000).map(lambda k: k * 0.25),
+    times,
+    st.builds(
+        lambda edge, offset: max(0.0, edge + offset),
+        st.sampled_from([0.7, 2.1, 300.0, 310.0, 320.25, 400.0, 600.0]),
+        st.floats(-2.0, 2.0),
+    ),
+)
+
+#: Interval widths: on the grid, jittered off it, and tiny.
+tick_widths = st.one_of(
+    st.integers(1, 7).map(lambda k: k * 0.25),
+    st.floats(1e-6, 1.75),
+    st.floats(1e-12, 1e-3),
+)
+
+
+class TestShortIntegration:
+    """One interval of 1 to 7 cells integrates in plain floats."""
+
+    @given(
+        name=st.sampled_from(GENERIC),
+        t0=tick_starts,
+        width=tick_widths,
+        n=st.integers(1, 7),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_short_form_equals_array_form_bitwise(self, name, t0, width, n):
+        trace = TRACES[name]
+        t1 = t0 + width
+        short = _integrate_cells(trace, t0, width, t1, n)
+        block = _integrate_cells(
+            trace, np.array([[t0]]), np.array([[width]]), np.array([t1]), n
+        )
+        assert type(short[0]) is float
+        assert _bits(short) == _bits(block)
+
+    @pytest.mark.parametrize(
+        "width, array_calls", [(1.0, 0), (1.75, 0), (1.75 + 1e-9, 1), (1.76, 1)]
+    )
+    def test_eight_cells_take_the_array_form(
+        self, monkeypatch, width, array_calls
+    ):
+        calls = []
+
+        def rates(self, ts):
+            calls.append(np.shape(ts))
+            return RateTrace.rates(self, ts)
+
+        monkeypatch.setattr(SineRate, "rates", rates)
+        trace = TRACES["sine"]
+        got = trace.records_between(100.0, 100.0 + width)
+        assert len(calls) == array_calls
+        assert got == round(_reference_integral(trace, 100.0, 100.0 + width))
 
 
 def _heap_assignment(per_task, tasks):
