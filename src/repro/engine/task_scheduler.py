@@ -144,7 +144,9 @@ class TaskScheduler:
         )
         # (free_at, slot_seq, speed, io_penalty, executor) heap — one
         # entry per core.  Executor speed/penalty only change between
-        # batches: each slot carries them, resolved once per job.
+        # batches: each slot carries them, resolved once per job.  One
+        # job-wide ``seq`` keeps every key unique, even when zero-cost
+        # tasks put slots back at the time they came out.
         slots: List[tuple] = []
         seq = 0
         clock = start_time + self.overhead.batch_setup
@@ -206,12 +208,12 @@ class TaskScheduler:
                 if plain and not warm:
                     warm = all(ex.initialized for ex in executors)
                 if warm:
-                    clock = self._run_plain_task_set(
-                        order, slots, clock, rng
+                    clock, seq = self._run_plain_task_set(
+                        order, slots, seq, clock, rng
                     )
                 else:
-                    clock = self._run_task_set(
-                        order, specs, slots, clock, rng, run,
+                    clock, seq = self._run_task_set(
+                        order, specs, slots, seq, clock, rng, run,
                         tracer=tracer if task_spans else None,
                         exec_span=exec_span,
                     )
@@ -234,17 +236,17 @@ class TaskScheduler:
         self,
         order: Sequence[Tuple[float, float]],
         slots: List[tuple],
+        seq: int,
         barrier: float,
         rng: np.random.Generator,
-    ) -> float:
+    ) -> Tuple[float, int]:
         """:meth:`_run_task_set` for a task set that cannot fail, pays no
         startup and records nothing: the same float operations in the
         same order, the same noise draw and the same heap keys."""
         if not order:
-            return barrier
+            return barrier, seq
         noise = self.noise.draw(rng, len(order))
         finish_max = barrier
-        seq = len(slots)
         heapreplace = heapq.heapreplace
         task_dispatch = self.overhead.task_dispatch
         startup = 0.0  # as in the other loop: ``+ 0.0`` maps -0.0 to 0.0
@@ -258,32 +260,33 @@ class TaskScheduler:
                 finish_max = finish
             heapreplace(slots, (finish, seq, speed, io_penalty, ex))
             seq += 1
-        return finish_max
+        return finish_max, seq
 
     def _run_task_set(
         self,
         order: Sequence[Tuple[float, float]],
         specs: Optional[Sequence[TaskSpec]],
         slots: List[tuple],
+        seq: int,
         barrier: float,
         rng: np.random.Generator,
         run: JobRun,
         tracer: Optional[Tracer] = None,
         exec_span: Optional[Span] = None,
-    ) -> float:
+    ) -> Tuple[float, int]:
         """Schedule one iteration of a stage's (LPT-ordered) tasks.
 
         ``order`` holds each task's ``(compute_cost, io_cost)`` in
         longest-processing-time-first order (the caller sorts once per
         stage); ``specs`` holds the same tasks' specs when tasks are
         recorded.  ``tracer`` is given when task spans are wanted.
-        Returns the new barrier.
+        ``seq`` is the next heap key sequence number.  Returns the new
+        barrier and the next ``seq``.
         """
         if not order:
-            return barrier
+            return barrier, seq
         noise = self.noise.draw(rng, len(order))
         finish_max = barrier
-        seq = len(slots)
         # Every attempt takes the earliest slot and puts it back busy
         # until its end: one heapreplace.  The (free_at, seq) keys are
         # unique, so slots come out in the same order as with a pop and
@@ -353,4 +356,4 @@ class TaskScheduler:
                     )
                 break
         # Barrier: next stage iteration starts when the slowest task ends.
-        return finish_max
+        return finish_max, seq
