@@ -16,6 +16,7 @@ and a determinism break must fail the perf job regardless of timing.
 import gc
 import hashlib
 import json
+import math
 import os
 import statistics
 import time
@@ -23,8 +24,15 @@ import time
 import pytest
 
 from perfbench.run import calibrated
-from repro.datagen.rates import ConstantRate, UniformRandomRate
+from repro.cluster.cluster import paper_cluster
+from repro.datagen.rates import (
+    ConstantRate,
+    SpikeRate,
+    UniformRandomRate,
+    paper_rate_trace,
+)
 from repro.experiments.fig7_improvement import fig7_optimize_spec
+from repro.kafka.cluster import paper_kafka_cluster
 from repro.kafka.producer import RateControlledProducer
 from repro.kafka.topic import Topic
 from repro.runner import ResultCache, SweepRunner
@@ -265,6 +273,46 @@ class TestHotPaths:
             f"datagen over {horizon:.0f}s sim: per-tick {t_slow:.3f}s "
             f"({slow_appends} appends) vs count-only {t_fast:.3f}s "
             f"({fast_appends} appends), {speedup:.1f}x"
+        )
+
+    def test_spike_trace_tick_production(self, bench_record):
+        """Host seconds per 1 s production tick of the trace ``repro
+        report`` runs: a record, not a gate.
+
+        The chaos report's ``SpikeRate`` (wordcount band, seed 7, x0.25
+        from 600 s) has no closed-form integral, so every tick runs the
+        midpoint rule over 4 cells.  Production goes into the chaos
+        run's topic; fastest of ``repeats`` runs.  The total must equal
+        the same ticks integrated as one block.
+        """
+        horizon = 600.0 if SMOKE else 3600.0
+        repeats = 3
+        trace = SpikeRate(
+            paper_rate_trace("wordcount", seed=7),
+            spikes=((600.0, math.inf, 0.25),),
+        )
+        best = float("inf")
+        for _ in range(repeats):
+            topic = paper_kafka_cluster(paper_cluster().total_cores).topic(
+                "events"
+            )
+            producer = RateControlledProducer(topic, trace)
+            _, elapsed = _timed(lambda: producer.produce_until(horizon))
+            best = min(best, elapsed)
+        ticks = int(horizon)
+        assert producer.total_produced == sum(
+            trace.records_in(range(ticks), range(1, ticks + 1))
+        )
+        bench_record(
+            horizonSeconds=horizon,
+            ticks=ticks,
+            partitions=len(topic.partitions),
+            repeats=repeats,
+            secondsPerTick=best / ticks,
+        )
+        emit(
+            f"spike-trace production ({ticks} ticks, {len(topic.partitions)} "
+            f"partitions, fastest of {repeats}): {best * 1e6 / ticks:.1f} us/tick"
         )
 
     def test_fast_tier_speedup(self, bench_record):
